@@ -76,11 +76,6 @@ Options:
                       per-pair distance memoization); purely a speed
                       knob — either setting yields bit-identical
                       repairs                       (default: on)
-  --distance-kernel K auto | scalar | bitparallel: edit-distance
-                      implementation (scalar banded DP vs Myers'
-                      bit-parallel); auto = bitparallel. A/B knob —
-                      every kernel yields bit-identical repairs
-                                                    (default: auto)
   --verbose           print every cell change
   --summary           print changes aggregated by (column, old, new)
   --help              this text
@@ -190,7 +185,7 @@ Result<CliOptions> ParseCliArgs(const std::vector<std::string>& args) {
       FTR_ASSIGN_OR_RETURN(std::string name, next());
       // Resolve eagerly so a typo fails here with the mode list instead
       // of deep inside the repair run.
-      FTR_RETURN_NOT_OK(SemanticsRegistry::Instance().Resolve(name).status());
+      FTR_RETURN_NOT_OK(ParseSemantics(name).status());
       options.repair.semantics = name;
     } else if (arg == "--confidence") {
       FTR_ASSIGN_OR_RETURN(std::string text, next());
@@ -247,12 +242,6 @@ Result<CliOptions> ParseCliArgs(const std::vector<std::string>& args) {
       } else {
         return Status::InvalidArgument("unknown --detect-index '" + name +
                                        "' (auto | allpairs | blocked)");
-      }
-    } else if (arg == "--distance-kernel") {
-      FTR_ASSIGN_OR_RETURN(std::string name, next());
-      if (!ParseDistanceKernel(name, &options.distance_kernel)) {
-        return Status::InvalidArgument("unknown --distance-kernel '" + name +
-                                       "' (want auto | scalar | bitparallel)");
       }
     } else if (arg == "--columnar") {
       FTR_ASSIGN_OR_RETURN(std::string mode, next());
@@ -725,7 +714,6 @@ Status RunCli(const CliOptions& options, std::ostream& out) {
     return Status::OK();
   }
   if (options.log_level_set) SetLogLevel(options.log_level);
-  SetDistanceKernel(options.distance_kernel);
   const bool tracing = !options.trace_json_path.empty();
   if (tracing) Tracer::Instance().Enable();
   Status status = RunCliInner(options, out);

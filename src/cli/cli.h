@@ -10,7 +10,6 @@
 #include "core/repair_types.h"
 #include "data/csv.h"
 #include "discovery/fd_discovery.h"
-#include "metric/distance.h"
 
 namespace ftrepair {
 
@@ -36,8 +35,6 @@ struct CliOptions {
   std::string audit_log_path;     // --audit-log (NDJSON decision stream)
   int explain_row = -1;           // --explain ROW,COL (-1 = not requested)
   int explain_col = -1;
-  // --distance-kernel: edit-distance kernel A/B knob (process-wide).
-  DistanceKernel distance_kernel = DistanceKernel::kAuto;
   std::string metrics_json_path;  // --metrics-json (JSON metrics snapshot)
   std::string trace_json_path;    // --trace-json (Chrome trace_event JSON)
   bool log_level_set = false;     // --log-level given explicitly

@@ -36,8 +36,8 @@ const char* RepairAlgorithmName(RepairAlgorithm algorithm);
 
 /// Tunables of the cost-based repair model.
 struct RepairOptions {
-  /// Which repair semantics the Repairer dispatches to, resolved
-  /// against the SemanticsRegistry (core/semantics.h):
+  /// Which repair semantics the Repairer runs, parsed once per call by
+  /// ParseSemantics (core/semantics.h):
   ///   "ft-cost"     -- the paper's min-cost FT-consistent repair (the
   ///                    default; exactly the historical pipeline).
   ///   "soft-fd"     -- confidence-weighted soft FDs: repairs whose
@@ -47,7 +47,7 @@ struct RepairOptions {
   ///                    semantics, indicator distances; poly-time
   ///                    exact majority solver where it is provably
   ///                    optimal, the regular search elsewhere).
-  /// Unknown names fail with InvalidArgument listing the registry.
+  /// Unknown names fail with InvalidArgument listing the known names.
   std::string semantics = "ft-cost";
 
   /// Per-FD confidence overrides for the soft-fd semantics, keyed by

@@ -17,7 +17,6 @@
 #include "core/greedy_multi.h"
 #include "core/greedy_single.h"
 #include "core/multi_common.h"
-#include "core/pipeline.h"
 #include "core/semantics.h"
 #include "core/soft_fd.h"
 #include "detect/detector.h"
@@ -172,12 +171,14 @@ void ExportMemoryMetrics(const MemoryBudget& memory) {
   }
 }
 
-// "+"-joined FD names of a multi-FD component.
-std::string ComponentName(const std::vector<const FD*>& fds) {
+// "+"-joined FD names of a component (the FD's own name for a
+// singleton).
+std::string ComponentName(const std::vector<FD>& named,
+                          const std::vector<int>& component) {
   std::string name;
-  for (const FD* fd : fds) {
+  for (int idx : component) {
     if (!name.empty()) name += "+";
-    name += fd->name();
+    name += named[static_cast<size_t>(idx)].name();
   }
   return name;
 }
@@ -199,6 +200,49 @@ std::vector<Pattern> PatternsFor(const Table& table, const FD& fd,
     out.push_back(std::move(p));
   }
   return out;
+}
+
+// Validated copies of `fds` with guaranteed-unique names (`prefix` +
+// index for unnamed ones), so per-FD taus — and the auto-threshold
+// heuristic — resolve by name. Confidence rides along for soft-fd.
+Result<std::vector<FD>> NamedFDs(const Schema& schema,
+                                 const std::vector<FD>& fds,
+                                 const char* prefix) {
+  FTR_RETURN_NOT_OK(ValidateFDs(schema, fds));
+  std::vector<FD> named;
+  named.reserve(fds.size());
+  for (size_t i = 0; i < fds.size(); ++i) {
+    if (fds[i].name().empty()) {
+      FTR_ASSIGN_OR_RETURN(
+          FD fd, FD::Make(fds[i].lhs(), fds[i].rhs(),
+                          prefix + std::to_string(i), fds[i].confidence()));
+      named.push_back(std::move(fd));
+    } else {
+      named.push_back(fds[i]);
+    }
+  }
+  return named;
+}
+
+// Opens the provenance record both entry points share: the run's
+// algorithm and semantics and one ProvenanceFD per (named) FD.
+void BeginProvenance(const std::vector<FD>& named, const RepairOptions& opts,
+                     SemanticsId semantics, RepairProvenance* prov) {
+  prov->enabled = true;
+  prov->algorithm = RepairAlgorithmName(opts.algorithm);
+  prov->semantics = SemanticsName(semantics);
+  for (const FD& fd : named) {
+    ProvenanceFD pfd;
+    pfd.name = fd.name();
+    pfd.lhs = fd.lhs();
+    pfd.rhs = fd.rhs();
+    pfd.tau = opts.TauFor(fd);
+    pfd.w_l = opts.w_l;
+    pfd.w_r = opts.w_r;
+    pfd.confidence =
+        semantics == SemanticsId::kSoftFd ? opts.ConfidenceFor(fd) : 1.0;
+    prov->fds.push_back(std::move(pfd));
+  }
 }
 
 // When `opts->auto_threshold` is set, resolves a tau per FD with the
@@ -231,6 +275,176 @@ Gauge* SolveThreadsGauge() {
   return solve_threads;
 }
 
+/// \brief One FD component or CFD tableau unit on its way down the
+/// degradation ladder.
+///
+/// Construction is the resource preamble every unit shares: when the
+/// budget or memory is already exhausted the unit does not run — it is
+/// staged as "skip" (detect-only: its tuples keep their values) with
+/// the fall_back_to_greedy valve open, or fails with `where` with the
+/// valve closed — and when the soft memory watermark is latched the
+/// unit runs on SoftDegradedOptions. A unit that passes the preamble
+/// is observed into ftrepair.solve.component_ms exactly once, when it
+/// goes out of scope, whichever rung it stopped on.
+///
+/// Everything a unit records lands in its private `stats` / `status`,
+/// so units run concurrently on pool threads.
+class LadderUnit {
+ public:
+  LadderUnit(const RepairOptions& opts, const Timer& repair_clock,
+             std::string name, const char* where, RepairStats* stats,
+             Status* status)
+      : clock_(repair_clock),
+        name_(std::move(name)),
+        stats_(stats),
+        status_(status) {
+    if (BudgetExhausted(opts.budget) || MemExhausted(opts.memory)) {
+      Status exhausted = ResourceCheck(opts.budget, opts.memory, where);
+      if (opts.fall_back_to_greedy) {
+        Stage(opts, "skip", exhausted.message());
+      } else {
+        *status_ = std::move(exhausted);
+      }
+      return;
+    }
+    opts_ = &opts;
+    if (opts.fall_back_to_greedy && MemSoftExceeded(opts.memory)) {
+      degraded_ = SoftDegradedOptions(opts, clock_, name_, stats_);
+      opts_ = &degraded_;
+    }
+  }
+  ~LadderUnit() {
+    if (opts_ != nullptr) ComponentMsHistogram()->Observe(timer_.Millis());
+  }
+  LadderUnit(const LadderUnit&) = delete;
+  LadderUnit& operator=(const LadderUnit&) = delete;
+
+  /// False when the preamble stopped the unit.
+  bool runs() const { return opts_ != nullptr; }
+  /// The options the unit runs with; only valid when runs().
+  const RepairOptions& opts() const { return *opts_; }
+  RepairStats* stats() const { return stats_; }
+
+  /// Stages one ladder step of this unit, caused by whichever resource
+  /// tripped.
+  void Stage(std::string stage, std::string reason) const {
+    Stage(*opts_, std::move(stage), std::move(reason));
+  }
+
+  /// Records a hard failure; returns false so callers can
+  /// `return unit.Fail(...)`.
+  bool Fail(Status status) const {
+    *status_ = std::move(status);
+    return false;
+  }
+
+  /// A step truncated by resource exhaustion at `where`: a hard
+  /// failure with the valve closed (returns false), otherwise staged as
+  /// `stage` and the unit keeps its partial result.
+  bool Truncated(const char* where, const char* stage,
+                 std::string reason) const {
+    if (!opts_->fall_back_to_greedy) {
+      return Fail(ResourceCheck(opts_->budget, opts_->memory, where));
+    }
+    Stage(stage, std::move(reason));
+    return true;
+  }
+
+  /// The violation-graph truncation check: undetected violations stay
+  /// unrepaired. `noun` is "graph" or "graphs".
+  bool GraphChecked(bool truncated, const char* noun) const {
+    return !truncated ||
+           Truncated("violation graph construction", "partial-graph",
+                     std::string("resources exhausted while building the "
+                                 "violation ") +
+                         noun + "; undetected violations stay unrepaired");
+  }
+
+ private:
+  void Stage(const RepairOptions& opts, std::string stage,
+             std::string reason) const {
+    StageDegradation(stats_, clock_, name_, std::move(stage),
+                     ClassifyDegradationCause(opts.budget, opts.memory),
+                     std::move(reason));
+  }
+
+  Timer timer_;
+  const Timer& clock_;
+  std::string name_;
+  RepairStats* stats_;
+  Status* status_;
+  RepairOptions degraded_;
+  const RepairOptions* opts_ = nullptr;
+};
+
+// The single-FD solve shared by FD singleton components and CFD
+// tableau units. The cardinality majority fast path runs first: a
+// tractable cardinality component (one LHS block per clique, one cell
+// per repaired row) is solved exactly by per-block majority. Wider RHS
+// vectors, and every other semantics, step down the ladder exact ->
+// greedy -> partial greedy; the greedy rung never fails outright, the
+// budget truncates it instead. kGreedy and kApproJoin both land on the
+// greedy rung — for a single FD there is nothing to join, so Appro-M's
+// per-FD phase *is* Greedy-S (a contractual aliasing, see DESIGN.md
+// §4). The soft-fd revert filter runs last. CFD units pass kFtCost.
+// Returns false on a hard failure (recorded on `unit`).
+bool SolveSingle(const LadderUnit& unit, const ViolationGraph& graph,
+                 const FD& fd, SemanticsId semantics,
+                 SingleFDSolution* solution) {
+  const RepairOptions& opts = unit.opts();
+  RepairStats* stats = unit.stats();
+  std::vector<bool> forced_storage;
+  const std::vector<bool>* forced = nullptr;
+  if (!opts.trusted_rows.empty()) {
+    forced_storage = TrustedPatternMask(graph.patterns(), opts.trusted_rows);
+    forced = &forced_storage;
+  }
+  bool have_solution = false;
+  Timer solve_timer;
+  if (semantics == SemanticsId::kCardinality && fd.rhs_size() == 1) {
+    *solution =
+        SolveCardinalityMajority(graph, forced, &stats->trusted_conflicts);
+    have_solution = true;
+  } else if (opts.algorithm == RepairAlgorithm::kExact) {
+    ExpansionConfig config;
+    config.max_frontier = opts.max_frontier;
+    config.forced = forced;
+    config.budget = opts.budget;
+    config.memory = opts.memory;
+    auto exact = SolveExpansionSingle(graph, config);
+    if (exact.ok()) {
+      *solution = std::move(exact).value();
+      have_solution = true;
+      stats->expansion_nodes += solution->nodes_expanded;
+      stats->expansion_pruned += solution->nodes_pruned;
+    } else if (exact.status().IsResourceExhausted() &&
+               opts.fall_back_to_greedy) {
+      unit.Stage("exact->greedy", exact.status().message());
+    } else {
+      return unit.Fail(exact.status());
+    }
+  }
+  if (!have_solution) {
+    *solution = SolveGreedySingle(graph, forced, &stats->trusted_conflicts,
+                                  opts.budget, opts.memory);
+    if (solution->truncated &&
+        !unit.Truncated("greedy cover", "greedy->partial",
+                        "resources exhausted while growing the greedy set; "
+                        "uncovered patterns stay unrepaired")) {
+      return false;
+    }
+  }
+  if (semantics == SemanticsId::kSoftFd) {
+    const double confidence = opts.ConfidenceFor(fd);
+    if (confidence < 1.0) {
+      FilterSingleFDSolutionSoft(graph, SoftFdPenaltyRate(confidence),
+                                 solution);
+    }
+  }
+  stats->phases.solve_ms += solve_timer.Millis();
+  return true;
+}
+
 /// \brief Scratch result of one FD component's solve.
 ///
 /// SolveComponent fills one of these on whatever pool thread claimed
@@ -258,6 +472,90 @@ struct ComponentOutcome {
   RepairStats stats;
 };
 
+// The multi-FD ladder: exact -> greedy -> per-FD appro -> detect-only.
+// Each rung hands ResourceExhausted down one step (when the
+// fall_back_to_greedy valve is open); the bottom rung degrades to
+// leaving the component unrepaired.
+void SolveMulti(const LadderUnit& unit, const ComponentContext& context,
+                const std::vector<const FD*>& component_fds,
+                const DistanceModel& model, SemanticsId semantics,
+                ComponentOutcome* out) {
+  const RepairOptions& opts = unit.opts();
+  static constexpr const char* kRungs[] = {"exact", "greedy", "appro"};
+  int rung = 0;
+  switch (opts.algorithm) {
+    case RepairAlgorithm::kExact:
+      rung = 0;
+      break;
+    case RepairAlgorithm::kGreedy:
+      rung = 1;
+      break;
+    case RepairAlgorithm::kApproJoin:
+      rung = 2;
+      break;
+  }
+  Result<MultiFDSolution> solved = Status::Internal("unreachable");
+  bool solved_ok = false;
+  // Target assignment runs nested inside the multi-FD solvers and
+  // accumulates into phases.targets_ms on its own; subtract its
+  // delta so solve/targets stay disjoint phases.
+  double targets_before = out->stats.phases.targets_ms;
+  Timer solve_timer;
+  while (rung <= 2) {
+    switch (rung) {
+      case 0:
+        solved = SolveExpansionMulti(context, model, opts, &out->stats);
+        break;
+      case 1:
+        solved = SolveGreedyMulti(context, model, opts, &out->stats);
+        break;
+      case 2:
+        solved = SolveApproMulti(context, model, opts, &out->stats);
+        break;
+    }
+    if (solved.ok()) {
+      solved_ok = true;
+      break;
+    }
+    if (!solved.status().IsResourceExhausted() ||
+        !opts.fall_back_to_greedy) {
+      unit.Fail(solved.status());
+      return;
+    }
+    // A failure on the bottom rung leaves the component detect-only.
+    unit.Stage(rung < 2 ? std::string(kRungs[rung]) + "->" + kRungs[rung + 1]
+                        : "skip",
+               solved.status().message());
+    ++rung;
+  }
+  out->stats.phases.solve_ms +=
+      solve_timer.Millis() - (out->stats.phases.targets_ms - targets_before);
+  if (!solved_ok) return;  // component left unrepaired
+  if (solved.value().truncated &&
+      !unit.Truncated("target assignment", "partial-targets",
+                      "resources exhausted while assigning targets; "
+                      "remaining patterns stay unrepaired")) {
+    return;
+  }
+  out->multi = std::move(solved).value();
+  if (semantics == SemanticsId::kSoftFd) {
+    // The revert filter only runs on all-soft components: reverting
+    // inside a mixed component could strand a hard FD's violations.
+    bool all_soft = true;
+    std::vector<double> rates;
+    rates.reserve(component_fds.size());
+    for (const FD* component_fd : component_fds) {
+      const double confidence = opts.ConfidenceFor(*component_fd);
+      all_soft = all_soft && confidence < 1.0;
+      rates.push_back(SoftFdPenaltyRate(confidence));
+    }
+    if (all_soft) {
+      FilterMultiFDSolutionSoft(context, rates, &out->multi);
+    }
+  }
+  out->apply_multi = true;
+}
+
 // Solves one connected FD component (the body of the old serial
 // component loop, minus the apply step). Runs concurrently with other
 // components: everything it writes lands in `out`, and the shared
@@ -269,290 +567,122 @@ void SolveComponent(const Table& table, const std::vector<FD>& named,
                     const DistanceModel& model, const RepairOptions& opts_in,
                     SemanticsId semantics, const Timer& repair_clock,
                     ComponentOutcome* out) {
-  Timer component_timer;
+  std::string name = ComponentName(named, component);
+  FTR_TRACE_SPAN("repair.solve_component", {{"component", name}});
+  LadderUnit unit(opts_in, repair_clock, std::move(name), "repair pipeline",
+                  &out->stats, &out->status);
+  if (!unit.runs()) return;
+  const RepairOptions& opts = unit.opts();
   if (component.size() == 1) {
     const FD& fd = named[static_cast<size_t>(component[0])];
     out->fd = &fd;
-    FTR_TRACE_SPAN("repair.solve_component", {{"component", fd.name()}});
-    if (BudgetExhausted(opts_in.budget) || MemExhausted(opts_in.memory)) {
-      if (!opts_in.fall_back_to_greedy) {
-        out->status = ResourceCheck(opts_in.budget, opts_in.memory,
-                                    "repair pipeline");
-        return;
-      }
-      // Detect-only: the component's tuples keep their values.
-      StageDegradation(&out->stats, repair_clock, fd.name(), "skip",
-                       ClassifyDegradationCause(opts_in.budget,
-                                                opts_in.memory),
-                       ResourceCheck(opts_in.budget, opts_in.memory,
-                                     "repair pipeline")
-                           .message());
-      return;
-    }
-    RepairOptions degraded;
-    const bool soften =
-        opts_in.fall_back_to_greedy && MemSoftExceeded(opts_in.memory);
-    if (soften) {
-      degraded =
-          SoftDegradedOptions(opts_in, repair_clock, fd.name(), &out->stats);
-    }
-    const RepairOptions& opts = soften ? degraded : opts_in;
     Timer graph_timer;
     out->graph = ViolationGraph::Build(
         PatternsFor(table, fd, opts.group_tuples, opts.columnar), fd, model,
         opts.FTFor(fd), opts.budget);
     out->stats.phases.graph_ms += graph_timer.Millis();
-    if (out->graph.truncated()) {
-      if (!opts.fall_back_to_greedy) {
-        out->status = ResourceCheck(opts.budget, opts.memory,
-                                    "violation graph construction");
-        return;
-      }
-      StageDegradation(&out->stats, repair_clock, fd.name(),
-                       "partial-graph",
-                       ClassifyDegradationCause(opts.budget, opts.memory),
-                       "resources exhausted while building the violation "
-                       "graph; undetected violations stay unrepaired");
-    }
-    std::vector<bool> forced_storage;
-    const std::vector<bool>* forced = nullptr;
-    if (!opts.trusted_rows.empty()) {
-      forced_storage =
-          TrustedPatternMask(out->graph.patterns(), opts.trusted_rows);
-      forced = &forced_storage;
-    }
-    // Single-FD ladder: exact -> greedy -> partial greedy. The greedy
-    // rung never fails outright; the budget truncates it instead.
-    // kGreedy and kApproJoin both land on the greedy rung — for a
-    // single FD there is nothing to join, so Appro-M's per-FD phase
-    // *is* Greedy-S (a contractual aliasing, see DESIGN.md §4).
-    bool have_solution = false;
-    Timer solve_timer;
-    if (semantics == SemanticsId::kCardinality && fd.rhs_size() == 1) {
-      // Tractable cardinality component: one LHS block per clique, one
-      // cell per repaired row — per-block majority is exactly
-      // cell-minimal, no search needed. Wider RHS vectors fall through
-      // to the regular ladder (majority is not optimal there: moving a
-      // row's LHS can beat rewriting its RHS vector).
-      out->single = SolveCardinalityMajority(out->graph, forced,
-                                             &out->stats.trusted_conflicts);
-      have_solution = true;
-    }
-    if (!have_solution && opts.algorithm == RepairAlgorithm::kExact) {
-      ExpansionConfig config;
-      config.max_frontier = opts.max_frontier;
-      config.forced = forced;
-      config.budget = opts.budget;
-      config.memory = opts.memory;
-      auto exact = SolveExpansionSingle(out->graph, config);
-      if (exact.ok()) {
-        out->single = std::move(exact).value();
-        have_solution = true;
-        out->stats.expansion_nodes += out->single.nodes_expanded;
-        out->stats.expansion_pruned += out->single.nodes_pruned;
-      } else if (exact.status().IsResourceExhausted() &&
-                 opts.fall_back_to_greedy) {
-        StageDegradation(&out->stats, repair_clock, fd.name(),
-                         "exact->greedy",
-                         ClassifyDegradationCause(opts.budget, opts.memory),
-                         exact.status().message());
-      } else {
-        out->status = exact.status();
-        return;
-      }
-    }
-    if (!have_solution) {
-      out->single = SolveGreedySingle(out->graph, forced,
-                                      &out->stats.trusted_conflicts,
-                                      opts.budget, opts.memory);
-      if (out->single.truncated) {
-        if (!opts.fall_back_to_greedy) {
-          out->status =
-              ResourceCheck(opts.budget, opts.memory, "greedy cover");
-          return;
-        }
-        StageDegradation(
-            &out->stats, repair_clock, fd.name(), "greedy->partial",
-            ClassifyDegradationCause(opts.budget, opts.memory),
-            "resources exhausted while growing the greedy set; uncovered "
-            "patterns stay unrepaired");
-      }
-    }
-    if (semantics == SemanticsId::kSoftFd) {
-      const double confidence = opts.ConfidenceFor(fd);
-      if (confidence < 1.0) {
-        FilterSingleFDSolutionSoft(out->graph, SoftFdPenaltyRate(confidence),
-                                   &out->single);
-      }
-    }
-    out->stats.phases.solve_ms += solve_timer.Millis();
-    out->apply_single = true;
-  } else {
-    std::vector<const FD*> component_fds;
-    component_fds.reserve(component.size());
-    for (int idx : component) {
-      component_fds.push_back(&named[static_cast<size_t>(idx)]);
-    }
-    std::string name = ComponentName(component_fds);
-    FTR_TRACE_SPAN("repair.solve_component", {{"component", name}});
-    if (BudgetExhausted(opts_in.budget) || MemExhausted(opts_in.memory)) {
-      if (!opts_in.fall_back_to_greedy) {
-        out->status = ResourceCheck(opts_in.budget, opts_in.memory,
-                                    "repair pipeline");
-        return;
-      }
-      StageDegradation(&out->stats, repair_clock, name, "skip",
-                       ClassifyDegradationCause(opts_in.budget,
-                                                opts_in.memory),
-                       ResourceCheck(opts_in.budget, opts_in.memory,
-                                     "repair pipeline")
-                           .message());
-      return;
-    }
-    RepairOptions degraded;
-    const bool soften =
-        opts_in.fall_back_to_greedy && MemSoftExceeded(opts_in.memory);
-    if (soften) {
-      degraded = SoftDegradedOptions(opts_in, repair_clock, name,
-                                     &out->stats);
-    }
-    const RepairOptions& opts = soften ? degraded : opts_in;
-    Timer graph_timer;
-    ComponentContext context =
-        BuildComponentContext(table, component_fds, model, opts);
-    out->stats.phases.graph_ms += graph_timer.Millis();
-    bool graphs_truncated = false;
-    for (const ViolationGraph& graph : context.graphs) {
-      graphs_truncated = graphs_truncated || graph.truncated();
-    }
-    if (graphs_truncated) {
-      if (!opts.fall_back_to_greedy) {
-        out->status = ResourceCheck(opts.budget, opts.memory,
-                                    "violation graph construction");
-        return;
-      }
-      StageDegradation(&out->stats, repair_clock, name, "partial-graph",
-                       ClassifyDegradationCause(opts.budget, opts.memory),
-                       "resources exhausted while building the violation "
-                       "graphs; undetected violations stay unrepaired");
-    }
-    // Multi-FD ladder: exact -> greedy -> per-FD appro -> detect-only.
-    // Each rung hands ResourceExhausted down one step (when the
-    // fall_back_to_greedy valve is open); the bottom rung degrades to
-    // leaving the component unrepaired.
-    static constexpr const char* kRungs[] = {"exact", "greedy", "appro"};
-    int rung = 0;
-    switch (opts.algorithm) {
-      case RepairAlgorithm::kExact:
-        rung = 0;
-        break;
-      case RepairAlgorithm::kGreedy:
-        rung = 1;
-        break;
-      case RepairAlgorithm::kApproJoin:
-        rung = 2;
-        break;
-    }
-    Result<MultiFDSolution> solved = Status::Internal("unreachable");
-    bool solved_ok = false;
-    // Target assignment runs nested inside the multi-FD solvers and
-    // accumulates into phases.targets_ms on its own; subtract its
-    // delta so solve/targets stay disjoint phases.
-    double targets_before = out->stats.phases.targets_ms;
-    Timer solve_timer;
-    while (rung <= 2) {
-      switch (rung) {
-        case 0:
-          solved = SolveExpansionMulti(context, model, opts, &out->stats);
-          break;
-        case 1:
-          solved = SolveGreedyMulti(context, model, opts, &out->stats);
-          break;
-        case 2:
-          solved = SolveApproMulti(context, model, opts, &out->stats);
-          break;
-      }
-      if (solved.ok()) {
-        solved_ok = true;
-        break;
-      }
-      if (!solved.status().IsResourceExhausted() ||
-          !opts.fall_back_to_greedy) {
-        out->status = solved.status();
-        return;
-      }
-      if (rung < 2) {
-        StageDegradation(&out->stats, repair_clock, name,
-                         std::string(kRungs[rung]) + "->" + kRungs[rung + 1],
-                         ClassifyDegradationCause(opts.budget, opts.memory),
-                         solved.status().message());
-      } else {
-        // Bottom of the ladder: detect-only for this component.
-        StageDegradation(&out->stats, repair_clock, name, "skip",
-                         ClassifyDegradationCause(opts.budget, opts.memory),
-                         solved.status().message());
-      }
-      ++rung;
-    }
-    out->stats.phases.solve_ms +=
-        solve_timer.Millis() -
-        (out->stats.phases.targets_ms - targets_before);
-    if (!solved_ok) return;  // component left unrepaired
-    if (solved.value().truncated) {
-      if (!opts.fall_back_to_greedy) {
-        out->status =
-            ResourceCheck(opts.budget, opts.memory, "target assignment");
-        return;
-      }
-      StageDegradation(&out->stats, repair_clock, name, "partial-targets",
-                       ClassifyDegradationCause(opts.budget, opts.memory),
-                       "resources exhausted while assigning targets; "
-                       "remaining patterns stay unrepaired");
-    }
-    out->multi = std::move(solved).value();
-    if (semantics == SemanticsId::kSoftFd) {
-      // The revert filter only runs on all-soft components: reverting
-      // inside a mixed component could strand a hard FD's violations.
-      bool all_soft = true;
-      std::vector<double> rates;
-      rates.reserve(component_fds.size());
-      for (const FD* component_fd : component_fds) {
-        const double confidence = opts.ConfidenceFor(*component_fd);
-        all_soft = all_soft && confidence < 1.0;
-        rates.push_back(SoftFdPenaltyRate(confidence));
-      }
-      if (all_soft) {
-        FilterMultiFDSolutionSoft(context, rates, &out->multi);
-      }
-    }
-    out->apply_multi = true;
+    out->apply_single =
+        unit.GraphChecked(out->graph.truncated(), "graph") &&
+        SolveSingle(unit, out->graph, fd, semantics, &out->single);
+    return;
   }
-  ComponentMsHistogram()->Observe(component_timer.Millis());
+  std::vector<const FD*> component_fds;
+  component_fds.reserve(component.size());
+  for (int idx : component) {
+    component_fds.push_back(&named[static_cast<size_t>(idx)]);
+  }
+  Timer graph_timer;
+  ComponentContext context =
+      BuildComponentContext(table, component_fds, model, opts);
+  out->stats.phases.graph_ms += graph_timer.Millis();
+  bool graphs_truncated = false;
+  for (const ViolationGraph& graph : context.graphs) {
+    graphs_truncated = graphs_truncated || graph.truncated();
+  }
+  if (!unit.GraphChecked(graphs_truncated, "graphs")) return;
+  SolveMulti(unit, context, component_fds, model, semantics, out);
 }
 
-}  // namespace
-
-Status ValidateFDs(const Schema& schema, const std::vector<FD>& fds) {
-  for (const FD& fd : fds) {
-    for (int c : fd.attrs()) {
-      if (c < 0 || c >= schema.num_columns()) {
-        return Status::InvalidArgument(
-            "FD references column " + std::to_string(c) +
-            " outside the schema (" + std::to_string(schema.num_columns()) +
-            " columns)");
-      }
-    }
+// Replay-merges one unit's outcome, in unit order: surfaces its hard
+// failure, emits its staged degradations — elapsed_ms clamped
+// monotone, since units finish out of order — and folds its stats
+// deltas into `total`.
+Status MergeOutcome(const Status& status, RepairStats* unit,
+                    RepairStats* total) {
+  if (!status.ok()) return status;
+  double last_degradation_ms =
+      total->degradations.empty() ? 0.0 : total->degradations.back().elapsed_ms;
+  for (DegradationEvent& event : unit->degradations) {
+    event.elapsed_ms = std::max(event.elapsed_ms, last_degradation_ms);
+    last_degradation_ms = event.elapsed_ms;
+    EmitDegradation(event);
   }
+  total->Merge(*unit);
   return Status::OK();
 }
 
-namespace internal {
+// The finish step both entry points share: change counts, the
+// provenance memory fields and cost ledger, the end-to-end time and
+// the metrics export.
+void FinishRepair(const Table& table, const DistanceModel& model,
+                  const RepairOptions& opts, const Timer& repair_clock,
+                  RepairResult* result) {
+  result->stats.cells_changed = static_cast<int>(result->changes.size());
+  std::unordered_set<int> touched;
+  for (const CellChange& change : result->changes) touched.insert(change.row);
+  result->stats.tuples_changed = static_cast<int>(touched.size());
+  if (opts.provenance) {
+    RepairProvenance& prov = result->provenance;
+    if (opts.memory != nullptr) {
+      prov.memory_limited = opts.memory->limited();
+      prov.memory_soft_latched = opts.memory->SoftExceeded();
+      prov.memory_exhausted = opts.memory->Exhausted();
+      prov.memory_peak_bytes = opts.memory->peak_bytes();
+    }
+    FinalizeLedger(table, model, result);
+  }
+  result->stats.phases.total_ms = repair_clock.Millis();
+  ExportRepairMetrics(result->stats);
+  if (opts.memory != nullptr) ExportMemoryMetrics(*opts.memory);
+}
 
+// The violation-stats count of `table` over `named`. A count the
+// budget truncated is a lower bound, recorded as a "violation-stats"
+// degradation; `verb` and `field` name the pass in its reason.
+uint64_t CountViolationStats(const Table& table, const std::vector<FD>& named,
+                             const DistanceModel& model,
+                             const RepairOptions& opts, const Timer& clock,
+                             const char* verb, const char* field,
+                             RepairStats* stats) {
+  uint64_t count = 0;
+  bool truncated = false;
+  for (const FD& fd : named) {
+    bool fd_truncated = false;
+    count += CountFTViolations(table, fd, model, opts.FTFor(fd), opts.budget,
+                               &fd_truncated);
+    truncated = truncated || fd_truncated;
+  }
+  if (truncated) {
+    RecordDegradation(stats, clock, "violation-stats", "partial-graph",
+                      ClassifyDegradationCause(opts.budget, opts.memory),
+                      std::string("resources exhausted while ") + verb +
+                          " FT-violations; " + field + " is a lower bound");
+  }
+  return count;
+}
+
+// The shared FD-repair pipeline behind every semantics: detect,
+// decompose into FD-graph components, solve concurrently, replay-merge
+// in component order. `semantics` selects the cardinality overrides
+// (classical detection, indicator metric, the majority solver on
+// tractable components) and the soft-fd revert filter; kFtCost runs
+// the paper's pipeline unchanged.
 Result<RepairResult> RunRepairPipeline(const Table& table,
                                        const std::vector<FD>& fds,
                                        const RepairOptions& options,
                                        SemanticsId semantics) {
-  FTR_RETURN_NOT_OK(ValidateFDs(table.schema(), fds));
+  FTR_ASSIGN_OR_RETURN(std::vector<FD> named,
+                       NamedFDs(table.schema(), fds, "__fd"));
   // One clock for the whole call: every DegradationEvent::elapsed_ms
   // and PhaseTimings::total_ms read it, so they are mutually
   // comparable and monotone.
@@ -562,21 +692,6 @@ Result<RepairResult> RunRepairPipeline(const Table& table,
                   {"fds", std::to_string(fds.size())},
                   {"semantics", SemanticsName(semantics)},
                   {"algorithm", RepairAlgorithmName(options.algorithm)}});
-
-  // Internal FD copies with guaranteed-unique names so per-FD taus can
-  // be resolved by name (confidence rides along for soft-fd).
-  std::vector<FD> named;
-  named.reserve(fds.size());
-  for (size_t i = 0; i < fds.size(); ++i) {
-    if (fds[i].name().empty()) {
-      FTR_ASSIGN_OR_RETURN(
-          FD fd, FD::Make(fds[i].lhs(), fds[i].rhs(),
-                          "__fd" + std::to_string(i), fds[i].confidence()));
-      named.push_back(std::move(fd));
-    } else {
-      named.push_back(fds[i]);
-    }
-  }
 
   RepairOptions opts = options;
   if (semantics == SemanticsId::kCardinality) {
@@ -605,20 +720,9 @@ Result<RepairResult> RunRepairPipeline(const Table& table,
   if (opts.compute_violation_stats) {
     FTR_TRACE_SPAN("repair.detect");
     PhaseTimer phase(&result.stats.phases.detect_ms);
-    bool truncated = false;
-    for (const FD& fd : named) {
-      bool fd_truncated = false;
-      result.stats.ft_violations_before += CountFTViolations(
-          table, fd, model, opts.FTFor(fd), opts.budget, &fd_truncated);
-      truncated = truncated || fd_truncated;
-    }
-    if (truncated) {
-      RecordDegradation(&result.stats, repair_clock, "violation-stats",
-                        "partial-graph",
-                        ClassifyDegradationCause(opts.budget, opts.memory),
-                        "resources exhausted while counting FT-violations; "
-                        "ft_violations_before is a lower bound");
-    }
+    result.stats.ft_violations_before = CountViolationStats(
+        table, named, model, opts, repair_clock, "counting",
+        "ft_violations_before", &result.stats);
   }
 
   FDGraph fd_graph(named);
@@ -626,29 +730,12 @@ Result<RepairResult> RunRepairPipeline(const Table& table,
 
   if (opts.provenance) {
     RepairProvenance& prov = result.provenance;
-    prov.enabled = true;
-    prov.algorithm = RepairAlgorithmName(opts.algorithm);
-    prov.semantics = SemanticsName(semantics);
+    BeginProvenance(named, opts, semantics, &prov);
     prov.violation_stats_computed = opts.compute_violation_stats;
-    for (const FD& fd : named) {
-      ProvenanceFD pfd;
-      pfd.name = fd.name();
-      pfd.lhs = fd.lhs();
-      pfd.rhs = fd.rhs();
-      pfd.tau = opts.TauFor(fd);
-      pfd.w_l = opts.w_l;
-      pfd.w_r = opts.w_r;
-      pfd.confidence =
-          semantics == SemanticsId::kSoftFd ? opts.ConfidenceFor(fd) : 1.0;
-      prov.fds.push_back(std::move(pfd));
-    }
     for (const std::vector<int>& component : components) {
       ProvenanceComponent pc;
       pc.fds = component;
-      for (int idx : component) {
-        if (!pc.name.empty()) pc.name += "+";
-        pc.name += named[static_cast<size_t>(idx)].name();
-      }
+      pc.name = ComponentName(named, component);
       prov.components.push_back(std::move(pc));
     }
   }
@@ -682,26 +769,14 @@ Result<RepairResult> RunRepairPipeline(const Table& table,
 
   // Replay merge, strictly in component order: degradations are
   // emitted and appended in the order the serial loop would have
-  // produced them (elapsed_ms stamps are clamped monotone, since
-  // components finish out of order), stats deltas accumulate in
-  // component order, and the apply step writes changes in component
-  // order — so RepairResult is bit-identical to the serial run at any
-  // thread count.
-  double last_degradation_ms = result.stats.degradations.empty()
-                                   ? 0.0
-                                   : result.stats.degradations.back()
-                                         .elapsed_ms;
+  // produced them, stats deltas accumulate in component order, and the
+  // apply step writes changes in component order — so RepairResult is
+  // bit-identical to the serial run at any thread count.
   const std::unordered_set<int>* trusted =
       opts.trusted_rows.empty() ? nullptr : &opts.trusted_rows;
   for (size_t c = 0; c < outcomes.size(); ++c) {
     ComponentOutcome& out = outcomes[c];
-    if (!out.status.ok()) return out.status;
-    for (DegradationEvent& event : out.stats.degradations) {
-      event.elapsed_ms = std::max(event.elapsed_ms, last_degradation_ms);
-      last_degradation_ms = event.elapsed_ms;
-      EmitDegradation(event);
-    }
-    result.stats.Merge(out.stats);
+    FTR_RETURN_NOT_OK(MergeOutcome(out.status, &out.stats, &result.stats));
     ProvenanceScope scope;
     if (opts.provenance) {
       scope.prov = &result.provenance;
@@ -727,79 +802,24 @@ Result<RepairResult> RunRepairPipeline(const Table& table,
       // The "after" count runs unbudgeted only when the run never
       // degraded; a degraded run is already past its deadline, so give
       // the recount the same (exhausted) budget and let it skip.
-      bool truncated = false;
-      for (const FD& fd : named) {
-        bool fd_truncated = false;
-        result.stats.ft_violations_after += CountFTViolations(
-            result.repaired, fd, model, opts.FTFor(fd), opts.budget,
-            &fd_truncated);
-        truncated = truncated || fd_truncated;
-      }
-      if (truncated) {
-        RecordDegradation(&result.stats, repair_clock, "violation-stats",
-                          "partial-graph",
-                          ClassifyDegradationCause(opts.budget, opts.memory),
-                          "resources exhausted while recounting "
-                          "FT-violations; ft_violations_after is a lower "
-                          "bound");
-      }
+      result.stats.ft_violations_after = CountViolationStats(
+          result.repaired, named, model, opts, repair_clock, "recounting",
+          "ft_violations_after", &result.stats);
     }
     result.stats.repair_cost = TableRepairCost(table, result.repaired, model);
   }
-  result.stats.cells_changed = static_cast<int>(result.changes.size());
-  std::unordered_set<int> touched;
-  for (const CellChange& change : result.changes) touched.insert(change.row);
-  result.stats.tuples_changed = static_cast<int>(touched.size());
   if (opts.provenance) {
-    RepairProvenance& prov = result.provenance;
     bool stats_truncated = false;
     for (const DegradationEvent& event : result.stats.degradations) {
       stats_truncated =
           stats_truncated || event.component == "violation-stats";
     }
-    prov.violation_stats_exact =
-        prov.violation_stats_computed && !stats_truncated;
-    if (opts.memory != nullptr) {
-      prov.memory_limited = opts.memory->limited();
-      prov.memory_soft_latched = opts.memory->SoftExceeded();
-      prov.memory_exhausted = opts.memory->Exhausted();
-      prov.memory_peak_bytes = opts.memory->peak_bytes();
-    }
-    FinalizeLedger(table, model, &result);
+    result.provenance.violation_stats_exact =
+        opts.compute_violation_stats && !stats_truncated;
   }
-  result.stats.phases.total_ms = repair_clock.Millis();
-  ExportRepairMetrics(result.stats);
-  if (opts.memory != nullptr) ExportMemoryMetrics(*opts.memory);
+  FinishRepair(table, model, opts, repair_clock, &result);
   return result;
 }
-
-}  // namespace internal
-
-Result<RepairResult> Repairer::Repair(const Table& table,
-                                      const std::vector<FD>& fds) const {
-  FTR_ASSIGN_OR_RETURN(
-      const RepairSemantics* semantics,
-      SemanticsRegistry::Instance().Resolve(options_.semantics));
-  FTR_RETURN_NOT_OK(semantics->Validate(options_, fds));
-  return semantics->Repair(table, fds, options_);
-}
-
-Result<RepairResult> Repairer::RepairAppended(
-    const Table& table, int first_new_row,
-    const std::vector<FD>& fds) const {
-  if (first_new_row < 0 || first_new_row > table.num_rows()) {
-    return Status::InvalidArgument(
-        "first_new_row " + std::to_string(first_new_row) +
-        " outside [0, " + std::to_string(table.num_rows()) + "]");
-  }
-  Repairer incremental(options_);
-  for (int r = 0; r < first_new_row; ++r) {
-    incremental.options_.trusted_rows.insert(r);
-  }
-  return incremental.Repair(table, fds);
-}
-
-namespace {
 
 /// Scratch result of one CFD tableau unit (one (CFD, tableau row)
 /// pair). The unit's table writes go straight into the shared output
@@ -817,14 +837,50 @@ struct CfdUnitOutcome {
 
 }  // namespace
 
+Status ValidateFDs(const Schema& schema, const std::vector<FD>& fds) {
+  for (const FD& fd : fds) {
+    for (int c : fd.attrs()) {
+      if (c < 0 || c >= schema.num_columns()) {
+        return Status::InvalidArgument(
+            "FD references column " + std::to_string(c) +
+            " outside the schema (" + std::to_string(schema.num_columns()) +
+            " columns)");
+      }
+    }
+  }
+  return Status::OK();
+}
+
+Result<RepairResult> Repairer::Repair(const Table& table,
+                                      const std::vector<FD>& fds) const {
+  FTR_ASSIGN_OR_RETURN(SemanticsId semantics,
+                       ParseSemantics(options_.semantics));
+  FTR_RETURN_NOT_OK(ValidateSemantics(semantics, options_, fds));
+  return RunRepairPipeline(table, fds, options_, semantics);
+}
+
+Result<RepairResult> Repairer::RepairAppended(
+    const Table& table, int first_new_row,
+    const std::vector<FD>& fds) const {
+  if (first_new_row < 0 || first_new_row > table.num_rows()) {
+    return Status::InvalidArgument(
+        "first_new_row " + std::to_string(first_new_row) +
+        " outside [0, " + std::to_string(table.num_rows()) + "]");
+  }
+  Repairer incremental(options_);
+  for (int r = 0; r < first_new_row; ++r) {
+    incremental.options_.trusted_rows.insert(r);
+  }
+  return incremental.Repair(table, fds);
+}
+
 Result<RepairResult> Repairer::RepairCFDs(const Table& table,
                                           const std::vector<CFD>& cfds) const {
-  FTR_ASSIGN_OR_RETURN(
-      const RepairSemantics* semantics,
-      SemanticsRegistry::Instance().Resolve(options_.semantics));
-  if (!semantics->supports_cfds()) {
+  FTR_ASSIGN_OR_RETURN(SemanticsId semantics,
+                       ParseSemantics(options_.semantics));
+  if (!SupportsCfds(semantics)) {
     return Status::InvalidArgument(
-        "semantics '" + std::string(semantics->name()) +
+        "semantics '" + std::string(SemanticsName(semantics)) +
         "' does not support CFDs (tableau constants are hard constraints); "
         "use --semantics=ft-cost");
   }
@@ -836,22 +892,11 @@ Result<RepairResult> Repairer::RepairCFDs(const Table& table,
   result.repaired = table;
   DistanceModel model(table);
 
-  // Named embedded-FD copies (mirroring Repair) so per-FD taus — and
-  // the auto-threshold heuristic — resolve by a guaranteed-unique name.
-  std::vector<FD> named;
-  named.reserve(cfds.size());
-  for (size_t i = 0; i < cfds.size(); ++i) {
-    const FD& fd = cfds[i].fd();
-    FTR_RETURN_NOT_OK(ValidateFDs(table.schema(), {fd}));
-    if (fd.name().empty()) {
-      FTR_ASSIGN_OR_RETURN(
-          FD named_fd,
-          FD::Make(fd.lhs(), fd.rhs(), "__cfd" + std::to_string(i)));
-      named.push_back(std::move(named_fd));
-    } else {
-      named.push_back(fd);
-    }
-  }
+  std::vector<FD> embedded;
+  embedded.reserve(cfds.size());
+  for (const CFD& cfd : cfds) embedded.push_back(cfd.fd());
+  FTR_ASSIGN_OR_RETURN(std::vector<FD> named,
+                       NamedFDs(table.schema(), embedded, "__cfd"));
   RepairOptions opts = options_;
   ResolveAutoThresholds(table, named, model, &opts);
 
@@ -867,18 +912,7 @@ Result<RepairResult> Repairer::RepairCFDs(const Table& table,
 
   if (opts.provenance) {
     RepairProvenance& prov = result.provenance;
-    prov.enabled = true;
-    prov.algorithm = RepairAlgorithmName(opts.algorithm);
-    for (size_t i = 0; i < named.size(); ++i) {
-      ProvenanceFD pfd;
-      pfd.name = named[i].name();
-      pfd.lhs = named[i].lhs();
-      pfd.rhs = named[i].rhs();
-      pfd.tau = opts.TauFor(named[i]);
-      pfd.w_l = opts.w_l;
-      pfd.w_r = opts.w_r;
-      prov.fds.push_back(std::move(pfd));
-    }
+    BeginProvenance(named, opts, semantics, &prov);
     // One provenance component per (CFD, tableau row) unit, in the
     // same flattened order as `outcomes`.
     for (size_t i = 0; i < cfds.size(); ++i) {
@@ -897,6 +931,8 @@ Result<RepairResult> Repairer::RepairCFDs(const Table& table,
   // table). Column-disjoint groups, by contrast, never read or write
   // each other's cells, so they run concurrently against the shared
   // output table — the CFD analogue of the FD-component solve fan-out.
+  // Units keep opts.threads: ParallelFor nests safely, so a unit's
+  // inner graph build can borrow idle workers even under group fan-out.
   FDGraph cfd_graph(named);
   const std::vector<std::vector<int>>& groups = cfd_graph.Components();
   int parallelism = 1;
@@ -905,39 +941,19 @@ Result<RepairResult> Repairer::RepairCFDs(const Table& table,
                            static_cast<int>(groups.size()));
   }
   SolveThreadsGauge()->Set(parallelism);
-  // Units keep opts.threads: ParallelFor nests safely, so a unit's
-  // inner graph build can borrow idle workers even under group fan-out.
-  const RepairOptions& unit_opts = opts;
 
   const std::unordered_set<int>* trusted =
       opts.trusted_rows.empty() ? nullptr : &opts.trusted_rows;
 
   auto run_unit = [&](int ci, int p, CfdUnitOutcome* out) {
-    Timer unit_timer;
     const CFD& cfd = cfds[static_cast<size_t>(ci)];
     const FD& fd = cfd.fd();
     const FD& named_fd = named[static_cast<size_t>(ci)];
-    std::string unit_name = named_fd.name() + "#" + std::to_string(p);
-    if (BudgetExhausted(opts.budget) || MemExhausted(opts.memory)) {
-      if (!opts.fall_back_to_greedy) {
-        out->status =
-            ResourceCheck(opts.budget, opts.memory, "CFD repair");
-        return;
-      }
-      StageDegradation(&out->stats, repair_clock, unit_name, "skip",
-                       ClassifyDegradationCause(opts.budget, opts.memory),
-                       ResourceCheck(opts.budget, opts.memory, "CFD repair")
-                           .message());
-      return;
-    }
-    RepairOptions degraded;
-    const bool soften =
-        opts.fall_back_to_greedy && MemSoftExceeded(opts.memory);
-    if (soften) {
-      degraded = SoftDegradedOptions(opts, repair_clock, unit_name,
-                                     &out->stats);
-    }
-    const RepairOptions& ropts = soften ? degraded : unit_opts;
+    LadderUnit unit(opts, repair_clock,
+                    named_fd.name() + "#" + std::to_string(p), "CFD repair",
+                    &out->stats, &out->status);
+    if (!unit.runs()) return;
+    const RepairOptions& ropts = unit.opts();
     // 1. Constant violations: pin the RHS constants directly. Trusted
     // rows are never written; a trusted row disagreeing with a tableau
     // constant is a trusted conflict (the master data contradicts the
@@ -989,7 +1005,7 @@ Result<RepairResult> Repairer::RepairCFDs(const Table& table,
       }
     }
     // 2. Variable part: FT repair restricted to the matching tuples,
-    // stepping down the same exact -> greedy -> partial ladder — with
+    // on the same single-FD ladder as an FD singleton component — with
     // the trusted-row mask threaded through exactly like the FD path.
     std::vector<int> scope = cfd.ApplicableRows(result.repaired, p);
     if (scope.size() < 2) return;
@@ -999,82 +1015,22 @@ Result<RepairResult> Repairer::RepairCFDs(const Table& table,
                              ropts.columnar),
         fd, model, ropts.FTFor(named_fd), ropts.budget);
     out->stats.phases.graph_ms += graph_timer.Millis();
-    if (graph.truncated()) {
-      if (!ropts.fall_back_to_greedy) {
-        out->status = ResourceCheck(ropts.budget, ropts.memory,
-                                    "violation graph construction");
-        return;
-      }
-      StageDegradation(&out->stats, repair_clock, unit_name,
-                       "partial-graph",
-                       ClassifyDegradationCause(ropts.budget, ropts.memory),
-                       "resources exhausted while building the violation "
-                       "graph; undetected violations stay unrepaired");
-    }
-    std::vector<bool> forced_storage;
-    const std::vector<bool>* forced = nullptr;
-    if (trusted != nullptr) {
-      forced_storage = TrustedPatternMask(graph.patterns(), *trusted);
-      forced = &forced_storage;
-    }
     SingleFDSolution solution;
-    bool have_solution = false;
-    Timer solve_timer;
-    if (ropts.algorithm == RepairAlgorithm::kExact) {
-      ExpansionConfig config;
-      config.max_frontier = ropts.max_frontier;
-      config.forced = forced;
-      config.budget = ropts.budget;
-      config.memory = ropts.memory;
-      auto exact = SolveExpansionSingle(graph, config);
-      if (exact.ok()) {
-        solution = std::move(exact).value();
-        have_solution = true;
-        out->stats.expansion_nodes += solution.nodes_expanded;
-        out->stats.expansion_pruned += solution.nodes_pruned;
-      } else if (exact.status().IsResourceExhausted() &&
-                 ropts.fall_back_to_greedy) {
-        StageDegradation(&out->stats, repair_clock, unit_name,
-                         "exact->greedy",
-                         ClassifyDegradationCause(ropts.budget, ropts.memory),
-                         exact.status().message());
-      } else {
-        out->status = exact.status();
-        return;
-      }
+    if (!unit.GraphChecked(graph.truncated(), "graph") ||
+        !SolveSingle(unit, graph, fd, SemanticsId::kFtCost, &solution)) {
+      return;
     }
-    if (!have_solution) {
-      solution = SolveGreedySingle(graph, forced,
-                                   &out->stats.trusted_conflicts,
-                                   ropts.budget, ropts.memory);
-      if (solution.truncated) {
-        if (!ropts.fall_back_to_greedy) {
-          out->status =
-              ResourceCheck(ropts.budget, ropts.memory, "greedy cover");
-          return;
-        }
-        StageDegradation(
-            &out->stats, repair_clock, unit_name, "greedy->partial",
-            ClassifyDegradationCause(ropts.budget, ropts.memory),
-            "resources exhausted while growing the greedy set; uncovered "
-            "patterns stay unrepaired");
-      }
+    ProvenanceScope prov_scope;
+    if (opts.provenance) {
+      prov_scope.prov = &out->prov;
+      prov_scope.component = unit_component;
+      prov_scope.fd = ci;
+      prov_scope.degradations_before =
+          static_cast<int>(out->stats.degradations.size());
     }
-    out->stats.phases.solve_ms += solve_timer.Millis();
-    {
-      ProvenanceScope scope;
-      if (opts.provenance) {
-        scope.prov = &out->prov;
-        scope.component = unit_component;
-        scope.fd = ci;
-        scope.degradations_before =
-            static_cast<int>(out->stats.degradations.size());
-      }
-      PhaseTimer phase(&out->stats.phases.apply_ms);
-      ApplySingleFDSolution(graph, fd, solution, &result.repaired,
-                            &out->changes, trusted, scope);
-    }
-    ComponentMsHistogram()->Observe(unit_timer.Millis());
+    PhaseTimer phase(&out->stats.phases.apply_ms);
+    ApplySingleFDSolution(graph, fd, solution, &result.repaired,
+                          &out->changes, trusted, prov_scope);
   };
 
   {
@@ -1102,16 +1058,9 @@ Result<RepairResult> Repairer::RepairCFDs(const Table& table,
   // Replay merge in (CFD, tableau row) order: the change log, the
   // degradation sequence and the stats deltas come out exactly as the
   // serial loop would have produced them.
-  double last_degradation_ms = 0.0;
   for (CfdUnitOutcome& out : outcomes) {
-    if (!out.status.ok()) return out.status;
     size_t degradations_base = result.stats.degradations.size();
-    for (DegradationEvent& event : out.stats.degradations) {
-      event.elapsed_ms = std::max(event.elapsed_ms, last_degradation_ms);
-      last_degradation_ms = event.elapsed_ms;
-      EmitDegradation(event);
-    }
-    result.stats.Merge(out.stats);
+    FTR_RETURN_NOT_OK(MergeOutcome(out.status, &out.stats, &result.stats));
     result.changes.insert(result.changes.end(), out.changes.begin(),
                           out.changes.end());
     if (opts.provenance) {
@@ -1133,22 +1082,7 @@ Result<RepairResult> Repairer::RepairCFDs(const Table& table,
     PhaseTimer phase(&result.stats.phases.stats_ms);
     result.stats.repair_cost = TableRepairCost(table, result.repaired, model);
   }
-  result.stats.cells_changed = static_cast<int>(result.changes.size());
-  std::unordered_set<int> touched;
-  for (const CellChange& change : result.changes) touched.insert(change.row);
-  result.stats.tuples_changed = static_cast<int>(touched.size());
-  if (opts.provenance) {
-    if (opts.memory != nullptr) {
-      result.provenance.memory_limited = opts.memory->limited();
-      result.provenance.memory_soft_latched = opts.memory->SoftExceeded();
-      result.provenance.memory_exhausted = opts.memory->Exhausted();
-      result.provenance.memory_peak_bytes = opts.memory->peak_bytes();
-    }
-    FinalizeLedger(table, model, &result);
-  }
-  result.stats.phases.total_ms = repair_clock.Millis();
-  ExportRepairMetrics(result.stats);
-  if (opts.memory != nullptr) ExportMemoryMetrics(*opts.memory);
+  FinishRepair(table, model, opts, repair_clock, &result);
   return result;
 }
 

@@ -1,35 +1,55 @@
 #include "core/semantics.h"
 
-#include <algorithm>
-#include <utility>
+#include <string>
 
 #include "common/strings.h"
-#include "core/pipeline.h"
 #include "detect/detector.h"
 #include "metric/projection.h"
 
 namespace ftrepair {
 
-const char* SemanticsName(SemanticsId id) {
-  switch (id) {
-    case SemanticsId::kFtCost:
-      return "ft-cost";
-    case SemanticsId::kSoftFd:
-      return "soft-fd";
-    case SemanticsId::kCardinality:
-      return "cardinality";
-    case SemanticsId::kCustom:
-      return "custom";
-  }
-  return "?";
-}
-
 namespace {
 
-// Range + reference checks for confidence overrides, shared by soft-fd
-// Validate and the parser-independent API path.
-Status ValidateConfidences(const RepairOptions& options,
-                           const std::vector<FD>& fds) {
+struct SemanticsEntry {
+  SemanticsId id;
+  const char* name;
+  bool supports_cfds;
+};
+
+// Sorted by name: the unknown-name error lists the names in this order.
+constexpr SemanticsEntry kSemantics[] = {
+    {SemanticsId::kCardinality, "cardinality", false},
+    {SemanticsId::kFtCost, "ft-cost", true},
+    {SemanticsId::kSoftFd, "soft-fd", false},
+};
+
+const SemanticsEntry& Entry(SemanticsId id) {
+  for (const SemanticsEntry& entry : kSemantics) {
+    if (entry.id == id) return entry;
+  }
+  return kSemantics[1];  // unreachable: every id has an entry
+}
+
+}  // namespace
+
+const char* SemanticsName(SemanticsId id) { return Entry(id).name; }
+
+Result<SemanticsId> ParseSemantics(std::string_view name) {
+  std::string known;
+  for (const SemanticsEntry& entry : kSemantics) {
+    if (name == entry.name) return entry.id;
+    if (!known.empty()) known += " | ";
+    known += entry.name;
+  }
+  return Status::InvalidArgument("unknown semantics '" + std::string(name) +
+                                 "' (" + known + ")");
+}
+
+bool SupportsCfds(SemanticsId id) { return Entry(id).supports_cfds; }
+
+Status ValidateSemantics(SemanticsId id, const RepairOptions& options,
+                         const std::vector<FD>& fds) {
+  if (id != SemanticsId::kSoftFd) return Status::OK();
   for (const auto& entry : options.confidence_by_fd) {
     if (!(entry.second > 0.0 && entry.second <= 1.0)) {
       return Status::InvalidArgument(
@@ -49,164 +69,27 @@ Status ValidateConfidences(const RepairOptions& options,
   return Status::OK();
 }
 
-class FtCostSemantics : public RepairSemantics {
- public:
-  const char* name() const override { return "ft-cost"; }
-  SemanticsId id() const override { return SemanticsId::kFtCost; }
-  bool supports_cfds() const override { return true; }
-
-  Status Validate(const RepairOptions& options,
-                  const std::vector<FD>& fds) const override {
-    (void)options;
-    (void)fds;
-    return Status::OK();
-  }
-
-  Result<RepairResult> Repair(const Table& table, const std::vector<FD>& fds,
-                              const RepairOptions& options) const override {
-    return internal::RunRepairPipeline(table, fds, options,
-                                       SemanticsId::kFtCost);
-  }
-
-  uint64_t CountResidualViolations(
-      const Table& table, const std::vector<FD>& fds,
-      const RepairOptions& options) const override {
-    DistanceModel model(table);
-    uint64_t count = 0;
-    for (const FD& fd : fds) {
-      count += CountFTViolations(table, fd, model, options.FTFor(fd));
-    }
+uint64_t CountResidualViolations(SemanticsId id, const Table& table,
+                                 const std::vector<FD>& fds,
+                                 const RepairOptions& options) {
+  uint64_t count = 0;
+  if (id == SemanticsId::kCardinality) {
+    // Classical FD consistency: exact equality violations, no fault
+    // tolerance.
+    for (const FD& fd : fds) count += CountExactViolations(table, fd);
     return count;
   }
-};
-
-class SoftFdSemantics : public RepairSemantics {
- public:
-  const char* name() const override { return "soft-fd"; }
-  SemanticsId id() const override { return SemanticsId::kSoftFd; }
-  bool supports_cfds() const override { return false; }
-
-  Status Validate(const RepairOptions& options,
-                  const std::vector<FD>& fds) const override {
-    return ValidateConfidences(options, fds);
-  }
-
-  Result<RepairResult> Repair(const Table& table, const std::vector<FD>& fds,
-                              const RepairOptions& options) const override {
-    return internal::RunRepairPipeline(table, fds, options,
-                                       SemanticsId::kSoftFd);
-  }
-
-  // Soft-fd consistency: the *hard* FDs (confidence 1) must hold; soft
-  // FDs are allowed to keep violations the penalty rate did not justify
-  // repairing.
-  uint64_t CountResidualViolations(
-      const Table& table, const std::vector<FD>& fds,
-      const RepairOptions& options) const override {
-    DistanceModel model(table);
-    uint64_t count = 0;
-    for (const FD& fd : fds) {
-      if (options.ConfidenceFor(fd) < 1.0) continue;
-      count += CountFTViolations(table, fd, model, options.FTFor(fd));
+  DistanceModel model(table);
+  for (const FD& fd : fds) {
+    // Soft-fd consistency: only the hard FDs (confidence 1) must hold;
+    // soft FDs may keep violations the penalty rate did not justify
+    // repairing.
+    if (id == SemanticsId::kSoftFd && options.ConfidenceFor(fd) < 1.0) {
+      continue;
     }
-    return count;
+    count += CountFTViolations(table, fd, model, options.FTFor(fd));
   }
-};
-
-class CardinalitySemantics : public RepairSemantics {
- public:
-  const char* name() const override { return "cardinality"; }
-  SemanticsId id() const override { return SemanticsId::kCardinality; }
-  bool supports_cfds() const override { return false; }
-
-  Status Validate(const RepairOptions& options,
-                  const std::vector<FD>& fds) const override {
-    (void)options;
-    (void)fds;
-    return Status::OK();
-  }
-
-  Result<RepairResult> Repair(const Table& table, const std::vector<FD>& fds,
-                              const RepairOptions& options) const override {
-    return internal::RunRepairPipeline(table, fds, options,
-                                       SemanticsId::kCardinality);
-  }
-
-  // Cardinality consistency is classical FD consistency: exact
-  // equality violations, no fault tolerance.
-  uint64_t CountResidualViolations(
-      const Table& table, const std::vector<FD>& fds,
-      const RepairOptions& options) const override {
-    (void)options;
-    uint64_t count = 0;
-    for (const FD& fd : fds) {
-      count += CountExactViolations(table, fd);
-    }
-    return count;
-  }
-};
-
-}  // namespace
-
-SemanticsRegistry& SemanticsRegistry::Instance() {
-  static SemanticsRegistry* registry = new SemanticsRegistry();
-  return *registry;
-}
-
-SemanticsRegistry::SemanticsRegistry() {
-  semantics_.push_back(std::make_unique<FtCostSemantics>());
-  semantics_.push_back(std::make_unique<SoftFdSemantics>());
-  semantics_.push_back(std::make_unique<CardinalitySemantics>());
-}
-
-Status SemanticsRegistry::Register(
-    std::unique_ptr<RepairSemantics> semantics) {
-  if (semantics == nullptr) {
-    return Status::InvalidArgument("cannot register a null semantics");
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& existing : semantics_) {
-    if (std::string_view(existing->name()) == semantics->name()) {
-      return Status::InvalidArgument("semantics '" +
-                                     std::string(semantics->name()) +
-                                     "' is already registered");
-    }
-  }
-  semantics_.push_back(std::move(semantics));
-  return Status::OK();
-}
-
-const RepairSemantics* SemanticsRegistry::Find(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& semantics : semantics_) {
-    if (std::string_view(semantics->name()) == name) return semantics.get();
-  }
-  return nullptr;
-}
-
-Result<const RepairSemantics*> SemanticsRegistry::Resolve(
-    std::string_view name) const {
-  const RepairSemantics* semantics = Find(name);
-  if (semantics != nullptr) return semantics;
-  std::vector<std::string> names = Names();
-  std::string known;
-  for (const std::string& n : names) {
-    if (!known.empty()) known += " | ";
-    known += n;
-  }
-  return Status::InvalidArgument("unknown semantics '" + std::string(name) +
-                                 "' (" + known + ")");
-}
-
-std::vector<std::string> SemanticsRegistry::Names() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> names;
-  names.reserve(semantics_.size());
-  for (const auto& semantics : semantics_) {
-    names.push_back(semantics->name());
-  }
-  std::sort(names.begin(), names.end());
-  return names;
+  return count;
 }
 
 }  // namespace ftrepair

@@ -2,9 +2,6 @@
 #define FTREPAIR_CORE_SEMANTICS_H_
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -15,8 +12,10 @@
 
 namespace ftrepair {
 
-/// The built-in repair semantics. Custom registrations are identified
-/// by name only and carry kCustom.
+/// The repair semantics: what counts as a violation, what a repair
+/// costs, and which solver strategy resolves a component. The set is
+/// fixed at compile time; the repair pipeline (core/repairer.cc)
+/// branches on the id where the three differ.
 enum class SemanticsId : uint8_t {
   /// The paper's cost model: minimize the Eq. 4 distance-weighted
   /// repair cost under fault-tolerant (Eq. 2) violation detection.
@@ -31,82 +30,36 @@ enum class SemanticsId : uint8_t {
   /// Detection collapses to classical FDs (tau = 0, lhs-only weights)
   /// and every change is priced with the indicator (discrete) metric.
   kCardinality,
-  /// A semantics registered at runtime via SemanticsRegistry::Register.
-  kCustom,
 };
 
-/// The canonical registry name of a built-in semantics ("ft-cost",
-/// "soft-fd", "cardinality").
+/// The canonical name of a semantics ("ft-cost", "soft-fd",
+/// "cardinality"), as matched by RepairOptions::semantics and the
+/// CLI's --semantics flag.
 const char* SemanticsName(SemanticsId id);
 
-/// \brief One pluggable repair semantics: what counts as a violation,
-/// what a repair costs, and which solver strategy resolves a component.
-///
-/// Implementations are stateless (all run state lives in RepairOptions
-/// and the pipeline); the registry hands out shared const pointers.
-class RepairSemantics {
- public:
-  virtual ~RepairSemantics() = default;
+/// Resolves a semantics name. An unknown name is an InvalidArgument
+/// listing every known name on one line — the error surfaced verbatim
+/// through Repairer and the CLI.
+Result<SemanticsId> ParseSemantics(std::string_view name);
 
-  /// Registry key, matched by RepairOptions::semantics (and the CLI's
-  /// --semantics flag).
-  virtual const char* name() const = 0;
-  virtual SemanticsId id() const = 0;
+/// Whether Repairer::RepairCFDs accepts `id`. CFD tableau constants
+/// are hard constraints, so only ft-cost supports them.
+bool SupportsCfds(SemanticsId id);
 
-  /// Whether Repairer::RepairCFDs accepts this semantics. CFD tableau
-  /// constants are hard constraints, so only ft-cost supports them.
-  virtual bool supports_cfds() const = 0;
+/// Checks `options` against `fds` before a run under `id` (soft-fd
+/// rejects confidence overrides that name no FD or fall outside
+/// (0, 1]).
+Status ValidateSemantics(SemanticsId id, const RepairOptions& options,
+                         const std::vector<FD>& fds);
 
-  /// Checks `options` against `fds` before a run (e.g. soft-fd rejects
-  /// confidence overrides that name no FD or fall outside (0, 1]).
-  virtual Status Validate(const RepairOptions& options,
-                          const std::vector<FD>& fds) const = 0;
-
-  /// Runs the full repair pipeline under this semantics.
-  virtual Result<RepairResult> Repair(const Table& table,
-                                      const std::vector<FD>& fds,
-                                      const RepairOptions& options) const = 0;
-
-  /// This semantics' own consistency predicate: the number of residual
-  /// violations `table` carries w.r.t. `fds` — FT-violations for
-  /// ft-cost, FT-violations of the hard (confidence 1) FDs for
-  /// soft-fd, classical exact violations for cardinality. Zero means
-  /// the table satisfies the semantics' notion of consistency.
-  virtual uint64_t CountResidualViolations(
-      const Table& table, const std::vector<FD>& fds,
-      const RepairOptions& options) const = 0;
-};
-
-/// \brief Process-wide name -> RepairSemantics registry.
-///
-/// The three built-ins are registered on first use; tests (or
-/// embedders) may Register additional strategies. Lookups return
-/// pointers that stay valid for the process lifetime — registered
-/// semantics are never removed.
-class SemanticsRegistry {
- public:
-  static SemanticsRegistry& Instance();
-
-  /// Registers a custom semantics. Fails on a duplicate name.
-  Status Register(std::unique_ptr<RepairSemantics> semantics);
-
-  /// nullptr when `name` is unknown.
-  const RepairSemantics* Find(std::string_view name) const;
-
-  /// Like Find, but an unknown name is an InvalidArgument listing the
-  /// registered names — the single actionable error surfaced through
-  /// Repairer and the CLI.
-  Result<const RepairSemantics*> Resolve(std::string_view name) const;
-
-  /// All registered names, sorted.
-  std::vector<std::string> Names() const;
-
- private:
-  SemanticsRegistry();
-
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<RepairSemantics>> semantics_;
-};
+/// The consistency predicate of `id`: the number of residual
+/// violations `table` carries w.r.t. `fds` — FT-violations for
+/// ft-cost, FT-violations of the hard (confidence 1) FDs for soft-fd,
+/// classical exact violations for cardinality. Zero means the table
+/// satisfies the semantics' notion of consistency.
+uint64_t CountResidualViolations(SemanticsId id, const Table& table,
+                                 const std::vector<FD>& fds,
+                                 const RepairOptions& options);
 
 }  // namespace ftrepair
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -13,8 +12,6 @@
 namespace ftrepair {
 
 namespace {
-
-std::atomic<DistanceKernel> g_distance_kernel{DistanceKernel::kAuto};
 
 // Scratch row of the scalar DP kernels. Thread-local so the detect
 // hot loop never heap-allocates per call and concurrent builders never
@@ -187,57 +184,6 @@ size_t MyersBounded(std::string_view text, std::string_view pattern,
 
 }  // namespace
 
-void SetDistanceKernel(DistanceKernel kernel) {
-  g_distance_kernel.store(kernel, std::memory_order_relaxed);
-}
-
-DistanceKernel ConfiguredDistanceKernel() {
-  return g_distance_kernel.load(std::memory_order_relaxed);
-}
-
-DistanceKernel EffectiveDistanceKernel() {
-  DistanceKernel k = ConfiguredDistanceKernel();
-  return k == DistanceKernel::kAuto ? DistanceKernel::kBitParallel : k;
-}
-
-const char* DistanceKernelName(DistanceKernel kernel) {
-  switch (kernel) {
-    case DistanceKernel::kScalar:
-      return "scalar";
-    case DistanceKernel::kBitParallel:
-      return "bitparallel";
-    case DistanceKernel::kAuto:
-      break;
-  }
-  return "auto";
-}
-
-bool ParseDistanceKernel(std::string_view name, DistanceKernel* out) {
-  if (name == "auto") {
-    *out = DistanceKernel::kAuto;
-  } else if (name == "scalar") {
-    *out = DistanceKernel::kScalar;
-  } else if (name == "bitparallel") {
-    *out = DistanceKernel::kBitParallel;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-size_t EditDistance(std::string_view a, std::string_view b) {
-  return EffectiveDistanceKernel() == DistanceKernel::kScalar
-             ? EditDistanceScalar(a, b)
-             : EditDistanceBitParallel(a, b);
-}
-
-size_t BoundedEditDistance(std::string_view a, std::string_view b,
-                           size_t cap) {
-  return EffectiveDistanceKernel() == DistanceKernel::kScalar
-             ? BoundedEditDistanceScalar(a, b, cap)
-             : BoundedEditDistanceBitParallel(a, b, cap);
-}
-
 size_t EditDistanceScalar(std::string_view a, std::string_view b) {
   if (a.size() < b.size()) std::swap(a, b);  // b is the shorter
   if (b.empty()) return a.size();
@@ -303,15 +249,15 @@ size_t BoundedEditDistanceScalar(std::string_view a, std::string_view b,
   return std::min(row[b.size()], kInf);
 }
 
-size_t EditDistanceBitParallel(std::string_view a, std::string_view b) {
+size_t EditDistance(std::string_view a, std::string_view b) {
   if (a.size() < b.size()) std::swap(a, b);  // a = text, b = pattern
   if (b.empty()) return a.size();
   // cap = text length never clips: the distance is at most a.size().
   return MyersBounded(a, b, a.size());
 }
 
-size_t BoundedEditDistanceBitParallel(std::string_view a, std::string_view b,
-                                      size_t cap) {
+size_t BoundedEditDistance(std::string_view a, std::string_view b,
+                           size_t cap) {
   if (a.size() < b.size()) std::swap(a, b);
   if (a.size() - b.size() > cap) return cap + 1;
   if (b.empty()) return a.size();

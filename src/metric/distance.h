@@ -6,36 +6,8 @@
 
 namespace ftrepair {
 
-/// Which edit-distance implementation `EditDistance` /
-/// `BoundedEditDistance` dispatch to. The kernels return identical
-/// integers on every input (the differential fuzz suite enforces it),
-/// so the choice is a pure speed knob; kAuto resolves to kBitParallel.
-enum class DistanceKernel {
-  kAuto,
-  kScalar,       // banded dynamic-programming baseline
-  kBitParallel,  // Myers' bit-parallel kernel (64 rows per word)
-};
-
-/// Process-wide kernel selection (`--distance-kernel`). Thread-safe:
-/// concurrent readers see either the old or the new kernel, both of
-/// which compute the same distances. Intended for A/B benchmarking and
-/// the differential tests, set once before a run.
-void SetDistanceKernel(DistanceKernel kernel);
-
-/// The configured kernel (kAuto until SetDistanceKernel is called).
-DistanceKernel ConfiguredDistanceKernel();
-
-/// The kernel calls actually execute: ConfiguredDistanceKernel() with
-/// kAuto resolved.
-DistanceKernel EffectiveDistanceKernel();
-
-/// "auto" / "scalar" / "bitparallel".
-const char* DistanceKernelName(DistanceKernel kernel);
-
-/// Parses a `--distance-kernel` value; returns false on unknown names.
-bool ParseDistanceKernel(std::string_view name, DistanceKernel* out);
-
-/// Levenshtein edit distance between `a` and `b` (unit costs).
+/// Levenshtein edit distance between `a` and `b` (unit costs), by
+/// Myers' bit-parallel algorithm (64 rows per machine word).
 size_t EditDistance(std::string_view a, std::string_view b);
 
 /// Levenshtein distance with early exit: returns `cap + 1` as soon as the
@@ -43,16 +15,12 @@ size_t EditDistance(std::string_view a, std::string_view b);
 /// than cap"; equivalently the result is min(EditDistance(a, b), cap + 1).
 size_t BoundedEditDistance(std::string_view a, std::string_view b, size_t cap);
 
-/// Fixed-kernel entry points. The un-suffixed functions above dispatch
-/// between these; benchmarks and the differential tests call them
-/// directly so both kernels stay exercised regardless of the process
-/// setting. Same contracts as the dispatching functions.
+/// The banded dynamic-programming kernels: the oracle the differential
+/// fuzz (tests/distance_kernel_test.cc) and the kernel benchmarks hold
+/// the bit-parallel functions above against. Same contracts.
 size_t EditDistanceScalar(std::string_view a, std::string_view b);
 size_t BoundedEditDistanceScalar(std::string_view a, std::string_view b,
                                  size_t cap);
-size_t EditDistanceBitParallel(std::string_view a, std::string_view b);
-size_t BoundedEditDistanceBitParallel(std::string_view a, std::string_view b,
-                                      size_t cap);
 
 /// Edit distance normalized into [0, 1] by the longer string length
 /// (0 iff equal; 1 when every position differs). Two empty strings

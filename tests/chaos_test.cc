@@ -479,6 +479,63 @@ TEST(MemoryLadderTest, PreExhaustedMemoryWithoutFallbackSurfacesError) {
       << result.status().ToString();
 }
 
+// --- Component latency histogram --------------------------------------
+
+// ftrepair.solve.component_ms observes every component that passed the
+// resource preamble exactly once — including one that walked the whole
+// multi-FD ladder (exact -> greedy -> appro) and ended detect-only.
+TEST(MemoryLadderTest, ComponentLatencyObservedAtTheBottomRung) {
+  ScopedEnv fault("FTREPAIR_FAULT_MEM_BYTES", "4096");
+  MemoryBudget memory(uint64_t{1} << 30);
+  Table dirty = CitizensDirty();
+  std::vector<FD> fds = CitizensFDs(dirty.schema());
+  RepairOptions options;
+  options.algorithm = RepairAlgorithm::kExact;
+  options.default_tau = 0.4;
+  options.memory = &memory;
+  Histogram* component_ms =
+      Metrics().GetHistogram("ftrepair.solve.component_ms");
+  const uint64_t before = component_ms->count();
+  auto result = Repairer(options).Repair(dirty, fds);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  std::vector<std::string> multi_stages;
+  int preamble_skips = 0;
+  for (const DegradationEvent& event : result.value().stats.degradations) {
+    if (event.component == "phi2+phi3") multi_stages.push_back(event.stage);
+    if (event.stage == "skip" &&
+        event.reason.find("in repair pipeline") != std::string::npos) {
+      ++preamble_skips;
+    }
+  }
+  ASSERT_EQ(multi_stages, (std::vector<std::string>{
+                              "exact->greedy", "greedy->appro", "skip"}))
+      << "the fault point no longer drives phi2+phi3 to the bottom rung";
+  // Two components (phi1, phi2+phi3); every one that started solving
+  // is observed.
+  EXPECT_EQ(component_ms->count() - before,
+            static_cast<uint64_t>(2 - preamble_skips));
+}
+
+// A CFD tableau unit is observed even when its variable part has too
+// few matching rows to build a graph.
+TEST(MemoryLadderTest, ComponentLatencyObservedForEveryCfdUnit) {
+  Table dirty = CitizensDirty();
+  // Row 0 pins one HS-grad row (a one-row scope); row 1 is variable.
+  std::vector<CFD> cfds =
+      std::move(ParseCFDList("c: Education -> Level | HS-grad -> 9 | _ -> _\n",
+                             dirty.schema()))
+          .ValueOrDie();
+  RepairOptions options;
+  options.default_tau = 0.4;
+  Histogram* component_ms =
+      Metrics().GetHistogram("ftrepair.solve.component_ms");
+  const uint64_t before = component_ms->count();
+  auto result = Repairer(options).RepairCFDs(dirty, cfds);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(component_ms->count() - before, 2u);
+}
+
 // --- Bit-identity without a limit -------------------------------------
 
 TEST(MemoryChaosIdentityTest, NoLimitMatchesBaselineAtEveryThreadCount) {

@@ -1,22 +1,19 @@
 // Distance-kernel equivalence suite.
 //
-// The edit-distance kernels (scalar banded DP, Myers bit-parallel
-// one-word and multi-word) are interchangeable speed layers: every
-// kernel must return the same integer on every input, including the
-// BoundedEditDistance `cap + 1` sentinel. The fuzz harness here drives
-// random byte strings — high bytes and embedded NULs included, so
-// signed-char PEQ indexing can never land — across lengths straddling
-// the one-word/multi-word boundary {0, 1, 63, 64, 65, 128} and caps
-// {0, 1, len-1, len, huge}, asserting
+// EditDistance / BoundedEditDistance run Myers' bit-parallel kernel
+// (one-word and multi-word); the scalar banded DP (*Scalar) is kept as
+// their oracle. Both must return the same integer on every input,
+// including the BoundedEditDistance `cap + 1` sentinel. The fuzz
+// harness here drives random byte strings — high bytes and embedded
+// NULs included, so signed-char PEQ indexing can never land — across
+// lengths straddling the one-word/multi-word boundary
+// {0, 1, 63, 64, 65, 128} and caps {0, 1, len-1, len, huge}, asserting
 //
 //   BoundedEditDistance(a, b, cap) == min(EditDistance(a, b), cap + 1)
 //
-// for every kernel and scalar == bitparallel throughout. The repair
-// grid then fingerprints entire RepairResults across
-// {kernel} x {solver} x {threads} on Citizens/HOSP/Tax/random, the
-// same bit-identity oracle the columnar suite uses. The SIMD screen
-// of the blocking index gets the same treatment against its scalar
-// reference.
+// for both kernels and scalar == bitparallel throughout. The SIMD
+// screen of the blocking index gets the same treatment against its
+// scalar reference.
 
 #include <cstdint>
 #include <limits>
@@ -26,10 +23,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "constraint/fd_parser.h"
-#include "core/repairer.h"
-#include "data/csv.h"
-#include "common/strings.h"
 #include "detect/block_index.h"
 #include "gen/error_injector.h"
 #include "gen/hosp_gen.h"
@@ -41,18 +34,8 @@ namespace ftrepair {
 namespace {
 
 using testing_util::CitizensDirty;
-using testing_util::CitizensFDs;
-using testing_util::RandomFDTable;
 
 constexpr size_t kHugeCap = std::numeric_limits<size_t>::max();
-
-// Restores the process-wide kernel setting on scope exit so a failing
-// assertion cannot leak a fixed kernel into later tests.
-class ScopedKernel {
- public:
-  explicit ScopedKernel(DistanceKernel kernel) { SetDistanceKernel(kernel); }
-  ~ScopedKernel() { SetDistanceKernel(DistanceKernel::kAuto); }
-};
 
 std::string RandomBytes(Rng* rng, size_t len, bool full_alphabet) {
   std::string s;
@@ -73,12 +56,12 @@ std::string RandomBytes(Rng* rng, size_t len, bool full_alphabet) {
 void ExpectKernelsAgree(const std::string& a, const std::string& b,
                         size_t cap) {
   size_t exact = EditDistanceScalar(a, b);
-  ASSERT_EQ(EditDistanceBitParallel(a, b), exact)
+  ASSERT_EQ(EditDistance(a, b), exact)
       << "len_a=" << a.size() << " len_b=" << b.size();
   size_t expected = exact <= cap ? exact : cap + 1;
   ASSERT_EQ(BoundedEditDistanceScalar(a, b, cap), expected)
       << "len_a=" << a.size() << " len_b=" << b.size() << " cap=" << cap;
-  ASSERT_EQ(BoundedEditDistanceBitParallel(a, b, cap), expected)
+  ASSERT_EQ(BoundedEditDistance(a, b, cap), expected)
       << "len_a=" << a.size() << " len_b=" << b.size() << " cap=" << cap;
 }
 
@@ -139,11 +122,11 @@ TEST(DistanceKernelTest, HighByteAndEmbeddedNulStrings) {
   };
   for (const Case& c : cases) {
     EXPECT_EQ(EditDistanceScalar(c.a, c.b), c.expected);
-    EXPECT_EQ(EditDistanceBitParallel(c.a, c.b), c.expected);
+    EXPECT_EQ(EditDistance(c.a, c.b), c.expected);
     for (size_t cap : {size_t{0}, size_t{1}, size_t{4}, kHugeCap}) {
       size_t expected = c.expected <= cap ? c.expected : cap + 1;
       EXPECT_EQ(BoundedEditDistanceScalar(c.a, c.b, cap), expected);
-      EXPECT_EQ(BoundedEditDistanceBitParallel(c.a, c.b, cap), expected);
+      EXPECT_EQ(BoundedEditDistance(c.a, c.b, cap), expected);
     }
   }
 }
@@ -152,41 +135,13 @@ TEST(DistanceKernelTest, CapSentinelSemantics) {
   // cap + 1 means "greater than cap" for every kernel; a cap at or
   // above max(len) can never clip, even at the huge end of size_t.
   EXPECT_EQ(BoundedEditDistanceScalar("kitten", "sitting", 2), size_t{3});
-  EXPECT_EQ(BoundedEditDistanceBitParallel("kitten", "sitting", 2), size_t{3});
+  EXPECT_EQ(BoundedEditDistance("kitten", "sitting", 2), size_t{3});
   EXPECT_EQ(BoundedEditDistanceScalar("kitten", "sitting", kHugeCap),
             size_t{3});
-  EXPECT_EQ(BoundedEditDistanceBitParallel("kitten", "sitting", kHugeCap),
+  EXPECT_EQ(BoundedEditDistance("kitten", "sitting", kHugeCap),
             size_t{3});
   EXPECT_EQ(BoundedEditDistanceScalar("abc", "xyz", 0), size_t{1});
-  EXPECT_EQ(BoundedEditDistanceBitParallel("abc", "xyz", 0), size_t{1});
-}
-
-TEST(DistanceKernelTest, DispatchHonorsProcessSetting) {
-  ASSERT_EQ(ConfiguredDistanceKernel(), DistanceKernel::kAuto);
-  EXPECT_EQ(EffectiveDistanceKernel(), DistanceKernel::kBitParallel);
-  {
-    ScopedKernel guard(DistanceKernel::kScalar);
-    EXPECT_EQ(EffectiveDistanceKernel(), DistanceKernel::kScalar);
-    EXPECT_EQ(EditDistance("kitten", "sitting"), size_t{3});
-  }
-  {
-    ScopedKernel guard(DistanceKernel::kBitParallel);
-    EXPECT_EQ(EffectiveDistanceKernel(), DistanceKernel::kBitParallel);
-    EXPECT_EQ(EditDistance("kitten", "sitting"), size_t{3});
-    EXPECT_EQ(BoundedEditDistance("kitten", "sitting", 1), size_t{2});
-  }
-  EXPECT_EQ(ConfiguredDistanceKernel(), DistanceKernel::kAuto);
-}
-
-TEST(DistanceKernelTest, NamesRoundTrip) {
-  for (DistanceKernel k : {DistanceKernel::kAuto, DistanceKernel::kScalar,
-                           DistanceKernel::kBitParallel}) {
-    DistanceKernel parsed = DistanceKernel::kAuto;
-    EXPECT_TRUE(ParseDistanceKernel(DistanceKernelName(k), &parsed));
-    EXPECT_EQ(parsed, k);
-  }
-  DistanceKernel parsed = DistanceKernel::kAuto;
-  EXPECT_FALSE(ParseDistanceKernel("simd", &parsed));
+  EXPECT_EQ(BoundedEditDistance("abc", "xyz", 0), size_t{1});
 }
 
 // ---- SIMD screen vs scalar reference --------------------------------
@@ -230,82 +185,9 @@ TEST(SimdScreenTest, ReportsAPathName) {
       << name;
 }
 
-// ---- Whole-pipeline bit identity across kernels ---------------------
+// ---- Jaccard whitespace fix: seed corpora are provably unaffected ---
 
-std::string Fingerprint(const RepairResult& result) {
-  std::string fp = WriteCsvString(result.repaired);
-  fp += "|changes:";
-  for (const CellChange& c : result.changes) {
-    fp += std::to_string(c.row) + "," + std::to_string(c.col) + ":" +
-          c.old_value.ToString() + "->" + c.new_value.ToString() + ";";
-  }
-  fp += "|cost:" + FormatDouble(result.stats.repair_cost);
-  fp += "|cells:" + std::to_string(result.stats.cells_changed);
-  fp += "|tuples:" + std::to_string(result.stats.tuples_changed);
-  fp += "|before:" + std::to_string(result.stats.ft_violations_before);
-  fp += "|after:" + std::to_string(result.stats.ft_violations_after);
-  return fp;
-}
-
-// Runs {scalar, bitparallel} x {1, 2, 4, 8 threads} for one repair
-// instance and asserts a single fingerprint.
-void ExpectKernelInvariant(const Table& table, const std::vector<FD>& fds,
-                           RepairOptions base) {
-  std::string reference;
-  for (DistanceKernel kernel :
-       {DistanceKernel::kScalar, DistanceKernel::kBitParallel}) {
-    ScopedKernel guard(kernel);
-    for (int threads : {1, 2, 4, 8}) {
-      RepairOptions options = base;
-      options.threads = threads;
-      auto result = Repairer(options).Repair(table, fds);
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      std::string fp = Fingerprint(result.value());
-      if (reference.empty()) {
-        reference = fp;
-      } else {
-        ASSERT_EQ(fp, reference) << "kernel=" << DistanceKernelName(kernel)
-                                 << " threads=" << threads;
-      }
-    }
-  }
-}
-
-RepairOptions BaseOptions(RepairAlgorithm algorithm, double tau) {
-  RepairOptions options;
-  options.algorithm = algorithm;
-  options.default_tau = tau;
-  return options;
-}
-
-TEST(DistanceKernelDifferentialTest, CitizensAllSolvers) {
-  Table t = CitizensDirty();
-  std::vector<FD> fds = CitizensFDs(t.schema());
-  for (RepairAlgorithm algorithm :
-       {RepairAlgorithm::kExact, RepairAlgorithm::kGreedy,
-        RepairAlgorithm::kApproJoin}) {
-    ExpectKernelInvariant(t, fds, BaseOptions(algorithm, 0.4));
-  }
-}
-
-TEST(DistanceKernelDifferentialTest, RandomCorporaAllSolvers) {
-  Table small = RandomFDTable(40, 3, 5, 10, /*seed=*/21);
-  auto small_fds =
-      std::move(ParseFDList("f1: c0 -> c1\nf2: c0 -> c2\n", small.schema()))
-          .ValueOrDie();
-  ExpectKernelInvariant(small, small_fds,
-                        BaseOptions(RepairAlgorithm::kExact, 0.35));
-  Table t = RandomFDTable(200, 4, 12, 30, /*seed=*/3);
-  auto fds = std::move(ParseFDList("f1: c0 -> c1\nf2: c0 -> c2\nf3: c3 -> c1\n",
-                                   t.schema()))
-                 .ValueOrDie();
-  for (RepairAlgorithm algorithm :
-       {RepairAlgorithm::kGreedy, RepairAlgorithm::kApproJoin}) {
-    ExpectKernelInvariant(t, fds, BaseOptions(algorithm, 0.35));
-  }
-}
-
-// Dirty slice of a generated dataset with its recommended weights.
+// Dirty slice of a generated dataset.
 Table DirtySlice(const Dataset& dataset, int rows) {
   NoiseOptions noise;
   noise.error_rate = 0.04;
@@ -314,34 +196,6 @@ Table DirtySlice(const Dataset& dataset, int rows) {
           .ValueOrDie();
   return dirty.Head(rows);
 }
-
-void ExpectKernelInvariantOnDataset(const Dataset& dataset, int rows,
-                                    RepairAlgorithm algorithm) {
-  RepairOptions base;
-  base.algorithm = algorithm;
-  base.w_l = dataset.recommended_w_l;
-  base.w_r = dataset.recommended_w_r;
-  base.tau_by_fd = dataset.recommended_tau;
-  ExpectKernelInvariant(DirtySlice(dataset, rows), dataset.fds, base);
-}
-
-TEST(DistanceKernelDifferentialTest, HospAllSolvers) {
-  Dataset hosp =
-      std::move(GenerateHosp({.num_rows = 600, .seed = 7})).ValueOrDie();
-  ExpectKernelInvariantOnDataset(hosp, 24, RepairAlgorithm::kExact);
-  ExpectKernelInvariantOnDataset(hosp, 600, RepairAlgorithm::kGreedy);
-  ExpectKernelInvariantOnDataset(hosp, 600, RepairAlgorithm::kApproJoin);
-}
-
-TEST(DistanceKernelDifferentialTest, TaxAllSolvers) {
-  Dataset tax =
-      std::move(GenerateTax({.num_rows = 500, .seed = 11})).ValueOrDie();
-  ExpectKernelInvariantOnDataset(tax, 24, RepairAlgorithm::kExact);
-  ExpectKernelInvariantOnDataset(tax, 500, RepairAlgorithm::kGreedy);
-  ExpectKernelInvariantOnDataset(tax, 500, RepairAlgorithm::kApproJoin);
-}
-
-// ---- Jaccard whitespace fix: seed corpora are provably unaffected ---
 
 // TokenJaccardDistance now splits on any whitespace instead of ' '
 // alone. The repair delta on the seed corpora is *provably* zero:

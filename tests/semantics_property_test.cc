@@ -1,10 +1,10 @@
 // Cross-semantics differential & property harness — the pin holding
-// the pluggable RepairSemantics layer together.
+// the three repair semantics (core/semantics.h) together.
 //
 // 520 seeded adversarial tables (RandomFDTable shapes crossed with
 // four FD-set layouts: single FD, multi-rhs FD, a shared-lhs multi-FD
 // component, and two independent components) are repaired under every
-// registered semantics and checked against the properties that define
+// semantics and checked against the properties that define
 // them:
 //
 //   1. cardinality never changes more cells than ft-cost does under
@@ -16,7 +16,7 @@
 //      changed are monotonically <= the ft-cost run, and the hard
 //      (confidence 1) FDs stay consistent;
 //   4. every mode's output satisfies its own consistency predicate
-//      (RepairSemantics::CountResidualViolations == 0);
+//      (CountResidualViolations == 0);
 //   5. explain reports replay through VerifyExplainReport under every
 //      semantics — including cardinality, whose verifier must rebuild
 //      the indicator-metric distance model from the report.
@@ -142,11 +142,10 @@ RepairResult RunRepair(const Scenario& s, const RepairOptions& options) {
 
 uint64_t Residual(const std::string& semantics, const Table& repaired,
                   const Scenario& s, const RepairOptions& options) {
-  const RepairSemantics* impl = SemanticsRegistry::Instance().Find(semantics);
-  EXPECT_NE(impl, nullptr) << semantics;
-  return impl == nullptr
-             ? ~0ULL
-             : impl->CountResidualViolations(repaired, s.fds, options);
+  auto id = ParseSemantics(semantics);
+  EXPECT_TRUE(id.ok()) << id.status().ToString();
+  return id.ok() ? CountResidualViolations(id.value(), repaired, s.fds, options)
+                 : ~0ULL;
 }
 
 /// Byte-level fingerprint of everything a repair produced (the

@@ -1,12 +1,11 @@
-// Unit tests of the RepairSemantics layer's parts: the registry
-// (lookup, custom registration, the actionable unknown-name error),
-// the cardinality majority solver, and the soft-fd penalty filter.
-// End-to-end behavior across the three built-ins is pinned by
-// semantics_property_test / semantics_golden_test.
+// Unit tests of the repair-semantics layer's parts: the SemanticsId
+// table (name lookup, the actionable unknown-name error, CFD support,
+// option validation), the cardinality majority solver, and the soft-fd
+// penalty filter. End-to-end behavior across the three built-ins is
+// pinned by semantics_property_test / semantics_golden_test.
 
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -26,34 +25,22 @@ namespace ftrepair {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Registry
+// SemanticsId table
 
 TEST(SemanticsRegistryTest, BuiltinsAreRegistered) {
-  SemanticsRegistry& registry = SemanticsRegistry::Instance();
-  std::vector<std::string> names = registry.Names();
-  // Sorted; at least the three built-ins (other tests may add more).
-  for (const char* expected : {"cardinality", "ft-cost", "soft-fd"}) {
-    EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
-        << expected;
+  for (const char* name : {"cardinality", "ft-cost", "soft-fd"}) {
+    auto parsed = ParseSemantics(name);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_STREQ(SemanticsName(parsed.value()), name);
   }
-  EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
+  EXPECT_EQ(ParseSemantics("ft-cost").value(), SemanticsId::kFtCost);
+  EXPECT_TRUE(SupportsCfds(SemanticsId::kFtCost));
+  EXPECT_EQ(ParseSemantics("soft-fd").value(), SemanticsId::kSoftFd);
+  EXPECT_FALSE(SupportsCfds(SemanticsId::kSoftFd));
+  EXPECT_EQ(ParseSemantics("cardinality").value(), SemanticsId::kCardinality);
+  EXPECT_FALSE(SupportsCfds(SemanticsId::kCardinality));
 
-  const RepairSemantics* ft = registry.Find("ft-cost");
-  ASSERT_NE(ft, nullptr);
-  EXPECT_EQ(ft->id(), SemanticsId::kFtCost);
-  EXPECT_TRUE(ft->supports_cfds());
-
-  const RepairSemantics* soft = registry.Find("soft-fd");
-  ASSERT_NE(soft, nullptr);
-  EXPECT_EQ(soft->id(), SemanticsId::kSoftFd);
-  EXPECT_FALSE(soft->supports_cfds());
-
-  const RepairSemantics* card = registry.Find("cardinality");
-  ASSERT_NE(card, nullptr);
-  EXPECT_EQ(card->id(), SemanticsId::kCardinality);
-  EXPECT_FALSE(card->supports_cfds());
-
-  EXPECT_EQ(registry.Find("nope"), nullptr);
+  EXPECT_FALSE(ParseSemantics("nope").ok());
 
   EXPECT_STREQ(SemanticsName(SemanticsId::kFtCost), "ft-cost");
   EXPECT_STREQ(SemanticsName(SemanticsId::kSoftFd), "soft-fd");
@@ -61,7 +48,7 @@ TEST(SemanticsRegistryTest, BuiltinsAreRegistered) {
 }
 
 TEST(SemanticsRegistryTest, ResolveUnknownListsEveryRegisteredName) {
-  auto resolved = SemanticsRegistry::Instance().Resolve("nope");
+  auto resolved = ParseSemantics("nope");
   ASSERT_FALSE(resolved.ok());
   EXPECT_TRUE(resolved.status().IsInvalidArgument());
   const std::string& message = resolved.status().message();
@@ -74,73 +61,24 @@ TEST(SemanticsRegistryTest, ResolveUnknownListsEveryRegisteredName) {
   EXPECT_EQ(message.find('\n'), std::string::npos) << message;
 }
 
-/// Minimal custom strategy: ft-cost's pipeline under a different name.
-class EchoSemantics : public RepairSemantics {
- public:
-  const char* name() const override { return "unit-echo"; }
-  SemanticsId id() const override { return SemanticsId::kCustom; }
-  bool supports_cfds() const override { return false; }
-  Status Validate(const RepairOptions&,
-                  const std::vector<FD>&) const override {
-    return Status::OK();
-  }
-  Result<RepairResult> Repair(const Table& table, const std::vector<FD>& fds,
-                              const RepairOptions& options) const override {
-    return SemanticsRegistry::Instance().Find("ft-cost")->Repair(table, fds,
-                                                                 options);
-  }
-  uint64_t CountResidualViolations(
-      const Table& table, const std::vector<FD>& fds,
-      const RepairOptions& options) const override {
-    return SemanticsRegistry::Instance().Find("ft-cost")->CountResidualViolations(
-        table, fds, options);
-  }
-};
-
-TEST(SemanticsRegistryTest, CustomRegistrationAndDuplicateRejection) {
-  SemanticsRegistry& registry = SemanticsRegistry::Instance();
-  ASSERT_TRUE(registry.Register(std::make_unique<EchoSemantics>()).ok());
-  ASSERT_NE(registry.Find("unit-echo"), nullptr);
-
-  Status dup = registry.Register(std::make_unique<EchoSemantics>());
-  EXPECT_TRUE(dup.IsInvalidArgument()) << dup.ToString();
-  EXPECT_NE(dup.message().find("unit-echo"), std::string::npos)
-      << dup.ToString();
-  EXPECT_FALSE(registry.Register(nullptr).ok());
-
-  Status builtin = registry.Register(nullptr);
-  EXPECT_FALSE(builtin.ok());
-
-  // The custom strategy is reachable through the Repairer facade.
-  Table t = testing_util::RandomFDTable(20, 2, 3, 4, 5);
-  std::vector<FD> fds{std::move(FD::Make({0}, {1}, "phi")).ValueOrDie()};
-  RepairOptions options;
-  options.semantics = "unit-echo";
-  auto custom = Repairer(options).Repair(t, fds);
-  ASSERT_TRUE(custom.ok()) << custom.status().ToString();
-  options.semantics = "ft-cost";
-  auto ft = Repairer(options).Repair(t, fds);
-  ASSERT_TRUE(ft.ok()) << ft.status().ToString();
-  EXPECT_EQ(custom.value().stats.cells_changed, ft.value().stats.cells_changed);
-}
-
 TEST(SemanticsRegistryTest, SoftFdValidateRejectsBadConfidences) {
-  const RepairSemantics* soft = SemanticsRegistry::Instance().Find("soft-fd");
-  ASSERT_NE(soft, nullptr);
   std::vector<FD> fds{std::move(FD::Make({0}, {1}, "phi")).ValueOrDie()};
+  auto validate = [&fds](const RepairOptions& options) {
+    return ValidateSemantics(SemanticsId::kSoftFd, options, fds);
+  };
 
   RepairOptions options;
   options.confidence_by_fd["phi"] = 0.5;
-  EXPECT_TRUE(soft->Validate(options, fds).ok());
+  EXPECT_TRUE(validate(options).ok());
 
   options.confidence_by_fd["phi"] = 0.0;
-  EXPECT_FALSE(soft->Validate(options, fds).ok());
+  EXPECT_FALSE(validate(options).ok());
   options.confidence_by_fd["phi"] = 1.5;
-  EXPECT_FALSE(soft->Validate(options, fds).ok());
+  EXPECT_FALSE(validate(options).ok());
 
   options.confidence_by_fd.clear();
   options.confidence_by_fd["phantom"] = 0.5;
-  Status unknown = soft->Validate(options, fds);
+  Status unknown = validate(options);
   EXPECT_FALSE(unknown.ok());
   EXPECT_NE(unknown.message().find("phantom"), std::string::npos)
       << unknown.ToString();

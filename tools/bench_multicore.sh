@@ -1,12 +1,11 @@
 #!/usr/bin/env bash
 # Multi-core benchmark protocol for the distance kernels: builds the
 # bench suite (RelWithDebInfo, same as every recorded BENCH_*.json) and
-# records the scalar-vs-bitparallel A/B curves, the scratch-row
-# allocation fix, the SIMD bigram screen, and the end-to-end detect
-# phase into BENCH_distance_kernels.json (3 repetitions, aggregates
+# records the scalar-vs-bitparallel A/B curves, the SIMD bigram
+# screen, and the end-to-end detect phase into BENCH_distance_kernels.json (3 repetitions, aggregates
 # only — medians are what docs/PERFORMANCE.md quotes).
 #
-# The thread-scaling sweep (BM_ViolationGraphKernelThreads) is only
+# The thread-scaling sweep (BM_ViolationGraphThreads) is only
 # recorded when the box actually has >= 2 CPUs: on a single core the
 # curve is flat by construction and recording it would launder a
 # non-measurement into the benchmark ledger. On such boxes the script
@@ -47,7 +46,7 @@ run_bench() {
 
 echo "== kernel A/B suites (valid on any core count) =="
 run_bench \
-  'BM_EditDistanceKernel|BM_BoundedEditDistanceKernel|BM_EditDistanceRowAlloc|BM_ScreenSharedCounts|BM_DetectPhaseKernel' \
+  'BM_EditDistanceKernel|BM_BoundedEditDistanceKernel|BM_ScreenSharedCounts|BM_DetectPhase' \
   "${kernel_json}"
 
 ncpu="$(nproc)"
@@ -55,7 +54,7 @@ threads_recorded=false
 refusal=""
 if (( ncpu >= 2 )); then
   echo "== thread-scaling sweep on ${ncpu} CPUs =="
-  run_bench 'BM_ViolationGraphKernelThreads' "${threads_json}"
+  run_bench 'BM_ViolationGraphThreads' "${threads_json}"
   threads_recorded=true
 else
   refusal="nproc=${ncpu}: thread-scaling curve is flat by construction on a single core; refusing to record it as a measurement. Re-run on a box with >= 2 CPUs."
@@ -82,7 +81,7 @@ merged["protocol"] = {
     "repetitions": 3,
     "build_type": "RelWithDebInfo",
     "kernel_arg": "0 = scalar, 1 = bitparallel",
-    "notes": "Kernel A/B, row-alloc, SIMD screen and detect-phase suites are single-core-valid and always recorded; BM_ViolationGraphKernelThreads is only recorded when nproc >= 2.",
+    "notes": "Kernel A/B, SIMD screen and detect-phase suites are single-core-valid and always recorded; BM_ViolationGraphThreads is only recorded when nproc >= 2.",
 }
 
 with open(out_path, "w") as f:

@@ -13,12 +13,13 @@ asan_dir="${1:-${repo_root}/build-chaos-asan}"
 tsan_dir="${2:-${repo_root}/build-chaos-tsan}"
 
 # The chaos surface: MemoryBudget unit semantics, the fault sweeps,
-# ladder completeness, bit-identity, and the deadline-budget ladder
-# suite that shares the degradation machinery — plus the
-# distance-kernel fuzz/differential suites and the SIMD screen
-# differentials, so a kernel swap can never slip past the sanitizers,
-# and the repair-semantics property sweeps (cardinality majority,
-# soft-fd filters), whose pipelines ride the same degradation ladder.
+# ladder completeness, bit-identity, the degradation-ladder golden
+# (FD components and CFD units under fault-seam sweeps), and the
+# deadline-budget ladder suite that shares the degradation machinery —
+# plus the distance-kernel fuzz and the SIMD screen differentials, so
+# a kernel change can never slip past the sanitizers, and the
+# repair-semantics property sweeps (cardinality majority, soft-fd
+# filters), whose pipelines ride the same degradation ladder.
 chaos_regex='Chaos|Memory|Ladder|Budget|DistanceKernel|SimdScreen|Semantics|Cardinality|SoftFd'
 
 run_mode() {
@@ -30,8 +31,8 @@ run_mode() {
     -DFTREPAIR_BUILD_BENCHMARKS=OFF \
     -DFTREPAIR_BUILD_EXAMPLES=OFF
   cmake --build "${build_dir}" -j "$(nproc)" \
-    --target chaos_test budget_test distance_kernel_test semantics_test \
-             semantics_property_test
+    --target chaos_test budget_test ladder_golden_test \
+             distance_kernel_test semantics_test semantics_property_test
   if [[ "${mode}" == "thread" ]]; then
     export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
   else

@@ -45,12 +45,11 @@ if [[ "${mode}" == "thread" ]]; then
   # graph build (and everything exercising it), the per-component solve
   # fan-out and the solvers it runs concurrently, shared-budget and
   # shared-memory-budget charging (the chaos/ladder sweeps), the
-  # relaxed-atomic metrics/trace registries, the distance-kernel
-  # dispatch + thread-local kernel scratch (the kernel fuzz and
-  # cross-kernel repair grids) with the SIMD screen differentials, and
-  # the semantics registry + per-semantics pipelines (the mutex-guarded
-  # singleton and the cross-semantics property sweeps run repairs at
-  # several thread counts).
+  # relaxed-atomic metrics/trace registries, the thread-local kernel
+  # scratch of the edit-distance kernels (the kernel fuzz) with the
+  # SIMD screen differentials, and the per-semantics pipelines (the
+  # cross-semantics property sweeps run repairs at several thread
+  # counts).
   ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)" \
     -R 'ThreadPool|Parallel|ViolationGraph|BlockIndex|Detector|Budget|Metrics|Trace|Repairer|Greedy|Expansion|Multi|TargetTree|Trusted|Chaos|Memory|Ladder|Provenance|ExplainReport|AuditLog|Columnar|StreamingIngest|DistanceKernel|SimdScreen|Semantics|Cardinality|SoftFd'
 else

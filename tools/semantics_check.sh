@@ -1,11 +1,10 @@
 #!/usr/bin/env bash
-# Pre-merge gate for the pluggable repair-semantics layer: builds the
+# Pre-merge gate for the repair-semantics layer: builds the
 # cross-semantics property harness and its unit suites under
 # AddressSanitizer+UBSan and then ThreadSanitizer and runs them, so a
-# semantics-dispatch bug that corrupts memory, races (the registry is a
-# mutex-guarded process singleton and the property sweeps repair at
-# several thread counts), or breaks a cross-semantics invariant fails
-# the gate before merge.
+# semantics-dispatch bug that corrupts memory, races (the property
+# sweeps repair at several thread counts), or breaks a cross-semantics
+# invariant fails the gate before merge.
 #
 # Usage: tools/semantics_check.sh [asan-build-dir] [tsan-build-dir]
 set -euo pipefail
@@ -14,7 +13,7 @@ repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 asan_dir="${1:-${repo_root}/build-semantics-asan}"
 tsan_dir="${2:-${repo_root}/build-semantics-tsan}"
 
-# The semantics surface: the registry + solver/filter units, the
+# The semantics surface: the SemanticsId table + solver/filter units, the
 # 520-table differential & property harness, the CLI flag plumbing
 # (--semantics / --confidence / --cfds negative paths), and the FD/CFD
 # parser extensions feeding it.
