@@ -21,45 +21,63 @@ Result<CFD> CFD::Make(FD fd, std::vector<PatternRow> tableau,
   return cfd;
 }
 
-bool CFD::MatchesLhs(const Row& row, int p) const {
-  const PatternRow& pat = tableau_[static_cast<size_t>(p)];
-  for (int i = 0; i < fd_.lhs_size(); ++i) {
+namespace {
+
+// Checks the constants of tableau row `pat` over attr slots
+// [begin, end) against the cells `cell_of(column)` returns.
+template <typename CellOf>
+bool MatchesSlots(const FD& fd, const PatternRow& pat, int begin, int end,
+                  const CellOf& cell_of) {
+  for (int i = begin; i < end; ++i) {
     const auto& cell = pat[static_cast<size_t>(i)];
     if (!cell.has_value()) continue;
-    if (row[static_cast<size_t>(fd_.attrs()[static_cast<size_t>(i)])] !=
-        *cell) {
-      return false;
-    }
+    if (cell_of(fd.attrs()[static_cast<size_t>(i)]) != *cell) return false;
   }
   return true;
+}
+
+}  // namespace
+
+bool CFD::MatchesLhs(const Row& row, int p) const {
+  return MatchesSlots(fd_, tableau_[static_cast<size_t>(p)], 0,
+                      fd_.lhs_size(), [&row](int c) -> const Value& {
+                        return row[static_cast<size_t>(c)];
+                      });
 }
 
 bool CFD::MatchesRhs(const Row& row, int p) const {
-  const PatternRow& pat = tableau_[static_cast<size_t>(p)];
-  for (int i = fd_.lhs_size(); i < fd_.num_attrs(); ++i) {
-    const auto& cell = pat[static_cast<size_t>(i)];
-    if (!cell.has_value()) continue;
-    if (row[static_cast<size_t>(fd_.attrs()[static_cast<size_t>(i)])] !=
-        *cell) {
-      return false;
-    }
-  }
-  return true;
+  return MatchesSlots(fd_, tableau_[static_cast<size_t>(p)], fd_.lhs_size(),
+                      fd_.num_attrs(), [&row](int c) -> const Value& {
+                        return row[static_cast<size_t>(c)];
+                      });
 }
 
+// The table scans read only this CFD's own columns (never a whole
+// row): RepairCFDs scans and writes column-disjoint CFD groups of one
+// table concurrently.
 std::vector<int> CFD::ApplicableRows(const Table& table, int p) const {
+  const PatternRow& pat = tableau_[static_cast<size_t>(p)];
   std::vector<int> out;
   for (int r = 0; r < table.num_rows(); ++r) {
-    if (MatchesLhs(table.row(r), p)) out.push_back(r);
+    auto cell_of = [&table, r](int c) -> const Value& {
+      return table.cell(r, c);
+    };
+    if (MatchesSlots(fd_, pat, 0, fd_.lhs_size(), cell_of)) out.push_back(r);
   }
   return out;
 }
 
 std::vector<int> CFD::ConstantViolations(const Table& table, int p) const {
+  const PatternRow& pat = tableau_[static_cast<size_t>(p)];
   std::vector<int> out;
   for (int r = 0; r < table.num_rows(); ++r) {
-    const Row& row = table.row(r);
-    if (MatchesLhs(row, p) && !MatchesRhs(row, p)) out.push_back(r);
+    auto cell_of = [&table, r](int c) -> const Value& {
+      return table.cell(r, c);
+    };
+    if (MatchesSlots(fd_, pat, 0, fd_.lhs_size(), cell_of) &&
+        !MatchesSlots(fd_, pat, fd_.lhs_size(), fd_.num_attrs(), cell_of)) {
+      out.push_back(r);
+    }
   }
   return out;
 }

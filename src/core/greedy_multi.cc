@@ -1,10 +1,13 @@
 #include "core/greedy_multi.h"
 
 #include <algorithm>
+#include <functional>
+#include <queue>
 #include <unordered_map>
+#include <utility>
 
 #include "common/logging.h"
-#include "common/parallel.h"
+#include "common/metrics.h"
 #include "common/trace.h"
 
 namespace ftrepair {
@@ -25,6 +28,8 @@ struct GreedyMultiState {
   // Per FD: cheapest unit cost from each pattern to the chosen set.
   std::vector<std::vector<double>> best_unit;
   size_t remaining = 0;  // candidates not yet chosen nor blocked
+  // Patterns whose `blocked` count went 0 -> 1 during the latest Add.
+  std::vector<int> newly_blocked;
 
   // Per FD: lookup from phi projection values to phi-pattern id.
   std::vector<std::unordered_map<std::vector<Value>, int, ProjectionHash>>
@@ -87,10 +92,18 @@ struct GreedyMultiState {
   static constexpr size_t kMaxCrossSigmas = 8;
   static constexpr size_t kMaxCrossTargets = 3;
 
+  // A still-unblocked FD-j phi-pattern that a score read through a
+  // substituted projection: (j, phi id).
+  using UnblockedRead = std::pair<size_t, int>;
+
   // Conflict indicator of sigma-pattern s against FD j's chosen set,
   // after hypothetically rewriting the shared positions with the values
-  // of phi-pattern `u` of FD k (u < 0 means "no rewrite").
-  int ConflictAfter(size_t k, int u, size_t j, int sigma) const {
+  // of phi-pattern `u` of FD k (u < 0 means "no rewrite"). When `reads`
+  // is given, a substituted projection whose `blocked` count is still 0
+  // is recorded there: it is the one input of the score that no static
+  // map predicts.
+  int ConflictAfter(size_t k, int u, size_t j, int sigma,
+                    std::vector<UnblockedRead>* reads) const {
     int cur_phi = ctx->phi_of_sigma[j][static_cast<size_t>(sigma)];
     if (u < 0 || shared_pos[k][j].empty()) {
       return blocked[j][static_cast<size_t>(cur_phi)] > 0 ? 1 : 0;
@@ -124,12 +137,15 @@ struct GreedyMultiState {
     // less violations for phi_j", §4.4): the close-world model would
     // have to invent the combination.
     if (found == phi_index[j].end()) return 1;
-    return blocked[j][static_cast<size_t>(found->second)] > 0 ? 1 : 0;
+    if (blocked[j][static_cast<size_t>(found->second)] > 0) return 1;
+    if (reads != nullptr) reads->emplace_back(j, found->second);
+    return 0;
   }
 
   // Synchronization-aware score of repairing neighbor v (of FD k) to
   // target u, per underlying tuple (Eq. 12's inner choice).
-  double TargetScore(size_t k, int v, int u, double edge_cost) const {
+  double TargetScore(size_t k, int v, int u, double edge_cost,
+                     std::vector<UnblockedRead>* reads) const {
     double score = edge_cost;
     double w = options->cross_weight;
     if (w <= 0) return score;
@@ -143,8 +159,8 @@ struct GreedyMultiState {
       for (size_t si = 0; si < limit; ++si) {
         int sigma = sigmas[si];
         int cnt = ctx->sigma_patterns[static_cast<size_t>(sigma)].count();
-        delta += cnt * (ConflictAfter(k, u, j, sigma) -
-                        ConflictAfter(k, -1, j, sigma));
+        delta += cnt * (ConflictAfter(k, u, j, sigma, reads) -
+                        ConflictAfter(k, -1, j, sigma, nullptr));
         total += cnt;
       }
       if (total > 0) score += w * delta / total;
@@ -158,8 +174,10 @@ struct GreedyMultiState {
   // (only the cheapest few targets by edge cost are cross-scored);
   // neighbors already covered by the chosen set contribute only their
   // improvement, and the candidate's own exclusion cost is netted out
-  // (see greedy_single.cc for the rationale).
-  double CandidateCost(size_t k, int c) const {
+  // (see greedy_single.cc for the rationale). `reads` as in
+  // ConflictAfter.
+  double CandidateCost(size_t k, int c,
+                       std::vector<UnblockedRead>* reads) const {
     const ViolationGraph& graph = ctx->graphs[k];
     double cost = 0;
     std::vector<std::pair<double, int>> eligible;
@@ -183,7 +201,7 @@ struct GreedyMultiState {
         best = kInf;
         for (size_t t = 0; t < limit; ++t) {
           best = std::min(best, TargetScore(k, v, eligible[t].second,
-                                            eligible[t].first));
+                                            eligible[t].first, reads));
         }
       }
       double covered = best_unit[k][static_cast<size_t>(v)];
@@ -201,16 +219,180 @@ struct GreedyMultiState {
     chosen[k][static_cast<size_t>(c)] = true;
     chosen_list[k].push_back(c);
     if (was_candidate) --remaining;
+    newly_blocked.clear();
     for (const ViolationGraph::Edge& e : ctx->graphs[k].Neighbors(c)) {
       best_unit[k][static_cast<size_t>(e.to)] = std::min(
           best_unit[k][static_cast<size_t>(e.to)], e.unit_cost);
-      if (blocked[k][static_cast<size_t>(e.to)]++ == 0 &&
-          !chosen[k][static_cast<size_t>(e.to)]) {
-        --remaining;  // freshly blocked
+      if (blocked[k][static_cast<size_t>(e.to)]++ == 0) {
+        newly_blocked.push_back(e.to);
+        if (!chosen[k][static_cast<size_t>(e.to)]) --remaining;
       }
     }
   }
 };
+
+// What GrowCover did, reported once per solve.
+struct GrowOutcome {
+  bool truncated = false;
+  uint64_t rounds = 0;    // candidates added by the grow loop
+  uint64_t rescored = 0;  // CandidateCost evaluations
+};
+
+// Algorithm 4's grow loop: each round adds the candidate with the
+// smallest CandidateCost, the first strict minimum in flattened
+// (fd, pattern) slot order.
+//
+// Candidates sit in a lazy-deletion min-heap keyed on (cost, slot).
+// Unlike Greedy-S, a candidate's cost can move either way as the sets
+// grow, so an entry is valid only while its slot is still a candidate
+// and its cost equals the slot's stored score; anything else was
+// superseded and is dropped on pop. Equal costs pop the smaller slot
+// first, which is the full scan's first-strict-minimum. A cost that is
+// NaN or >= kInf never enters the heap, as it never passes the scan's
+// `cost < best_cost`.
+//
+// After each Add(k, c), every slot whose score inputs may have changed
+// is rescored (a superset never changes the pick, a missed slot would):
+//  * within FD k, candidates within two hops of c: `chosen`, `best_unit`
+//    and the eligible targets change only there;
+//  * across FDs, for each phi-pattern x of FD k whose `blocked` count
+//    went 0 -> 1, every FD-j candidate adjacent to phi_of_sigma[j][s] for
+//    s in sigma_of_phi[k][x] (the unsubstituted conflict reads);
+//  * across FDs, the candidates watching x: a score that read `blocked`
+//    of a substituted projection (ConflictAfter's phi_index lookup)
+//    while it was 0 registers on that phi-pattern, and the registration
+//    fires once when it blocks. Counts only grow, so a read of an
+//    already-blocked phi-pattern needs no watch.
+// With cross_weight <= 0, TargetScore reads no other FD and both
+// cross-FD rules are idle.
+GrowOutcome GrowCover(GreedyMultiState* state, const RepairOptions& options) {
+  GrowOutcome out;
+  const ComponentContext& context = *state->ctx;
+  const size_t num_fds = state->num_fds;
+  std::vector<size_t> slot_base(num_fds + 1, 0);
+  for (size_t k = 0; k < num_fds; ++k) {
+    slot_base[k + 1] =
+        slot_base[k] + static_cast<size_t>(context.graphs[k].num_patterns());
+  }
+  const size_t total_slots = slot_base[num_fds];
+  auto fd_of = [&slot_base](size_t slot) {
+    return static_cast<size_t>(std::upper_bound(slot_base.begin(),
+                                                slot_base.end(), slot) -
+                               slot_base.begin()) -
+           1;
+  };
+
+  using HeapEntry = std::pair<double, size_t>;
+  std::priority_queue<HeapEntry, std::vector<HeapEntry>,
+                      std::greater<HeapEntry>>
+      heap;
+  std::vector<double> score(total_slots, kInf);
+  // watchers[k][x]: slots whose stored score read blocked[k][x] == 0
+  // through a substituted projection.
+  std::vector<std::vector<std::vector<size_t>>> watchers(num_fds);
+  for (size_t k = 0; k < num_fds; ++k) {
+    watchers[k].resize(static_cast<size_t>(context.graphs[k].num_patterns()));
+  }
+  std::vector<GreedyMultiState::UnblockedRead> reads;
+  auto rescore = [&](size_t k, int c) {
+    const size_t slot = slot_base[k] + static_cast<size_t>(c);
+    reads.clear();
+    const double cost = state->CandidateCost(k, c, &reads);
+    ++out.rescored;
+    score[slot] = cost;
+    if (cost < kInf) heap.emplace(cost, slot);
+    for (const auto& [j, x] : reads) {
+      std::vector<size_t>& w = watchers[j][static_cast<size_t>(x)];
+      if (w.empty() || w.back() != slot) w.push_back(slot);
+    }
+  };
+
+  // Slots to rescore after the latest Add, each once.
+  std::vector<std::pair<size_t, int>> dirty;
+  std::vector<uint64_t> dirty_round(total_slots, 0);
+  auto touch = [&](size_t k, int v) {
+    const size_t slot = slot_base[k] + static_cast<size_t>(v);
+    if (dirty_round[slot] == out.rounds || !state->IsCandidate(k, v)) return;
+    dirty_round[slot] = out.rounds;
+    dirty.emplace_back(k, v);
+  };
+
+  for (size_t k = 0; k < num_fds; ++k) {
+    for (int v = 0; v < context.graphs[k].num_patterns(); ++v) {
+      if (state->IsCandidate(k, v)) rescore(k, v);
+    }
+  }
+  const bool cross = !(options.cross_weight <= 0);
+  while (state->remaining > 0) {
+    // Each round appends one (fd, pattern) choice and refreshes the
+    // per-pattern best-unit costs it invalidates.
+    if (!BudgetCharge(options.budget) ||
+        !MemCharge(options.memory, sizeof(int) + sizeof(double),
+                   MemPhase::kSolve)) {
+      // Out of budget: stop growing. AssignTargets still runs (and
+      // itself polls), so already-chosen sets yield a valid partial
+      // repair; unreached patterns stay dirty.
+      out.truncated = true;
+      break;
+    }
+    size_t k = 0;
+    int c = -1;
+    while (!heap.empty()) {
+      const auto [cost, slot] = heap.top();
+      heap.pop();
+      const size_t fd = fd_of(slot);
+      const int v = static_cast<int>(slot - slot_base[fd]);
+      if (state->IsCandidate(fd, v) && cost == score[slot]) {
+        k = fd;
+        c = v;
+        break;
+      }
+    }
+    if (c < 0) break;  // everything chosen, blocked or unscorable
+    state->Add(k, c);
+    ++out.rounds;
+
+    dirty.clear();
+    const ViolationGraph& graph = context.graphs[k];
+    for (const ViolationGraph::Edge& e : graph.Neighbors(c)) {
+      for (const ViolationGraph::Edge& t : graph.Neighbors(e.to)) {
+        touch(k, t.to);
+      }
+    }
+    for (int x : state->newly_blocked) {
+      if (cross) {
+        for (int sigma : context.sigma_of_phi[k][static_cast<size_t>(x)]) {
+          for (size_t j = 0; j < num_fds; ++j) {
+            if (j == k || state->shared_pos[k][j].empty()) continue;
+            const int y = context.phi_of_sigma[j][static_cast<size_t>(sigma)];
+            // TargetScore reads only the first kMaxCrossSigmas of y.
+            const std::vector<int>& read =
+                context.sigma_of_phi[j][static_cast<size_t>(y)];
+            auto read_end =
+                read.begin() +
+                static_cast<std::ptrdiff_t>(std::min(
+                    read.size(), GreedyMultiState::kMaxCrossSigmas));
+            if (std::find(read.begin(), read_end, sigma) == read_end) {
+              continue;
+            }
+            for (const ViolationGraph::Edge& e :
+                 context.graphs[j].Neighbors(y)) {
+              touch(j, e.to);
+            }
+          }
+        }
+      }
+      std::vector<size_t>& w = watchers[k][static_cast<size_t>(x)];
+      for (size_t slot : w) {
+        const size_t fd = fd_of(slot);
+        touch(fd, static_cast<int>(slot - slot_base[fd]));
+      }
+      std::vector<size_t>().swap(w);
+    }
+    for (const auto& [fd, v] : dirty) rescore(fd, v);
+  }
+  return out;
+}
 
 }  // namespace
 
@@ -245,99 +427,17 @@ Result<MultiFDSolution> SolveGreedyMulti(const ComponentContext& context,
     }
   }
 
-  // Flattened (fd, pattern) slot space for the round scan: slot order
-  // is exactly the serial loop's (k, v) lexicographic order, so a
-  // per-shard first-strict-minimum folded in ascending shard order
-  // reproduces the serial argmin bit for bit (CandidateCost is a pure
-  // function of the frozen round state, so every thread computes the
-  // identical double for a given slot).
-  std::vector<size_t> slot_base(state.num_fds + 1, 0);
-  for (size_t k = 0; k < state.num_fds; ++k) {
-    slot_base[k + 1] =
-        slot_base[k] + static_cast<size_t>(context.graphs[k].num_patterns());
-  }
-  const size_t total_slots = slot_base[state.num_fds];
-  constexpr size_t kSlotsPerShard = 256;
-  const int scan_threads = ResolveThreads(options.threads);
+  // The heap, scores and watchers die with GrowCover's frame, before
+  // AssignTargets sets the solve's memory peak.
+  const GrowOutcome grown = GrowCover(&state, options);
+  static Counter* rounds =
+      Metrics().GetCounter("ftrepair.solve.greedy_rounds");
+  static Counter* rescored =
+      Metrics().GetCounter("ftrepair.solve.candidates_rescored");
+  rounds->Increment(grown.rounds);
+  rescored->Increment(grown.rescored);
 
-  bool truncated = false;
-  bool made_progress = false;
-  while (state.remaining > 0) {
-    // Each round appends one (fd, pattern) choice and refreshes the
-    // per-pattern best-unit costs it invalidates.
-    if (!BudgetCharge(options.budget) ||
-        !MemCharge(options.memory, sizeof(int) + sizeof(double),
-                   MemPhase::kSolve)) {
-      // Out of budget: stop growing. AssignTargets still runs (and
-      // itself polls), so already-chosen sets yield a valid partial
-      // repair; unreached patterns stay dirty.
-      truncated = true;
-      break;
-    }
-    size_t best_fd = 0;
-    int best_pattern = -1;
-    double best_cost = kInf;
-    if (scan_threads > 1 && total_slots > kSlotsPerShard) {
-      const int num_shards = static_cast<int>(
-          (total_slots + kSlotsPerShard - 1) / kSlotsPerShard);
-      std::vector<std::pair<double, size_t>> shard_best(
-          static_cast<size_t>(num_shards), {kInf, 0});
-      ParallelFor(num_shards, scan_threads, [&](int s) {
-        size_t lo = static_cast<size_t>(s) * kSlotsPerShard;
-        size_t hi = std::min(lo + kSlotsPerShard, total_slots);
-        size_t k = static_cast<size_t>(
-                       std::upper_bound(slot_base.begin(), slot_base.end(),
-                                        lo) -
-                       slot_base.begin()) -
-                   1;
-        double best = kInf;
-        size_t best_slot = 0;
-        for (size_t slot = lo; slot < hi; ++slot) {
-          while (slot >= slot_base[k + 1]) ++k;
-          int v = static_cast<int>(slot - slot_base[k]);
-          if (!state.IsCandidate(k, v)) continue;
-          double cost = state.CandidateCost(k, v);
-          if (cost < best) {
-            best = cost;
-            best_slot = slot;
-          }
-        }
-        shard_best[static_cast<size_t>(s)] = {best, best_slot};
-      });
-      size_t best_slot = 0;
-      for (const auto& [cost, slot] : shard_best) {
-        if (cost < best_cost) {
-          best_cost = cost;
-          best_slot = slot;
-        }
-      }
-      if (best_cost != kInf) {
-        best_fd = static_cast<size_t>(
-                      std::upper_bound(slot_base.begin(), slot_base.end(),
-                                       best_slot) -
-                      slot_base.begin()) -
-                  1;
-        best_pattern = static_cast<int>(best_slot - slot_base[best_fd]);
-      }
-    } else {
-      for (size_t k = 0; k < state.num_fds; ++k) {
-        for (int v = 0; v < context.graphs[k].num_patterns(); ++v) {
-          if (!state.IsCandidate(k, v)) continue;
-          double cost = state.CandidateCost(k, v);
-          if (cost < best_cost) {
-            best_cost = cost;
-            best_fd = k;
-            best_pattern = v;
-          }
-        }
-      }
-    }
-    if (best_pattern < 0) break;  // everything chosen or blocked
-    state.Add(best_fd, best_pattern);
-    made_progress = true;
-  }
-
-  if (truncated && !made_progress) {
+  if (grown.truncated && grown.rounds == 0) {
     // Exhausted before the first candidate was chosen: there is no
     // partial cover for AssignTargets to complete, so hand the
     // component down the ladder instead of reporting an empty
@@ -348,7 +448,7 @@ Result<MultiFDSolution> SolveGreedyMulti(const ComponentContext& context,
                               stats);
   if (result.ok()) {
     result.value().rung = SolverRung::kGreedy;
-    if (truncated) result.value().truncated = true;
+    if (grown.truncated) result.value().truncated = true;
   }
   return result;
 }

@@ -14,9 +14,13 @@ namespace ftrepair {
 /// "best" is synchronization-aware: a candidate modification is scored
 /// by its repair cost plus `options.cross_weight` per violation it
 /// triggers (minus per violation it eliminates) against the chosen sets
-/// of connected FDs. Substituted projections that do not exist as
-/// patterns score neutrally (a documented approximation — exact
-/// re-detection would need a fresh similarity join per candidate).
+/// of connected FDs. A substituted projection is looked up exactly
+/// among the FD's phi-patterns (a documented approximation — exact
+/// re-detection would need a fresh similarity join per candidate); one
+/// that exists nowhere counts as a triggered violation, since the
+/// close-world model would have to invent it. Rounds pop the cheapest
+/// candidate from a lazy-deletion heap and rescore only the slots the
+/// last choice invalidated, choosing exactly what a full rescan would.
 /// Terminates when every phi-pattern is chosen or blocked, then joins
 /// the sets into targets and repairs (lines 7-9).
 Result<MultiFDSolution> SolveGreedyMulti(const ComponentContext& context,
