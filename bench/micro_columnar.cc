@@ -1,8 +1,9 @@
-// Micro-benchmarks of the columnar (dictionary-code) detect paths
-// against the row/value paths they shadow, on HOSP slices up to 50k
-// rows. Both sides of every pair produce bit-identical output (see
-// tests/columnar_test.cc and PERFORMANCE.md, "Dictionary-join
-// equivalence"); the delta here is the point of the layer.
+// Micro-benchmarks of the columnar (dictionary-code) detect path on
+// HOSP slices up to 50k rows: pattern grouping, the violation-graph
+// build, the whole detect phase, and streaming CSV ingest. The value
+// paths these once ran beside are gone; their rows in
+// BENCH_columnar.json are historical (see PERFORMANCE.md, "The
+// columnar dictionary layer").
 
 #include <benchmark/benchmark.h>
 
@@ -37,22 +38,19 @@ const Table& DirtyTable() {
   return *kTable;
 }
 
-// Pattern grouping: code-vector keys vs value-vector keys.
+// Pattern grouping on code-vector keys.
 void BM_BuildPatternsCoded(benchmark::State& state) {
   const Dataset& ds = SharedDataset();
   Table slice = DirtyTable().Head(static_cast<int>(state.range(0)));
   const FD& fd = ds.fds[2];  // ZipCode -> City
-  bool coded = state.range(1) != 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(BuildPatterns(slice, fd.attrs(), coded));
+    benchmark::DoNotOptimize(BuildPatterns(slice, fd.attrs()));
   }
 }
-BENCHMARK(BM_BuildPatternsCoded)
-    ->ArgsProduct({{10000, kMaxRows}, {0, 1}});
+BENCHMARK(BM_BuildPatternsCoded)->Arg(10000)->Arg(kMaxRows);
 
-// The detect phase proper: violation-graph build with the interned
-// fast paths (code-keyed identical check, coded bucket join, per-pair
-// distance memoization) on vs off.
+// The detect phase proper: violation-graph build (code-keyed identical
+// check, coded bucket join, per-pair distance memoization).
 void BM_ViolationGraphInterned(benchmark::State& state) {
   const Dataset& ds = SharedDataset();
   Table slice = DirtyTable().Head(static_cast<int>(state.range(0)));
@@ -60,40 +58,37 @@ void BM_ViolationGraphInterned(benchmark::State& state) {
   DistanceModel model(slice);
   FTOptions opts{ds.recommended_w_l, ds.recommended_w_r,
                  ds.recommended_tau.at(fd.name())};
-  opts.interned = state.range(1) != 0;
-  std::vector<Pattern> patterns =
-      BuildPatterns(slice, fd.attrs(), opts.interned);
+  std::vector<Pattern> patterns = BuildPatterns(slice, fd.attrs());
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         ViolationGraph::Build(patterns, fd, model, opts));
   }
 }
 BENCHMARK(BM_ViolationGraphInterned)
-    ->ArgsProduct({{10000, kMaxRows}, {0, 1}})
+    ->Arg(10000)
+    ->Arg(kMaxRows)
     ->Unit(benchmark::kMillisecond);
 
-// End-to-end detect phase (grouping + graph build) over every HOSP FD:
-// what `--columnar on|off` actually toggles ahead of the solvers.
+// End-to-end detect phase (grouping + graph build) over every HOSP FD
+// ahead of the solvers.
 void BM_DetectPhaseColumnar(benchmark::State& state) {
   const Dataset& ds = SharedDataset();
   Table slice = DirtyTable().Head(static_cast<int>(state.range(0)));
-  bool columnar = state.range(1) != 0;
   DistanceModel model(slice);
   for (auto _ : state) {
     uint64_t edges = 0;
     for (const FD& fd : ds.fds) {
       FTOptions opts{ds.recommended_w_l, ds.recommended_w_r,
                      ds.recommended_tau.at(fd.name())};
-      opts.interned = columnar;
-      std::vector<Pattern> patterns =
-          BuildPatterns(slice, fd.attrs(), columnar);
+      std::vector<Pattern> patterns = BuildPatterns(slice, fd.attrs());
       edges += ViolationGraph::Build(patterns, fd, model, opts).num_edges();
     }
     benchmark::DoNotOptimize(edges);
   }
 }
 BENCHMARK(BM_DetectPhaseColumnar)
-    ->ArgsProduct({{10000, kMaxRows}, {0, 1}})
+    ->Arg(10000)
+    ->Arg(kMaxRows)
     ->Unit(benchmark::kMillisecond);
 
 // Streaming CSV ingest of the 50k-row dirty table (from a string, so

@@ -178,7 +178,7 @@ void BM_DetectPhase(benchmark::State& state) {
     for (const FD& fd : ds.fds) {
       FTOptions opts{ds.recommended_w_l, ds.recommended_w_r,
                      ds.recommended_tau.at(fd.name())};
-      std::vector<Pattern> patterns = BuildPatterns(slice, fd.attrs(), true);
+      std::vector<Pattern> patterns = BuildPatterns(slice, fd.attrs());
       edges += ViolationGraph::Build(patterns, fd, model, opts).num_edges();
     }
     benchmark::DoNotOptimize(edges);
@@ -201,7 +201,7 @@ void BM_ViolationGraphThreads(benchmark::State& state) {
   FTOptions opts{ds.recommended_w_l, ds.recommended_w_r,
                  ds.recommended_tau.at(fd.name())};
   opts.threads = static_cast<int>(state.range(0));
-  std::vector<Pattern> patterns = BuildPatterns(slice, fd.attrs(), true);
+  std::vector<Pattern> patterns = BuildPatterns(slice, fd.attrs());
   for (auto _ : state) {
     benchmark::DoNotOptimize(ViolationGraph::Build(patterns, fd, model, opts));
   }

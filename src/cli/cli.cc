@@ -71,11 +71,6 @@ Options:
                       limit it stops cleanly        (default: unlimited)
   --on-bad-row MODE   strict | skip | pad: fail on, drop, or salvage
                       malformed input rows          (default: strict)
-  --columnar MODE     on | off: dictionary-code fast paths (code-keyed
-                      pattern grouping, code-bucketed exact joins,
-                      per-pair distance memoization); purely a speed
-                      knob — either setting yields bit-identical
-                      repairs                       (default: on)
   --verbose           print every cell change
   --summary           print changes aggregated by (column, old, new)
   --help              this text
@@ -242,16 +237,6 @@ Result<CliOptions> ParseCliArgs(const std::vector<std::string>& args) {
       } else {
         return Status::InvalidArgument("unknown --detect-index '" + name +
                                        "' (auto | allpairs | blocked)");
-      }
-    } else if (arg == "--columnar") {
-      FTR_ASSIGN_OR_RETURN(std::string mode, next());
-      if (mode == "on") {
-        options.repair.columnar = true;
-      } else if (mode == "off") {
-        options.repair.columnar = false;
-      } else {
-        return Status::InvalidArgument("unknown --columnar '" + mode +
-                                       "' (on | off)");
       }
     } else if (arg == "--profile") {
       options.profile = true;

@@ -31,8 +31,11 @@ struct GreedyMultiState {
   // Patterns whose `blocked` count went 0 -> 1 during the latest Add.
   std::vector<int> newly_blocked;
 
-  // Per FD: lookup from phi projection values to phi-pattern id.
-  std::vector<std::unordered_map<std::vector<Value>, int, ProjectionHash>>
+  // Per FD: lookup from phi projection codes to phi-pattern id. Every
+  // FD's patterns carry codes from the one table's column dictionaries,
+  // so a code vector spliced from two FDs' patterns still identifies a
+  // projection exactly (equal code == equal value per column).
+  std::vector<std::unordered_map<std::vector<uint32_t>, int, CodeVectorHash>>
       phi_index;
   // Per FD: component position of each of its attrs.
   std::vector<std::vector<int>> attr_pos;
@@ -62,7 +65,7 @@ struct GreedyMultiState {
       best_unit[k].assign(static_cast<size_t>(n), kInf);
       remaining += static_cast<size_t>(n);
       for (int j = 0; j < n; ++j) {
-        phi_index[k].emplace(context.graphs[k].pattern(j).values, j);
+        phi_index[k].emplace(context.graphs[k].pattern(j).codes, j);
       }
       for (int c : context.fds[k]->attrs()) {
         attr_pos[k].push_back(col_to_pos.at(c));
@@ -108,10 +111,9 @@ struct GreedyMultiState {
     if (u < 0 || shared_pos[k][j].empty()) {
       return blocked[j][static_cast<size_t>(cur_phi)] > 0 ? 1 : 0;
     }
-    const std::vector<Value>& cur_values =
-        ctx->graphs[j].pattern(cur_phi).values;
-    const std::vector<Value>& u_values =
-        ctx->graphs[k].pattern(u).values;
+    const std::vector<uint32_t>& cur_codes =
+        ctx->graphs[j].pattern(cur_phi).codes;
+    const std::vector<uint32_t>& u_codes = ctx->graphs[k].pattern(u).codes;
     // Check for a change before paying for a projection copy.
     bool changed = false;
     for (size_t a = 0; a < attr_pos[k].size() && !changed; ++a) {
@@ -119,17 +121,17 @@ struct GreedyMultiState {
       auto it = std::find(attr_pos[j].begin(), attr_pos[j].end(), pos);
       if (it == attr_pos[j].end()) continue;
       size_t jp = static_cast<size_t>(it - attr_pos[j].begin());
-      changed = cur_values[jp] != u_values[a];
+      changed = cur_codes[jp] != u_codes[a];
     }
     if (!changed) {
       return blocked[j][static_cast<size_t>(cur_phi)] > 0 ? 1 : 0;
     }
-    std::vector<Value> proj = cur_values;
+    std::vector<uint32_t> proj = cur_codes;
     for (size_t a = 0; a < attr_pos[k].size(); ++a) {
       int pos = attr_pos[k][a];
       auto it = std::find(attr_pos[j].begin(), attr_pos[j].end(), pos);
       if (it == attr_pos[j].end()) continue;
-      proj[static_cast<size_t>(it - attr_pos[j].begin())] = u_values[a];
+      proj[static_cast<size_t>(it - attr_pos[j].begin())] = u_codes[a];
     }
     auto found = phi_index[j].find(proj);
     // A projection that exists nowhere in the data would be *created*

@@ -18,19 +18,18 @@ ComponentContext BuildComponentContext(const Table& table,
   ComponentContext ctx;
   ctx.fds = fds;
   ctx.component_cols = ComponentColumns(fds);
-  ctx.sigma_patterns =
-      options.group_tuples
-          ? BuildPatterns(table, ctx.component_cols, options.columnar)
-          : std::vector<Pattern>{};
+  ctx.sigma_patterns = options.group_tuples
+                            ? BuildPatterns(table, ctx.component_cols)
+                            : std::vector<Pattern>{};
   if (!options.group_tuples) {
     // Ablation: one pattern per row.
     for (int r = 0; r < table.num_rows(); ++r) {
       Pattern p;
       p.values.reserve(ctx.component_cols.size());
-      for (int c : ctx.component_cols) p.values.push_back(table.cell(r, c));
-      if (options.columnar) {
-        p.codes.reserve(ctx.component_cols.size());
-        for (int c : ctx.component_cols) p.codes.push_back(table.code(r, c));
+      p.codes.reserve(ctx.component_cols.size());
+      for (int c : ctx.component_cols) {
+        p.values.push_back(table.cell(r, c));
+        p.codes.push_back(table.code(r, c));
       }
       p.rows.push_back(r);
       ctx.sigma_patterns.push_back(std::move(p));
@@ -50,33 +49,32 @@ ComponentContext BuildComponentContext(const Table& table,
   for (size_t k = 0; k < num_fds; ++k) {
     const FD& fd = *fds[k];
     ctx.ft.push_back(options.FTFor(fd));
-    // Group Sigma-patterns by their phi-projection.
+    // Group Sigma-patterns by their phi-projection. The phi-projection
+    // is a positional sub-projection, so its codes (the grouping key)
+    // are the matching sub-selection of the sigma codes, and its values
+    // follow from the same positions.
+    std::vector<size_t> pos;
+    pos.reserve(fd.attrs().size());
+    for (int c : fd.attrs()) {
+      pos.push_back(static_cast<size_t>(col_to_pos.at(c)));
+    }
     std::vector<Pattern> phi_patterns;
-    std::unordered_map<std::vector<Value>, int, ProjectionHash> index;
+    std::unordered_map<std::vector<uint32_t>, int, CodeVectorHash> index;
+    std::vector<uint32_t> proj;
     ctx.phi_of_sigma[k].resize(ctx.sigma_patterns.size());
     for (size_t i = 0; i < ctx.sigma_patterns.size(); ++i) {
       const Pattern& sigma = ctx.sigma_patterns[i];
-      std::vector<Value> proj;
-      proj.reserve(fd.attrs().size());
-      for (int c : fd.attrs()) {
-        proj.push_back(sigma.values[static_cast<size_t>(col_to_pos.at(c))]);
-      }
+      proj.clear();
+      for (size_t p : pos) proj.push_back(sigma.codes[p]);
       auto it = index.find(proj);
       int phi_id;
       if (it == index.end()) {
         phi_id = static_cast<int>(phi_patterns.size());
         index.emplace(proj, phi_id);
         Pattern phi;
-        phi.values = std::move(proj);
-        if (sigma.has_codes()) {
-          // The phi-projection is a positional sub-projection, so its
-          // codes are the matching sub-selection of the sigma codes.
-          phi.codes.reserve(fd.attrs().size());
-          for (int c : fd.attrs()) {
-            phi.codes.push_back(
-                sigma.codes[static_cast<size_t>(col_to_pos.at(c))]);
-          }
-        }
+        phi.codes = proj;
+        phi.values.reserve(pos.size());
+        for (size_t p : pos) phi.values.push_back(sigma.values[p]);
         phi_patterns.push_back(std::move(phi));
         ctx.sigma_of_phi[k].emplace_back();
       } else {

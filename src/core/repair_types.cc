@@ -68,7 +68,6 @@ FTOptions RepairOptions::FTFor(const FD& fd) const {
   ft.threads = threads;
   ft.index = detect_index;
   ft.memory = memory;
-  ft.interned = columnar;
   return ft;
 }
 

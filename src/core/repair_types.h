@@ -150,13 +150,6 @@ struct RepairOptions {
   /// unlimited.
   const MemoryBudget* memory = nullptr;
 
-  /// Run detection on the table's dictionary codes (columnar path):
-  /// code-keyed pattern grouping, code-bucketed tau = 0 joins, and
-  /// per-pair distance memoization. Purely a speed knob — the repair
-  /// output is bit-identical with it on or off (--columnar on the CLI;
-  /// see PERFORMANCE.md). Off forces the historical value-path joins.
-  bool columnar = true;
-
   /// Effective tau for `fd`.
   double TauFor(const FD& fd) const;
   /// FTOptions (weights + effective tau) for `fd`.

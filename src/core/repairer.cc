@@ -184,17 +184,17 @@ std::string ComponentName(const std::vector<FD>& named,
 }
 
 std::vector<Pattern> PatternsFor(const Table& table, const FD& fd,
-                                 bool group_tuples, bool columnar) {
-  if (group_tuples) return BuildPatterns(table, fd.attrs(), columnar);
+                                 bool group_tuples) {
+  if (group_tuples) return BuildPatterns(table, fd.attrs());
   std::vector<Pattern> out;
   out.reserve(static_cast<size_t>(table.num_rows()));
   for (int r = 0; r < table.num_rows(); ++r) {
     Pattern p;
     p.values.reserve(fd.attrs().size());
-    for (int c : fd.attrs()) p.values.push_back(table.cell(r, c));
-    if (columnar) {
-      p.codes.reserve(fd.attrs().size());
-      for (int c : fd.attrs()) p.codes.push_back(table.code(r, c));
+    p.codes.reserve(fd.attrs().size());
+    for (int c : fd.attrs()) {
+      p.values.push_back(table.cell(r, c));
+      p.codes.push_back(table.code(r, c));
     }
     p.rows.push_back(r);
     out.push_back(std::move(p));
@@ -578,8 +578,8 @@ void SolveComponent(const Table& table, const std::vector<FD>& named,
     out->fd = &fd;
     Timer graph_timer;
     out->graph = ViolationGraph::Build(
-        PatternsFor(table, fd, opts.group_tuples, opts.columnar), fd, model,
-        opts.FTFor(fd), opts.budget);
+        PatternsFor(table, fd, opts.group_tuples), fd, model, opts.FTFor(fd),
+        opts.budget);
     out->stats.phases.graph_ms += graph_timer.Millis();
     out->apply_single =
         unit.GraphChecked(out->graph.truncated(), "graph") &&
@@ -1011,9 +1011,8 @@ Result<RepairResult> Repairer::RepairCFDs(const Table& table,
     if (scope.size() < 2) return;
     Timer graph_timer;
     ViolationGraph graph = ViolationGraph::Build(
-        BuildPatternsForRows(result.repaired, fd.attrs(), scope,
-                             ropts.columnar),
-        fd, model, ropts.FTFor(named_fd), ropts.budget);
+        BuildPatternsForRows(result.repaired, fd.attrs(), scope), fd, model,
+        ropts.FTFor(named_fd), ropts.budget);
     out->stats.phases.graph_ms += graph_timer.Millis();
     SingleFDSolution solution;
     if (!unit.GraphChecked(graph.truncated(), "graph") ||

@@ -12,6 +12,8 @@
 #include <arm_neon.h>
 #endif
 
+#include "common/logging.h"
+
 namespace ftrepair {
 
 namespace {
@@ -206,38 +208,7 @@ void BlockIndex::ChargeIndexBytes(uint64_t bytes) {
   }
 }
 
-void BlockIndex::BuildExactJoin(const std::vector<Pattern>& patterns,
-                                const std::vector<int>& key_attrs,
-                                const std::vector<bool>& key_by_tostring) {
-  bucket_of_.assign(static_cast<size_t>(n_), 0);
-  rank_in_bucket_.assign(static_cast<size_t>(n_), 0);
-  std::unordered_map<std::vector<Value>, int, ProjectionHash> keys;
-  keys.reserve(static_cast<size_t>(n_));
-  for (int i = 0; i < n_; ++i) {
-    std::vector<Value> key;
-    key.reserve(key_attrs.size());
-    for (size_t k = 0; k < key_attrs.size(); ++k) {
-      const Value& v = patterns[static_cast<size_t>(i)]
-                           .values[static_cast<size_t>(key_attrs[k])];
-      if (key_by_tostring[k]) {
-        key.push_back(Value(ValueText(v)));
-      } else {
-        key.push_back(v);
-      }
-    }
-    auto [it, inserted] =
-        keys.emplace(std::move(key), static_cast<int>(exact_buckets_.size()));
-    if (inserted) exact_buckets_.emplace_back();
-    std::vector<int>& members = exact_buckets_[static_cast<size_t>(it->second)];
-    bucket_of_[static_cast<size_t>(i)] = it->second;
-    rank_in_bucket_[static_cast<size_t>(i)] = static_cast<int>(members.size());
-    members.push_back(i);
-  }
-  // bucket_of_ + rank_in_bucket_ + one member id per pattern.
-  ChargeIndexBytes(static_cast<uint64_t>(n_) * 3 * sizeof(int));
-}
-
-void BlockIndex::BuildExactJoinCoded(
+void BlockIndex::BuildExactJoin(
     const std::vector<Pattern>& patterns, const std::vector<int>& key_attrs,
     const std::vector<bool>& key_by_tostring) {
   bucket_of_.assign(static_cast<size_t>(n_), 0);
@@ -287,8 +258,7 @@ void BlockIndex::BuildExactJoinCoded(
     rank_in_bucket_[static_cast<size_t>(i)] = static_cast<int>(members.size());
     members.push_back(i);
   }
-  // Same accounting as the value-keyed join — the persistent output
-  // (bucket_of_ + rank_in_bucket_ + member ids) is shaped identically.
+  // bucket_of_ + rank_in_bucket_ + one member id per pattern.
   ChargeIndexBytes(static_cast<uint64_t>(n_) * 3 * sizeof(int));
 }
 
@@ -330,6 +300,11 @@ BlockIndex::BlockIndex(const std::vector<Pattern>& patterns, const FD& fd,
                        const DistanceModel& model, const FTOptions& opts) {
   n_ = static_cast<int>(patterns.size());
   memory_ = opts.memory;
+  // The exact join keys on codes; a pattern without them would index
+  // an empty vector.
+  for (const Pattern& p : patterns) {
+    FTR_DCHECK(p.codes.size() == p.values.size());
+  }
   JoinPlan plan = MakePlan(patterns, fd, model, opts);
   int lhs = fd.lhs_size();
   auto weight_of = [&](int p) { return p < lhs ? opts.w_l : opts.w_r; };
@@ -366,18 +341,7 @@ BlockIndex::BlockIndex(const std::vector<Pattern>& patterns, const FD& fd,
   for (int p : plan.secondary) secondary_.push_back(make_filter(p));
   if (plan.exact) {
     num_key_attrs_ = static_cast<int>(plan.key_attrs.size());
-    bool coded = opts.interned && !plan.key_attrs.empty();
-    for (const Pattern& p : patterns) {
-      if (!p.has_codes()) {
-        coded = false;
-        break;
-      }
-    }
-    if (coded) {
-      BuildExactJoinCoded(patterns, plan.key_attrs, plan.key_by_tostring);
-    } else {
-      BuildExactJoin(patterns, plan.key_attrs, plan.key_by_tostring);
-    }
+    BuildExactJoin(patterns, plan.key_attrs, plan.key_by_tostring);
   } else {
     gram_primary_ = plan.primary;
     primary_ = make_filter(plan.primary);

@@ -29,14 +29,15 @@ namespace ftrepair {
 ///
 ///   * Exact bucket join. At tau = 0 a qualifying pair has d_p = 0 on
 ///     every positively-weighted attribute, so patterns are bucketed by
-///     a key that is constant within distance-0 classes: the raw Value
-///     for 0/1-discrete attributes, the ToString rendering for edit
-///     attributes (distinct strings have positive edit distance; the
-///     null/"" rendering collision only over-generates, which is
-///     sound). At tau > 0 the same join applies when some 0/1-discrete
-///     attribute has w > tau: any pair differing there is already past
-///     tau. Only provably zero-distance-faithful attributes join the
-///     key; everything else is left to the verification kernel.
+///     a key that is constant within distance-0 classes: the dictionary
+///     code (equal code == equal Value) for 0/1-discrete attributes,
+///     the ToString rendering class for edit attributes (distinct
+///     strings have positive edit distance; the null/"" rendering
+///     collision only over-generates, which is sound). At tau > 0 the
+///     same join applies when some 0/1-discrete attribute has w > tau:
+///     any pair differing there is already past tau. Only provably
+///     zero-distance-faithful attributes join the key; everything else
+///     is left to the verification kernel.
 ///
 ///   * Gram join (tau > 0). Patterns are bucketed by the length L of
 ///     an anchor attribute's string. For a pair with lengths (La, Lb),
@@ -70,8 +71,8 @@ class BlockIndex {
     std::vector<int> cand;
   };
 
-  /// Builds the index over `patterns` (value vectors laid out over
-  /// `fd.attrs()`). The referenced patterns/model must outlive the
+  /// Builds the index over `patterns` (value and code vectors laid out
+  /// over `fd.attrs()`; codes are required). The referenced patterns/model must outlive the
   /// index; `opts` is snapshotted.
   BlockIndex(const std::vector<Pattern>& patterns, const FD& fd,
              const DistanceModel& model, const FTOptions& opts);
@@ -139,17 +140,13 @@ class BlockIndex {
     std::vector<std::vector<GramRun>> grams;  // per pattern
   };
 
+  // Buckets patterns by per-attribute equality classes of their codes:
+  // the raw code for discrete attributes (code equality is value
+  // equality), the code's ToString rendering class for edit attributes.
+  // Buckets and members are in first-appearance order.
   void BuildExactJoin(const std::vector<Pattern>& patterns,
                       const std::vector<int>& key_attrs,
                       const std::vector<bool>& key_by_tostring);
-  // Code-keyed variant (used when every pattern carries dictionary
-  // codes): buckets by per-attribute equality classes of the codes —
-  // the raw code for discrete attributes, the code's ToString
-  // rendering class for edit attributes — which partitions patterns
-  // exactly like the value keys, in the same first-appearance order.
-  void BuildExactJoinCoded(const std::vector<Pattern>& patterns,
-                           const std::vector<int>& key_attrs,
-                           const std::vector<bool>& key_by_tostring);
   void BuildGramJoin(const std::vector<Pattern>& patterns);
   bool SecondaryPrune(int i, int j) const;
   // Charges `bytes` of index structure against memory_ (when set),

@@ -29,41 +29,17 @@ size_t CodeVectorHash::operator()(const std::vector<uint32_t>& v) const {
 }
 
 std::vector<Pattern> BuildPatterns(const Table& table,
-                                   const std::vector<int>& cols,
-                                   bool use_codes) {
+                                   const std::vector<int>& cols) {
   std::vector<int> all_rows(static_cast<size_t>(table.num_rows()));
   for (int i = 0; i < table.num_rows(); ++i) {
     all_rows[static_cast<size_t>(i)] = i;
   }
-  return BuildPatternsForRows(table, cols, all_rows, use_codes);
+  return BuildPatternsForRows(table, cols, all_rows);
 }
 
-namespace {
-
-std::vector<Pattern> BuildByValues(const Table& table,
-                                   const std::vector<int>& cols,
-                                   const std::vector<int>& row_ids) {
-  std::vector<Pattern> patterns;
-  std::unordered_map<std::vector<Value>, int, ProjectionHash> index;
-  for (int r : row_ids) {
-    std::vector<Value> proj;
-    proj.reserve(cols.size());
-    for (int c : cols) proj.push_back(table.cell(r, c));
-    auto it = index.find(proj);
-    if (it == index.end()) {
-      int id = static_cast<int>(patterns.size());
-      index.emplace(proj, id);
-      patterns.push_back(Pattern{std::move(proj), {}, {r}});
-    } else {
-      patterns[static_cast<size_t>(it->second)].rows.push_back(r);
-    }
-  }
-  return patterns;
-}
-
-std::vector<Pattern> BuildByCodes(const Table& table,
-                                  const std::vector<int>& cols,
-                                  const std::vector<int>& row_ids) {
+std::vector<Pattern> BuildPatternsForRows(const Table& table,
+                                          const std::vector<int>& cols,
+                                          const std::vector<int>& row_ids) {
   std::vector<Pattern> patterns;
   std::unordered_map<std::vector<uint32_t>, int, CodeVectorHash> index;
   std::vector<uint32_t> proj;
@@ -88,20 +64,6 @@ std::vector<Pattern> BuildByCodes(const Table& table,
     }
   }
   return patterns;
-}
-
-}  // namespace
-
-std::vector<Pattern> BuildPatternsForRows(const Table& table,
-                                          const std::vector<int>& cols,
-                                          const std::vector<int>& row_ids,
-                                          bool use_codes) {
-  // Same partition either way: per column, interning is a bijection
-  // between referenced values and codes, so two rows share a code
-  // vector iff they share a value vector. First-occurrence order and
-  // per-pattern row lists follow from the shared row scan.
-  return use_codes ? BuildByCodes(table, cols, row_ids)
-                   : BuildByValues(table, cols, row_ids);
 }
 
 }  // namespace ftrepair

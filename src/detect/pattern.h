@@ -20,9 +20,11 @@ struct Pattern {
   /// Projected values, one per projection column (in projection order).
   std::vector<Value> values;
   /// Dictionary codes of `values` in the source table's per-column
-  /// dictionaries (same layout as `values`). Filled by the table-backed
-  /// builders below; empty on hand-assembled patterns. Codes from the
-  /// same table compare like values: equal code == equal value.
+  /// dictionaries (same layout as `values`). Every projection key in
+  /// detect and the multi-FD solvers is a code vector, so patterns fed
+  /// to them must carry codes (the builders below always fill them).
+  /// Codes from the same table compare like values: equal code ==
+  /// equal value.
   std::vector<uint32_t> codes;
   /// Ids of the table rows carrying this projection.
   std::vector<int> rows;
@@ -30,39 +32,29 @@ struct Pattern {
   /// Multiplicity m of the grouped vertex.
   int count() const { return static_cast<int>(rows.size()); }
 
-  /// True when `codes` mirrors `values` (the columnar fast paths key
-  /// on it; value-based paths stay available either way).
-  bool has_codes() const { return codes.size() == values.size(); }
-
   /// Debug rendering "(v1, v2, ...) x count".
   std::string ToString() const;
 };
 
 /// Groups all rows of `table` by their projection onto `cols`.
 /// Patterns are ordered by first row occurrence (deterministic).
-/// `use_codes` as in BuildPatternsForRows.
 std::vector<Pattern> BuildPatterns(const Table& table,
-                                   const std::vector<int>& cols,
-                                   bool use_codes = true);
+                                   const std::vector<int>& cols);
 
 /// Same, restricted to `row_ids` (used by CFD scopes).
 ///
-/// `use_codes` selects the grouping key: the table's dictionary codes
-/// (default — one radix-style integer compare per row) or the
-/// materialized value vectors (the historical path, kept for the
-/// columnar<->row differential suites). Interning maps equal values to
-/// equal codes and distinct values to distinct codes, so both keys
-/// induce the same partition and the same first-occurrence order: the
-/// returned patterns are identical, except that the value path leaves
-/// `codes` empty.
+/// Rows are grouped by their code vectors. Interning maps equal values
+/// to equal codes and distinct values to distinct codes, so this is the
+/// same partition (and first-occurrence order) as grouping by value
+/// vectors; each pattern's values are decoded from its codes.
 std::vector<Pattern> BuildPatternsForRows(const Table& table,
                                           const std::vector<int>& cols,
-                                          const std::vector<int>& row_ids,
-                                          bool use_codes = true);
+                                          const std::vector<int>& row_ids);
 
 /// Hash key for a projection value vector (boost-style mix-then-combine
 /// of the element hashes; see common/hash.h for why a plain XOR fold is
-/// not enough).
+/// not enough). The library keys projections on codes; this hash
+/// serves the value-keyed reference implementations in the tests.
 struct ProjectionHash {
   size_t operator()(const std::vector<Value>& v) const;
 };

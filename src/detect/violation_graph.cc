@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/metrics.h"
 #include "common/parallel.h"
 #include "common/timer.h"
@@ -69,14 +70,15 @@ double LengthLowerBound(const Pattern& a, const Pattern& b, const FD& fd,
 // claim overhead vanishes.
 constexpr int kShardRows = 64;
 
-// ProjDistanceCutoff over coded patterns with a per-shard distance
-// memo. Same control flow, weights, and term order as the value
-// version; every term that enters `sum` is an exact cell distance (a
-// memo hit replays a previously computed exact value, a fresh capped
-// result only enters when unclipped, and the borderline fallback is
-// exact), so accepted sums are bit-identical to ProjDistanceCutoff.
-// Rejecting return values may differ but are all > tau, which is the
-// only property callers may rely on.
+// ViolationGraph::ProjDistance with a cutoff at tau and a per-shard
+// distance memo, the graph build's hot path. Whenever the exact
+// ProjDistance is <= tau the return value is bit-identical to it:
+// same weights and term order, and every term that enters `sum` is an
+// exact cell distance (a memo hit replays a previously computed exact
+// value, a fresh capped result only enters when unclipped, and the
+// borderline fallback is exact). Otherwise the return value is merely
+// guaranteed to be > tau (the attribute loop exits early and each edit
+// distance runs banded), so callers only compare it against tau.
 double ProjDistanceCutoffMemo(const Pattern& a, const Pattern& b,
                               const FD& fd, const DistanceModel& model,
                               double w_l, double w_r, double tau,
@@ -85,17 +87,26 @@ double ProjDistanceCutoffMemo(const Pattern& a, const Pattern& b,
   int lhs = fd.lhs_size();
   for (int p = 0; p < fd.num_attrs(); ++p) {
     double w = p < lhs ? w_l : w_r;
-    if (w == 0.0) continue;  // w * d == +0.0 whatever d is
+    // A zero-weight attribute contributes w * d == +0.0 whatever d is,
+    // so skipping it leaves `sum` bit-identical to ProjDistance.
+    if (w == 0.0) continue;
     int col = fd.attrs()[static_cast<size_t>(p)];
     const Value& va = a.values[static_cast<size_t>(p)];
     const Value& vb = b.values[static_cast<size_t>(p)];
     uint32_t ca = a.codes[static_cast<size_t>(p)];
     uint32_t cb = b.codes[static_cast<size_t>(p)];
+    // Remaining slack in cell-distance units: any attribute distance
+    // beyond this pushes the pair past tau.
     double cap = (tau - sum) / w;
     bool clipped = false;
     double d = model.CellDistanceCappedInterned(
         col, va, vb, ca, cb, cap, &clipped, static_cast<size_t>(p), memo);
     if (clipped) {
+      // d is only a lower bound on the true distance. IEEE addition
+      // and multiplication by a positive weight are monotone and every
+      // later term is non-negative, so the exact ProjDistance is
+      // >= sum + w * d evaluated here: if that already beats tau the
+      // pair is rejected without ever running the full kernel.
       double reject = sum + w * d;
       if (reject > tau) return reject;
       // Borderline (rounding ate the slack): fall back to exact.
@@ -108,8 +119,9 @@ double ProjDistanceCutoffMemo(const Pattern& a, const Pattern& b,
   return sum;
 }
 
-// UnitCost over coded patterns, sharing the shard memo (same slots as
-// the cutoff: slot p is attribute p's column). Bit-identical sums.
+// ViolationGraph::UnitCost over coded patterns, sharing the shard memo
+// (same slots as the cutoff: slot p is attribute p's column).
+// Bit-identical sums.
 double UnitCostMemo(const Pattern& a, const Pattern& b, const FD& fd,
                     const DistanceModel& model, PairDistanceMemo* memo) {
   double sum = 0;
@@ -158,43 +170,6 @@ double ViolationGraph::ProjDistance(const std::vector<Value>& a,
   return sum;
 }
 
-double ViolationGraph::ProjDistanceCutoff(const std::vector<Value>& a,
-                                          const std::vector<Value>& b,
-                                          const FD& fd,
-                                          const DistanceModel& model,
-                                          double w_l, double w_r, double tau) {
-  double sum = 0;
-  int lhs = fd.lhs_size();
-  for (int p = 0; p < fd.num_attrs(); ++p) {
-    double w = p < lhs ? w_l : w_r;
-    // A zero-weight attribute contributes w * d == +0.0 whatever d is,
-    // so skipping it leaves `sum` bit-identical to ProjDistance.
-    if (w == 0.0) continue;
-    int col = fd.attrs()[static_cast<size_t>(p)];
-    const Value& va = a[static_cast<size_t>(p)];
-    const Value& vb = b[static_cast<size_t>(p)];
-    // Remaining slack in cell-distance units: any attribute distance
-    // beyond this pushes the pair past tau.
-    double cap = (tau - sum) / w;
-    bool clipped = false;
-    double d = model.CellDistanceCapped(col, va, vb, cap, &clipped);
-    if (clipped) {
-      // d is only a lower bound on the true distance. IEEE addition
-      // and multiplication by a positive weight are monotone and every
-      // later term is non-negative, so the exact ProjDistance is
-      // >= sum + w * d evaluated here: if that already beats tau the
-      // pair is rejected without ever running the full kernel.
-      double reject = sum + w * d;
-      if (reject > tau) return reject;
-      // Borderline (rounding ate the slack): fall back to exact.
-      d = model.CellDistance(col, va, vb);
-    }
-    sum += w * d;
-    if (sum > tau) return sum;  // later terms only grow the sum
-  }
-  return sum;
-}
-
 double ViolationGraph::UnitCost(const std::vector<Value>& a,
                                 const std::vector<Value>& b, const FD& fd,
                                 const DistanceModel& model) {
@@ -226,15 +201,10 @@ ViolationGraph ViolationGraph::Build(std::vector<Pattern> patterns,
   static Histogram* shard_ms =
       Metrics().GetHistogram("ftrepair.detect.shard_ms");
 
-  // The columnar fast paths need every pattern to carry codes (mixed
-  // inputs fall back wholesale so the two sides of a comparison always
-  // key the same way).
-  bool use_codes = opts.interned && n > 0;
+  // Every projection key below is a code vector; a pattern without
+  // codes would index an empty vector.
   for (const Pattern& p : g.patterns_) {
-    if (!p.has_codes()) {
-      use_codes = false;
-      break;
-    }
+    FTR_DCHECK(p.codes.size() == p.values.size());
   }
 
   // The memo only pays when a (code, code) pair recurs. Patterns are
@@ -245,22 +215,19 @@ ViolationGraph ViolationGraph::Build(std::vector<Pattern> patterns,
   // to stay on. Computed once before sharding, so the mask — and hence
   // every emitted distance — is identical at every thread count (and
   // identical to memo-off anyway, since memoized values are exact).
-  std::vector<bool> memo_slot_on;
-  if (use_codes) {
-    memo_slot_on.assign(static_cast<size_t>(fd.num_attrs()), false);
-    std::vector<uint32_t> distinct;
-    for (int p = 0; p < fd.num_attrs(); ++p) {
-      distinct.clear();
-      distinct.reserve(static_cast<size_t>(n));
-      for (const Pattern& pat : g.patterns_) {
-        distinct.push_back(pat.codes[static_cast<size_t>(p)]);
-      }
-      std::sort(distinct.begin(), distinct.end());
-      distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                     distinct.end());
-      memo_slot_on[static_cast<size_t>(p)] =
-          distinct.size() * 4 <= static_cast<size_t>(n);
+  std::vector<bool> memo_slot_on(static_cast<size_t>(fd.num_attrs()));
+  std::vector<uint32_t> distinct;
+  for (int p = 0; p < fd.num_attrs(); ++p) {
+    distinct.clear();
+    distinct.reserve(static_cast<size_t>(n));
+    for (const Pattern& pat : g.patterns_) {
+      distinct.push_back(pat.codes[static_cast<size_t>(p)]);
     }
+    std::sort(distinct.begin(), distinct.end());
+    distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                   distinct.end());
+    memo_slot_on[static_cast<size_t>(p)] =
+        distinct.size() * 4 <= static_cast<size_t>(n);
   }
 
   DetectIndexMode mode = opts.index;
@@ -281,7 +248,7 @@ ViolationGraph ViolationGraph::Build(std::vector<Pattern> patterns,
   // so the surviving edges (and their doubles) are bit-identical
   // across modes; only how many candidates were *generated* differs.
   auto verify_candidate = [&](ShardResult& r, int i, int j,
-                              PairDistanceMemo* memo) {
+                              PairDistanceMemo& memo) {
     if (!BudgetCharge(budget)) {
       r.truncated = true;
       return false;
@@ -291,9 +258,7 @@ ViolationGraph ViolationGraph::Build(std::vector<Pattern> patterns,
     const Pattern& pj = g.patterns_[static_cast<size_t>(j)];
     // Identical projections: codes are a bijection onto the referenced
     // values, so the code-vector compare answers exactly the value one.
-    bool identical =
-        memo != nullptr ? pi.codes == pj.codes : pi.values == pj.values;
-    if (identical) {
+    if (pi.codes == pj.codes) {
       ++r.candidates_filtered;
       return true;
     }
@@ -303,19 +268,14 @@ ViolationGraph ViolationGraph::Build(std::vector<Pattern> patterns,
       return true;
     }
     ++r.pairs_evaluated;
-    double proj = memo != nullptr
-                      ? ProjDistanceCutoffMemo(pi, pj, fd, model, opts.w_l,
-                                               opts.w_r, opts.tau, memo)
-                      : ProjDistanceCutoff(pi.values, pj.values, fd, model,
-                                           opts.w_l, opts.w_r, opts.tau);
+    double proj = ProjDistanceCutoffMemo(pi, pj, fd, model, opts.w_l,
+                                         opts.w_r, opts.tau, &memo);
     if (proj > opts.tau) return true;
     if (!MemCharge(opts.memory, sizeof(ShardEdge), MemPhase::kGraph)) {
       r.truncated = true;  // per-shard edge scratch out of memory
       return false;
     }
-    double unit = memo != nullptr
-                      ? UnitCostMemo(pi, pj, fd, model, memo)
-                      : UnitCost(pi.values, pj.values, fd, model);
+    double unit = UnitCostMemo(pi, pj, fd, model, &memo);
     r.edges.push_back(ShardEdge{i, j, proj, unit});
     return true;
   };
@@ -336,21 +296,17 @@ ViolationGraph ViolationGraph::Build(std::vector<Pattern> patterns,
       return;
     }
     Timer shard_timer;
-    // Shard-local distance memo for the coded path. Shard-local keeps
-    // thread-count invariance trivial (no cross-shard state), and the
-    // memoized values are exact, so hits only skip redundant kernels —
-    // the emitted edges are bit-identical to the memo-less build.
+    // Shard-local distance memo. Shard-local keeps thread-count
+    // invariance trivial (no cross-shard state), and the memoized
+    // values are exact, so hits only skip redundant kernels — the
+    // emitted edges are bit-identical to ProjDistance / UnitCost.
     // Deliberately uncharged scratch: it is bounded by the shard's
     // distinct code pairs, freed at shard end, and charging it would
     // move the exhaustion trip points of governed runs that pin them.
-    std::unique_ptr<PairDistanceMemo> memo;
-    if (use_codes) {
-      memo = std::make_unique<PairDistanceMemo>(
-          static_cast<size_t>(fd.num_attrs()));
-      for (int p = 0; p < fd.num_attrs(); ++p) {
-        memo->SetSlotEnabled(static_cast<size_t>(p),
-                             memo_slot_on[static_cast<size_t>(p)]);
-      }
+    PairDistanceMemo memo(static_cast<size_t>(fd.num_attrs()));
+    for (int p = 0; p < fd.num_attrs(); ++p) {
+      memo.SetSlotEnabled(static_cast<size_t>(p),
+                          memo_slot_on[static_cast<size_t>(p)]);
     }
     if (index != nullptr) {
       BlockIndex::Scratch scratch;
@@ -359,13 +315,13 @@ ViolationGraph ViolationGraph::Build(std::vector<Pattern> patterns,
         candidates.clear();
         index->AppendCandidates(i, &scratch, &candidates);
         for (int j : candidates) {
-          if (!verify_candidate(r, i, j, memo.get())) break;
+          if (!verify_candidate(r, i, j, memo)) break;
         }
       }
     } else {
       for (int i = row_lo; i < row_hi && !r.truncated; ++i) {
         for (int j = i + 1; j < n; ++j) {
-          if (!verify_candidate(r, i, j, memo.get())) break;
+          if (!verify_candidate(r, i, j, memo)) break;
         }
       }
     }

@@ -54,13 +54,6 @@ struct FTOptions {
   /// (MemPhase::kGraph / kIndex); on exhaustion the build truncates
   /// exactly like a spent wall-clock budget.
   const MemoryBudget* memory = nullptr;
-  /// Use the patterns' dictionary codes (when present) for the
-  /// identical-projection check, the tau = 0 exact bucket join, and
-  /// per-pair distance memoization. Purely a speed knob: the graph is
-  /// bit-identical either way (see PERFORMANCE.md, "Dictionary-join
-  /// equivalence"). Patterns without codes fall back to the value path
-  /// regardless of this flag.
-  bool interned = true;
 };
 
 /// Classical FD semantics expressed in FT terms (w_l=1, w_r=0, tau=0):
@@ -86,9 +79,12 @@ class ViolationGraph {
 
   static constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
-  /// Builds the graph over `patterns`, whose value vectors are laid out
-  /// over `fd.attrs()`. Patterns with identical projections never form
-  /// an edge (FT-violations require differing projections).
+  /// Builds the graph over `patterns`, whose value and code vectors are
+  /// laid out over `fd.attrs()`; every pattern must carry codes from
+  /// one table's dictionaries (the identical-projection check, the
+  /// exact bucket join and the per-pair distance memo key on them).
+  /// Patterns with identical projections never form an edge
+  /// (FT-violations require differing projections).
   ///
   /// `budget` (optional) is charged one unit per candidate pair; when
   /// it runs out mid-build the remaining pairs are skipped and the
@@ -170,26 +166,17 @@ class ViolationGraph {
   /// detection pass it is working from was incomplete.
   ViolationGraph InducedSubgraph(const std::vector<int>& vertices) const;
 
-  /// Distance between two pattern value-vectors (Eq. 2 weighting).
+  /// Distance between two pattern value-vectors (Eq. 2 weighting): the
+  /// value reference for the build's memoized cutoff kernel, whose
+  /// accepted distances equal it bit for bit.
   static double ProjDistance(const std::vector<Value>& a,
                              const std::vector<Value>& b, const FD& fd,
                              const DistanceModel& model, double w_l,
                              double w_r);
 
-  /// ProjDistance with a cutoff at `tau`, the graph build's hot path.
-  /// Whenever the exact ProjDistance is <= tau the return value is
-  /// bit-identical to it; otherwise the return value is merely
-  /// guaranteed to be > tau (the attribute loop exits early and each
-  /// edit distance runs banded, so most rejected pairs never pay the
-  /// full kernel). Callers must therefore only compare the result
-  /// against tau, never treat a rejecting value as the true distance.
-  static double ProjDistanceCutoff(const std::vector<Value>& a,
-                                   const std::vector<Value>& b, const FD& fd,
-                                   const DistanceModel& model, double w_l,
-                                   double w_r, double tau);
-
   /// Unweighted repair cost between two pattern value-vectors (Eq. 3
-  /// over the FD's attributes).
+  /// over the FD's attributes); the value reference for the build's
+  /// memoized edge costs.
   static double UnitCost(const std::vector<Value>& a,
                          const std::vector<Value>& b, const FD& fd,
                          const DistanceModel& model);

@@ -6,6 +6,8 @@
 //   * soundness: every pattern pair whose exact ProjDistance is <= tau
 //     (a brute-force oracle, no filters) appears as a blocked edge;
 //   * equality: the blocked edge set equals the all-pairs edge set;
+//   * exactness: every edge's proj_dist / unit_cost (the memoized
+//     code-keyed kernels) equals ProjDistance / UnitCost on values;
 //   * accounting: verified <= generated <= n*(n-1)/2 and
 //     generated = filtered + verified, in every mode;
 //   * determinism: thread counts and scratch reuse never change the
@@ -171,6 +173,25 @@ void CheckInvariants(const ViolationGraph& g, uint64_t seed) {
       << "seed=" << seed;
 }
 
+// The build's memoized code-keyed kernels against the value references:
+// every edge's doubles equal ProjDistance / UnitCost on the patterns'
+// value vectors bit for bit.
+void CheckEdgeDoubles(const ViolationGraph& g, const FD& fd,
+                      const DistanceModel& model, double w_l, double w_r,
+                      uint64_t seed) {
+  for (int i = 0; i < g.num_patterns(); ++i) {
+    const std::vector<Value>& a = g.pattern(i).values;
+    for (const ViolationGraph::Edge& e : g.Neighbors(i)) {
+      const std::vector<Value>& b = g.pattern(e.to).values;
+      EXPECT_EQ(e.proj_dist,
+                ViolationGraph::ProjDistance(a, b, fd, model, w_l, w_r))
+          << "seed=" << seed << " edge " << i << "-" << e.to;
+      EXPECT_EQ(e.unit_cost, ViolationGraph::UnitCost(a, b, fd, model))
+          << "seed=" << seed << " edge " << i << "-" << e.to;
+    }
+  }
+}
+
 // One full property check of a (table, w, tau) instance.
 void CheckInstance(const Table& t, const DistanceModel& model, double w_l,
                    double w_r, double tau, uint64_t seed) {
@@ -188,6 +209,8 @@ void CheckInstance(const Table& t, const DistanceModel& model, double w_l,
   std::set<std::pair<int, int>> oracle =
       OracleEdges(patterns, fd, model, w_l, w_r, tau);
   EXPECT_EQ(EdgeSet(blocked), oracle) << "seed=" << seed << " tau=" << tau;
+  CheckEdgeDoubles(all, fd, model, w_l, w_r, seed);
+  CheckEdgeDoubles(blocked, fd, model, w_l, w_r, seed);
   CheckInvariants(all, seed);
   CheckInvariants(blocked, seed);
   EXPECT_LE(blocked.candidates_generated(), all.candidates_generated())
@@ -206,6 +229,19 @@ TEST(BlockIndexPropertyTest, AdversarialStringsSoundAndIdentical) {
   TableConfig cfg;
   for (uint64_t seed = 1; seed <= 150; ++seed) {
     Table t = RandomAdversarialTable(seed, cfg);
+    DistanceModel model(t);
+    for (double tau : kTaus) {
+      for (const auto& w : kWeights) {
+        CheckInstance(t, model, w.first, w.second, tau, seed);
+      }
+    }
+  }
+  // Plus 10 x 12 instances over small, heavily flipped key/value
+  // domains. Every code recurs across many patterns, so the build keeps
+  // its per-pair memo slots on and edges replay memoized distances —
+  // the near-unique strings above leave the memo off.
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    Table t = testing_util::RandomFDTable(80, 2, 8, 120, seed);
     DistanceModel model(t);
     for (double tau : kTaus) {
       for (const auto& w : kWeights) {

@@ -169,20 +169,13 @@ TEST_F(CliTest, ParseDeadlineAndBadRowPolicy) {
 }
 
 TEST_F(CliTest, ParseColumnarFlag) {
-  auto off = ParseCliArgs(
-      {"--input", "x", "--fds", "f", "--columnar", "off"});
-  ASSERT_TRUE(off.ok()) << off.status().ToString();
-  EXPECT_FALSE(off.value().repair.columnar);
-  auto on = ParseCliArgs({"--input", "x", "--fds", "f", "--columnar=on"});
-  ASSERT_TRUE(on.ok());
-  EXPECT_TRUE(on.value().repair.columnar);
-  // Default is on.
-  auto plain = ParseCliArgs({"--input", "x", "--fds", "f"});
-  ASSERT_TRUE(plain.ok());
-  EXPECT_TRUE(plain.value().repair.columnar);
-  EXPECT_FALSE(
-      ParseCliArgs({"--input", "x", "--fds", "f", "--columnar", "maybe"})
-          .ok());
+  // The flag is gone with the value-keyed detect path: detection always
+  // runs on dictionary codes.
+  auto off = ParseCliArgs({"--input", "x", "--fds", "f", "--columnar", "off"});
+  ASSERT_FALSE(off.ok());
+  EXPECT_NE(off.status().message().find("unknown flag '--columnar'"),
+            std::string::npos)
+      << off.status().ToString();
 }
 
 TEST_F(CliTest, UnknownTauFdNameRejected) {

@@ -1,13 +1,16 @@
-// Columnar-path equivalence suite.
+// Columnar-path suite.
 //
-// The dictionary-code fast paths (code-keyed pattern grouping,
-// code-bucketed exact joins, per-pair distance memoization) are purely
-// a speed layer: RepairOptions::columnar on/off must produce
-// bit-identical repairs at every thread count, on every corpus, under
-// every solver. The differential tests here fingerprint the *entire*
-// RepairResult (repaired table bytes, change list, cost, stats) and
-// compare fingerprints across the full {columnar} x {threads} x
-// {algorithm} grid.
+// Detection runs on dictionary codes (code-keyed pattern grouping,
+// code-bucketed exact joins, per-pair distance memoization, code-keyed
+// phi maps), and the sharded joins and concurrent component fan-out
+// must not change a byte of it: repairs must be bit-identical at every
+// thread count, on every corpus, under every solver. The differential
+// tests here fingerprint the *entire* RepairResult (repaired table
+// bytes, change list, cost, stats) and compare fingerprints across the
+// {threads} grid per {algorithm}. The coded paths' value references
+// live at unit level: pattern_test.cc (grouping), block_index_property
+// _test.cc (memoized kernels, bucket join) and greedy_multi_test.cc
+// (code-keyed phi index).
 //
 // Alongside: the dictionary invariants the equivalence argument rests
 // on (interning is a bijection, codes are deterministic, null is code
@@ -55,27 +58,23 @@ std::string Fingerprint(const RepairResult& result) {
   return fp;
 }
 
-// Runs the {columnar on, columnar off} x {1, 2, 4, 8 threads} grid for
-// one (table, fds, algorithm) instance and asserts one fingerprint.
+// Runs the {1, 2, 4, 8 threads} grid for one (table, fds, algorithm)
+// instance and asserts one fingerprint.
 void ExpectColumnarInvariant(const Table& table, const std::vector<FD>& fds,
                              RepairAlgorithm algorithm, double tau) {
   std::string reference;
-  for (bool columnar : {true, false}) {
-    for (int threads : {1, 2, 4, 8}) {
-      RepairOptions options;
-      options.algorithm = algorithm;
-      options.default_tau = tau;
-      options.threads = threads;
-      options.columnar = columnar;
-      auto result = Repairer(options).Repair(table, fds);
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      std::string fp = Fingerprint(result.value());
-      if (reference.empty()) {
-        reference = fp;
-      } else {
-        ASSERT_EQ(fp, reference)
-            << "columnar=" << columnar << " threads=" << threads;
-      }
+  for (int threads : {1, 2, 4, 8}) {
+    RepairOptions options;
+    options.algorithm = algorithm;
+    options.default_tau = tau;
+    options.threads = threads;
+    auto result = Repairer(options).Repair(table, fds);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    std::string fp = Fingerprint(result.value());
+    if (reference.empty()) {
+      reference = fp;
+    } else {
+      ASSERT_EQ(fp, reference) << "threads=" << threads;
     }
   }
 }
@@ -164,24 +163,20 @@ void ExpectColumnarInvariantOnDataset(const Dataset& dataset, int rows,
                                       RepairAlgorithm algorithm) {
   Table dirty = DirtySlice(dataset, rows);
   std::string reference;
-  for (bool columnar : {true, false}) {
-    for (int threads : {1, 2, 4, 8}) {
-      RepairOptions options;
-      options.algorithm = algorithm;
-      options.w_l = dataset.recommended_w_l;
-      options.w_r = dataset.recommended_w_r;
-      options.tau_by_fd = dataset.recommended_tau;
-      options.threads = threads;
-      options.columnar = columnar;
-      auto result = Repairer(options).Repair(dirty, dataset.fds);
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      std::string fp = Fingerprint(result.value());
-      if (reference.empty()) {
-        reference = fp;
-      } else {
-        ASSERT_EQ(fp, reference) << dataset.name << " columnar=" << columnar
-                                 << " threads=" << threads;
-      }
+  for (int threads : {1, 2, 4, 8}) {
+    RepairOptions options;
+    options.algorithm = algorithm;
+    options.w_l = dataset.recommended_w_l;
+    options.w_r = dataset.recommended_w_r;
+    options.tau_by_fd = dataset.recommended_tau;
+    options.threads = threads;
+    auto result = Repairer(options).Repair(dirty, dataset.fds);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    std::string fp = Fingerprint(result.value());
+    if (reference.empty()) {
+      reference = fp;
+    } else {
+      ASSERT_EQ(fp, reference) << dataset.name << " threads=" << threads;
     }
   }
 }
@@ -201,8 +196,8 @@ TEST(ColumnarDifferentialTest, TaxGreedyAndAppro) {
 }
 
 TEST(ColumnarDifferentialTest, TauZeroUsesCodedBucketJoin) {
-  // tau = 0 routes candidate generation through the exact bucket join,
-  // which is the code-keyed path under columnar=on.
+  // tau = 0 routes candidate generation through the code-keyed exact
+  // bucket join.
   Table t = RandomFDTable(150, 3, 10, 25, /*seed=*/41);
   auto fds =
       std::move(ParseFDList("f1: c0 -> c1\n", t.schema())).ValueOrDie();

@@ -3,7 +3,10 @@
 // slots whose inputs an Add changed; the reference below is the
 // historical full-rescan solver it replaced, kept verbatim (its serial
 // scan) as a test-only oracle. The two must choose the same patterns in
-// the same order and produce bit-identical targets and costs.
+// the same order and produce bit-identical targets and costs. The
+// reference looks substituted projections up by value (ProjectionHash),
+// the production solver by dictionary code, so the suite also checks
+// the code-keyed phi index against its value-keyed original.
 
 #include <algorithm>
 #include <cstdint>

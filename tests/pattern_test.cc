@@ -1,5 +1,10 @@
+#include <cmath>
+#include <unordered_map>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "data/schema.h"
 #include "detect/pattern.h"
 #include "test_util.h"
 
@@ -51,6 +56,70 @@ TEST(PatternTest, RestrictedRows) {
 TEST(PatternTest, EmptyRowsGiveNoPatterns) {
   Table t = CitizensDirty();
   EXPECT_TRUE(BuildPatternsForRows(t, {0}, {}).empty());
+}
+
+// Value-keyed reference grouping: rows keyed on their projected value
+// vectors, patterns in first-occurrence order.
+std::vector<Pattern> GroupByValues(const Table& t, const std::vector<int>& cols,
+                                   const std::vector<int>& row_ids) {
+  std::vector<Pattern> out;
+  std::unordered_map<std::vector<Value>, int, ProjectionHash> index;
+  for (int r : row_ids) {
+    std::vector<Value> proj;
+    for (int c : cols) proj.push_back(t.cell(r, c));
+    auto [it, inserted] = index.emplace(proj, static_cast<int>(out.size()));
+    if (inserted) {
+      out.emplace_back();
+      out.back().values = std::move(proj);
+    }
+    out[static_cast<size_t>(it->second)].rows.push_back(r);
+  }
+  return out;
+}
+
+TEST(PatternTest, CodeGroupingMatchesValueGrouping) {
+  // Equal-but-differently-spelled numbers (-0.0/+0.0, two NaN
+  // payloads), a number next to the string that renders like it, nulls,
+  // and cells rewritten in place: the code-keyed grouping must give the
+  // value grouping's partition, order and row lists.
+  Schema schema({{"A", ValueType::kString}, {"B", ValueType::kString}});
+  Table t(schema);
+  std::vector<Row> rows = {
+      {Value(0.0), Value("x")},          {Value(-0.0), Value("x")},
+      {Value(std::nan("1")), Value("y")}, {Value(std::nan("2")), Value("y")},
+      {Value(5.0), Value("5")},          {Value("5"), Value(5.0)},
+      {Value(), Value("x")},             {Value(), Value()},
+      {Value("5"), Value("5")},          {Value(5.0), Value("5")},
+      {Value(-0.0), Value()},
+  };
+  for (Row& row : rows) ASSERT_TRUE(t.AppendRow(std::move(row)).ok());
+  t.SetCell(7, 0, Value(-0.0));   // row 7 becomes row 10's (0, null)
+  t.SetCell(2, 1, Value("x"));    // row 2 leaves row 3's group
+  t.SetCell(5, 0, t.cell(4, 0));  // row 5's "5" becomes the number 5
+
+  std::vector<int> all(static_cast<size_t>(t.num_rows()));
+  for (int r = 0; r < t.num_rows(); ++r) all[static_cast<size_t>(r)] = r;
+  const std::vector<std::vector<int>> row_sets = {all, {8, 3, 0, 10, 2, 7}};
+  const std::vector<std::vector<int>> col_sets = {{0, 1}, {0}, {1}, {1, 0}};
+  for (const std::vector<int>& row_ids : row_sets) {
+    for (const std::vector<int>& cols : col_sets) {
+      std::vector<Pattern> got = BuildPatternsForRows(t, cols, row_ids);
+      std::vector<Pattern> want = GroupByValues(t, cols, row_ids);
+      ASSERT_EQ(got.size(), want.size()) << "cols=" << cols.size();
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].values, want[i].values) << got[i].ToString();
+        EXPECT_EQ(got[i].rows, want[i].rows) << got[i].ToString();
+        ASSERT_EQ(got[i].codes.size(), cols.size());
+        for (size_t k = 0; k < cols.size(); ++k) {
+          EXPECT_EQ(t.dictionary(cols[k]).value(got[i].codes[k]),
+                    got[i].values[k]);
+        }
+      }
+    }
+  }
+  // The table really exercises the merges and splits described above:
+  // column A has {0, NaN, 5, "5", null}.
+  EXPECT_EQ(BuildPatterns(t, {0}).size(), 5u);
 }
 
 TEST(PatternTest, ToStringShowsValuesAndCount) {

@@ -1,17 +1,15 @@
 // Golden end-to-end regression suite for the default (ft-cost) repair
 // semantics.
 //
-// Every (corpus, algorithm) instance is repaired across the full flag
-// matrix {columnar on/off} x {threads 1,2,4,8} x {detect index
-// all-pairs/blocked}, the whole RepairResult is fingerprinted byte for
-// byte (repaired table, change list, cost, stats counters), and the
-// fingerprint hash is compared against a committed golden. The
-// committed goldens predate the repair-semantics layer (core/semantics.h),
-// so a passing run proves `--semantics=ft-cost` is bit-identical to the
-// original pipeline — future refactors diff against these files
-// instead of recomputing oracles. (The golden file's header still lists
-// a distance-kernel axis: the file is never rewritten to keep it
-// byte-identical, and that axis went away with the kernel switch.)
+// Every (corpus, algorithm) instance is repaired at {threads 1,2,4,8}
+// and under {detect index all-pairs/blocked}, the whole RepairResult is
+// fingerprinted byte for byte (repaired table, change list, cost, stats
+// counters), and the fingerprint hash is compared against a committed
+// golden. The committed goldens predate the repair-semantics layer
+// (core/semantics.h), the single dictionary-coded detect path and the
+// single distance kernel, so a passing run proves the current pipeline
+// is bit-identical to the original one — future refactors diff against
+// these files instead of recomputing oracles.
 //
 // Regenerating (only when an intentional behavior change lands):
 //   FTREPAIR_UPDATE_GOLDENS=1 ./semantics_golden_test
@@ -50,9 +48,8 @@ std::string GoldenPath() {
   return std::string(FTREPAIR_GOLDEN_DIR) + "/ft_cost_fingerprints.txt";
 }
 
-// Byte-level fingerprint of everything a repair produced (the
-// columnar_test differential format: two runs with equal fingerprints
-// made the same decisions everywhere).
+// Byte-level fingerprint of everything a repair produced (two runs with
+// equal fingerprints made the same decisions everywhere).
 std::string Fingerprint(const RepairResult& result) {
   std::string fp = WriteCsvString(result.repaired);
   fp += "|changes:";
@@ -170,7 +167,7 @@ bool UpdateMode() {
 }
 
 // The full matrix evaluation: every corpus x algorithm pinned to ONE
-// digest across {columnar} x {threads} x {index} — one golden per
+// digest across {threads} and {index} — one golden per
 // (corpus, algorithm), because none of those knobs may change a single
 // output byte.
 void ComputeDigests(std::map<std::string, std::string>* digests) {
@@ -181,40 +178,31 @@ void ComputeDigests(std::map<std::string, std::string>* digests) {
       const std::string key =
           corpus.name + "/" + AlgorithmKey(algorithm);
       std::string reference;
-      // Axis 1: columnar x threads (index at its default).
-      for (bool columnar : {true, false}) {
-        for (int threads : {1, 2, 4, 8}) {
-          RepairOptions options = BaseOptions(corpus, algorithm);
-          options.columnar = columnar;
-          options.threads = threads;
-          auto result = Repairer(options).Repair(corpus.table, corpus.fds);
-          ASSERT_TRUE(result.ok()) << result.status().ToString();
-          std::string fp = Fingerprint(result.value());
-          if (reference.empty()) {
-            reference = fp;
-          } else {
-            ASSERT_EQ(FingerprintDigest(fp), FingerprintDigest(reference))
-                << key << " diverged at columnar=" << columnar
-                << " threads=" << threads;
-          }
+      // Axis 1: threads (index at its default).
+      for (int threads : {1, 2, 4, 8}) {
+        RepairOptions options = BaseOptions(corpus, algorithm);
+        options.threads = threads;
+        auto result = Repairer(options).Repair(corpus.table, corpus.fds);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        std::string fp = Fingerprint(result.value());
+        if (reference.empty()) {
+          reference = fp;
+        } else {
+          ASSERT_EQ(FingerprintDigest(fp), FingerprintDigest(reference))
+              << key << " diverged at threads=" << threads;
         }
       }
-      // Axis 2: detect index (threads=2, both columnar settings) —
-      // same digest again.
+      // Axis 2: detect index (threads=2) — same digest again.
       for (DetectIndexMode index :
            {DetectIndexMode::kAllPairs, DetectIndexMode::kBlocked}) {
-        for (bool columnar : {true, false}) {
-          RepairOptions options = BaseOptions(corpus, algorithm);
-          options.columnar = columnar;
-          options.threads = 2;
-          options.detect_index = index;
-          auto result = Repairer(options).Repair(corpus.table, corpus.fds);
-          ASSERT_TRUE(result.ok()) << result.status().ToString();
-          ASSERT_EQ(FingerprintDigest(Fingerprint(result.value())),
-                    FingerprintDigest(reference))
-              << key << " diverged at index=" << DetectIndexModeName(index)
-              << " columnar=" << columnar;
-        }
+        RepairOptions options = BaseOptions(corpus, algorithm);
+        options.threads = 2;
+        options.detect_index = index;
+        auto result = Repairer(options).Repair(corpus.table, corpus.fds);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        ASSERT_EQ(FingerprintDigest(Fingerprint(result.value())),
+                  FingerprintDigest(reference))
+            << key << " diverged at index=" << DetectIndexModeName(index);
       }
       (*digests)[key] = FingerprintDigest(reference);
     }
@@ -232,9 +220,8 @@ TEST(SemanticsGoldenTest, FtCostMatrixMatchesCommittedGoldens) {
     ASSERT_TRUE(out.good()) << "cannot write " << GoldenPath();
     out << "# Pre-refactor ft-cost RepairResult fingerprint digests\n"
         << "# (FNV-1a 64 of the full fingerprint, ':', byte length).\n"
-        << "# One digest per corpus/algorithm: every {columnar} x\n"
-        << "# {threads 1,2,4,8} x {detect index} combination must\n"
-        << "# reproduce it byte for byte.\n"
+        << "# One digest per corpus/algorithm: every {threads 1,2,4,8}\n"
+        << "# and {detect index} run must reproduce it byte for byte.\n"
         << "# Regenerate: FTREPAIR_UPDATE_GOLDENS=1 "
            "./semantics_golden_test\n";
     for (const auto& [key, digest] : digests) {

@@ -86,12 +86,8 @@ TEST(ViolationGraphTest, IdenticalProjectionsNeverEdge) {
   std::vector<FD> fds = CitizensFDs(t.schema());
   std::vector<Pattern> per_row;
   for (int r = 0; r < t.num_rows(); ++r) {
-    std::vector<Value> proj;
-    for (int c : fds[0].attrs()) proj.push_back(t.cell(r, c));
-    Pattern p;
-    p.values = std::move(proj);
-    p.rows.push_back(r);
-    per_row.push_back(std::move(p));
+    std::vector<Pattern> one = BuildPatternsForRows(t, fds[0].attrs(), {r});
+    per_row.push_back(std::move(one[0]));
   }
   ViolationGraph g = ViolationGraph::Build(std::move(per_row), fds[0], model,
                                            FTOptions{0.5, 0.5, 0.35});
