@@ -12,8 +12,9 @@
 // deterministic fault seams (FTREPAIR_FAULT_BUDGET_UNITS,
 // FTREPAIR_FAULT_MEM_BYTES), a pre-latched soft memory watermark and
 // tiny search valves, so the sweeps reach every rung (skip,
-// partial-graph, exact->greedy, greedy->partial, soft-valves, ...)
-// without timing flakes.
+// partial-graph, exact->greedy, greedy->partial, soft-valves,
+// partial-targets, ...) without timing flakes. A one-node target-tree
+// cap drives target assignment onto the lazy search.
 //
 // The committed digests in tests/goldens/ladder_fingerprints.txt pin
 // the ladder's behaviour: a refactor of the ladder code must leave
@@ -115,6 +116,7 @@ struct Pressure {
   bool soft_watermark = false; // pre-latch the soft memory watermark
   bool tiny_valves = false;    // exact search valves at 1
   bool closed_valve = false;   // fall_back_to_greedy = false
+  bool tiny_tree = false;      // max_tree_nodes = 1: lazy target search
 };
 
 std::vector<Pressure> Pressures() {
@@ -178,6 +180,23 @@ std::vector<Pressure> Pressures() {
     p.closed_valve = true;
     out.push_back(p);
   }
+  // A one-node eager tree always overflows, so every target assignment
+  // takes the lazy fallback; the budgeted variants truncate it.
+  {
+    Pressure p;
+    p.key = "tiny-tree";
+    p.tiny_tree = true;
+    out.push_back(p);
+  }
+  for (const char* units : {"60", "90", "150"}) {
+    Pressure p;
+    p.key = std::string("tiny-tree/budget-units:") + units;
+    p.env = "FTREPAIR_FAULT_BUDGET_UNITS";
+    p.env_value = units;
+    p.budget = true;
+    p.tiny_tree = true;
+    out.push_back(p);
+  }
   return out;
 }
 
@@ -205,6 +224,7 @@ class PressureScope {
       options->max_combinations = 1;
     }
     if (pressure.closed_valve) options->fall_back_to_greedy = false;
+    if (pressure.tiny_tree) options->max_tree_nodes = 1;
   }
 
  private:
@@ -322,6 +342,9 @@ TEST(LadderGoldenTest, DegradationLadderMatchesCommittedGoldens) {
     EXPECT_TRUE(stages["cfd"].count(stage) > 0)
         << "CFD sweep never reached " << stage;
   }
+  // Only the FD entry point has multi-FD components to assign targets.
+  EXPECT_TRUE(stages["fd"].count("partial-targets") > 0)
+      << "FD sweep never reached partial-targets";
 
   if (const char* dump = std::getenv("FTREPAIR_LADDER_DUMP")) {
     std::ofstream out(dump);
