@@ -56,8 +56,7 @@ int main() {
     if (tree.ok()) {
       Timer queries;
       for (const Pattern& sigma : context.sigma_patterns) {
-        double cost = 0;
-        tree.value().FindBest(sigma.values, model, &cost, nullptr);
+        tree.value().FindBest(sigma.values, model, nullptr);
       }
       report.AddRow({"eager tree", Cell(build_time, 4),
                      Cell(queries.Seconds(), 4),

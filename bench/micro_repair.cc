@@ -99,9 +99,8 @@ void BM_TargetTreeSearch(benchmark::State& state) {
   for (auto _ : state) {
     const Pattern& sigma =
         context.sigma_patterns[i++ % context.sigma_patterns.size()];
-    double cost = 0;
     benchmark::DoNotOptimize(
-        tree.FindBest(sigma.values, fixture.model, &cost, nullptr));
+        tree.FindBest(sigma.values, fixture.model, nullptr));
   }
 }
 BENCHMARK(BM_TargetTreeSearch);

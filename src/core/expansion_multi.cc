@@ -98,15 +98,14 @@ struct CombinationSearch {
             member[k][static_cast<size_t>(context->phi_of_sigma[k][i])];
       }
       if (all_member) continue;
-      double c = 0;
       TargetTree::SearchStats search_stats;
-      tree.FindBest(context->sigma_patterns[i].values, *model, &c,
-                    &search_stats);
+      TargetQuery query = tree.FindBest(context->sigma_patterns[i].values,
+                                        *model, &search_stats);
       if (stats != nullptr) {
         stats->target_nodes_visited += search_stats.nodes_visited;
         stats->target_nodes_pruned += search_stats.nodes_pruned;
       }
-      cost += context->sigma_patterns[i].count() * c;
+      cost += context->sigma_patterns[i].count() * query.cost;
       if (cost >= best_cost) return Status::OK();  // early abort
     }
     if (cost < best_cost) {

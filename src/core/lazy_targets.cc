@@ -177,11 +177,11 @@ Result<LazyTargetSearch> LazyTargetSearch::Build(
   return search;
 }
 
-LazyTargetSearch::QueryResult LazyTargetSearch::FindBest(
+TargetQuery LazyTargetSearch::FindBest(
     const std::vector<Value>& tuple_proj, const DistanceModel& model,
     uint64_t max_visits, TargetTree::SearchStats* stats,
     const Budget* budget, const MemoryBudget* memory) const {
-  QueryResult result;
+  TargetQuery result;
   size_t num_levels = levels_.size();
   int width = static_cast<int>(component_cols_.size());
 

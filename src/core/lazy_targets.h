@@ -28,18 +28,10 @@ namespace ftrepair {
 ///     needs no materialized tree.
 ///
 /// A per-query visit budget bounds pathological searches; when it is
-/// exhausted the best leaf found so far (if any) is returned and the
-/// truncation is surfaced through SearchStats.
+/// exhausted the best leaf found so far (if any) is returned with
+/// TargetQuery::truncated set.
 class LazyTargetSearch {
  public:
-  struct QueryResult {
-    /// Empty when no target was found (empty join or budget exhausted
-    /// before the first leaf).
-    std::vector<Value> target;
-    double cost = 0;
-    bool truncated = false;
-  };
-
   /// Validates the inputs and builds the per-level indices. Fails with
   /// NotFound when the pairwise-consistency relaxation proves the join
   /// empty.
@@ -52,8 +44,9 @@ class LazyTargetSearch {
   /// owned) is charged one unit per visit and truncates the search
   /// exactly like the visit cap when it runs out; `memory` (optional,
   /// not owned) is charged per arena node pushed and truncates the
-  /// same way.
-  QueryResult FindBest(const std::vector<Value>& tuple_proj,
+  /// same way. An untruncated search returns an empty target only when
+  /// the join is empty (the build-time relaxation can miss that).
+  TargetQuery FindBest(const std::vector<Value>& tuple_proj,
                        const DistanceModel& model, uint64_t max_visits,
                        TargetTree::SearchStats* stats,
                        const Budget* budget = nullptr,

@@ -1,6 +1,6 @@
 #include "core/multi_common.h"
 
-#include <algorithm>
+#include <optional>
 #include <unordered_map>
 
 #include "common/metrics.h"
@@ -20,21 +20,7 @@ ComponentContext BuildComponentContext(const Table& table,
   ctx.component_cols = ComponentColumns(fds);
   ctx.sigma_patterns = options.group_tuples
                             ? BuildPatterns(table, ctx.component_cols)
-                            : std::vector<Pattern>{};
-  if (!options.group_tuples) {
-    // Ablation: one pattern per row.
-    for (int r = 0; r < table.num_rows(); ++r) {
-      Pattern p;
-      p.values.reserve(ctx.component_cols.size());
-      p.codes.reserve(ctx.component_cols.size());
-      for (int c : ctx.component_cols) {
-        p.values.push_back(table.cell(r, c));
-        p.codes.push_back(table.code(r, c));
-      }
-      p.rows.push_back(r);
-      ctx.sigma_patterns.push_back(std::move(p));
-    }
-  }
+                            : BuildRowPatterns(table, ctx.component_cols);
 
   std::unordered_map<int, int> col_to_pos;
   for (size_t p = 0; p < ctx.component_cols.size(); ++p) {
@@ -212,201 +198,111 @@ Result<MultiFDSolution> AssignTargets(
     }
   }
 
+  // Choose the search once: the eager tree; the lazy search when the
+  // tree overflows its node cap (but memory is not what ran out); or,
+  // as the no-tree ablation, a linear scan over the materialized
+  // targets.
+  std::optional<TargetTree> tree;
+  std::optional<LazyTargetSearch> lazy;
+  Status built;
   auto tree_result = TargetTree::Build(inputs, context.component_cols,
                                        options.max_tree_nodes,
                                        options.memory);
-  if (!tree_result.ok()) {
-    if (tree_result.status().IsNotFound()) {
-      // Empty join: leave tuples unrepaired, surface the flag.
-      if (stats != nullptr) stats->join_empty = true;
-      return solution;
-    }
-    if (tree_result.status().IsResourceExhausted() &&
-        options.use_target_tree && !MemExhausted(options.memory)) {
-      // The eager tree exploded; fall back to lazy materialization.
-      auto lazy_result = LazyTargetSearch::Build(std::move(inputs),
-                                                 context.component_cols);
-      if (!lazy_result.ok()) {
-        if (lazy_result.status().IsNotFound()) {
-          if (stats != nullptr) stats->join_empty = true;
-          return solution;
-        }
-        return lazy_result.status();
-      }
-      LazyTargetSearch lazy = std::move(lazy_result).value();
-      const int threads = ResolveThreads(options.threads);
-      if (threads > 1 && dirty.size() > 1) {
-        // Same precompute-then-ordered-merge scheme as the eager tree
-        // path below: FindBest is a const read of the lazy index, so
-        // queries run concurrently and the merge replays them in dirty
-        // order for serial-identical cost summation and stats.
-        struct LazyPatternResult {
-          LazyTargetSearch::QueryResult query;
-          TargetTree::SearchStats search_stats;
-          bool ran = false;
-        };
-        std::vector<LazyPatternResult> results(dirty.size());
-        ParallelFor(
-            static_cast<int>(dirty.size()), threads,
-            [&](int d) {
-              LazyPatternResult& r = results[static_cast<size_t>(d)];
-              size_t i = dirty[static_cast<size_t>(d)];
-              r.query = lazy.FindBest(context.sigma_patterns[i].values,
-                                      model, options.max_target_visits,
-                                      &r.search_stats, options.budget,
-                                      options.memory);
-              r.ran = true;
-            },
-            options.budget);
-        for (size_t d = 0; d < dirty.size(); ++d) {
-          LazyPatternResult& r = results[d];
-          if (!r.ran) {
-            solution.truncated = true;
-            break;
-          }
-          size_t i = dirty[d];
-          if (stats != nullptr) {
-            stats->target_nodes_visited += r.search_stats.nodes_visited;
-            stats->target_nodes_pruned += r.search_stats.nodes_pruned;
-          }
-          if (r.query.target.empty()) {
-            if (r.query.truncated) {
-              solution.truncated = true;
-            } else if (stats != nullptr) {
-              stats->join_empty = true;
-            }
-            continue;  // leave this pattern unrepaired
-          }
-          solution.targets[i] = std::move(r.query.target);
-          solution.target_costs[i] = r.query.cost;
-          solution.cost += context.sigma_patterns[i].count() * r.query.cost;
-        }
-        return solution;
-      }
-      for (size_t i : dirty) {
-        if (BudgetExhausted(options.budget) ||
-            MemExhausted(options.memory)) {
-          // Remaining dirty patterns stay unrepaired (detect-only).
-          solution.truncated = true;
-          break;
-        }
-        TargetTree::SearchStats search_stats;
-        LazyTargetSearch::QueryResult query =
-            lazy.FindBest(context.sigma_patterns[i].values, model,
-                          options.max_target_visits, &search_stats,
-                          options.budget, options.memory);
-        if (stats != nullptr) {
-          stats->target_nodes_visited += search_stats.nodes_visited;
-          stats->target_nodes_pruned += search_stats.nodes_pruned;
-        }
-        if (query.target.empty()) {
-          if (query.truncated) {
-            solution.truncated = true;
-          } else if (stats != nullptr) {
-            stats->join_empty = true;
-          }
-          continue;  // leave this pattern unrepaired
-        }
-        solution.targets[i] = std::move(query.target);
-        solution.target_costs[i] = query.cost;
-        solution.cost += context.sigma_patterns[i].count() * query.cost;
-      }
-      return solution;
-    }
-    return tree_result.status();
-  }
-  TargetTree tree = std::move(tree_result).value();
-
-  if (options.use_target_tree) {
-    const int threads = ResolveThreads(options.threads);
-    if (threads > 1 && dirty.size() > 1) {
-      // Per-pattern searches are independent reads of the immutable
-      // tree and distance model; precompute them concurrently, then
-      // merge strictly in dirty order so cost summation and the
-      // search-counter accumulation keep the serial FP and ordering
-      // semantics. Budget exhaustion skips unclaimed shards; the merge
-      // stops at the first skipped pattern, mirroring the serial break
-      // (exactly which later shards ran is the documented threads>1
-      // truncation nondeterminism — threads=1 takes the loop below).
-      struct PatternResult {
-        std::vector<Value> target;
-        double cost = 0;
-        TargetTree::SearchStats search_stats;
-        bool ran = false;
-      };
-      std::vector<PatternResult> results(dirty.size());
-      ParallelFor(
-          static_cast<int>(dirty.size()), threads,
-          [&](int d) {
-            PatternResult& r = results[static_cast<size_t>(d)];
-            size_t i = dirty[static_cast<size_t>(d)];
-            r.target =
-                tree.FindBest(context.sigma_patterns[i].values, model,
-                              &r.cost, &r.search_stats, options.budget,
-                              options.memory);
-            r.ran = true;
-          },
-          options.budget);
-      for (size_t d = 0; d < dirty.size(); ++d) {
-        PatternResult& r = results[d];
-        if (!r.ran) {
-          solution.truncated = true;
-          break;
-        }
-        size_t i = dirty[d];
-        if (stats != nullptr) {
-          stats->target_nodes_visited += r.search_stats.nodes_visited;
-          stats->target_nodes_pruned += r.search_stats.nodes_pruned;
-        }
-        if (r.target.empty()) {
-          solution.truncated = true;  // budget ran out before any leaf
-          continue;
-        }
-        solution.targets[i] = std::move(r.target);
-        solution.target_costs[i] = r.cost;
-        solution.cost += context.sigma_patterns[i].count() * r.cost;
-      }
-      return solution;
-    }
-    for (size_t i : dirty) {
-      if (BudgetExhausted(options.budget) ||
-          MemExhausted(options.memory)) {
-        solution.truncated = true;
-        break;
-      }
-      double cost = 0;
-      TargetTree::SearchStats search_stats;
-      solution.targets[i] =
-          tree.FindBest(context.sigma_patterns[i].values, model, &cost,
-                        &search_stats, options.budget, options.memory);
-      if (stats != nullptr) {
-        stats->target_nodes_visited += search_stats.nodes_visited;
-        stats->target_nodes_pruned += search_stats.nodes_pruned;
-      }
-      if (solution.targets[i].empty()) {
-        solution.truncated = true;  // budget ran out before any leaf
-        continue;
-      }
-      solution.target_costs[i] = cost;
-      solution.cost += context.sigma_patterns[i].count() * cost;
+  if (tree_result.ok()) {
+    tree = std::move(tree_result).value();
+  } else if (tree_result.status().IsResourceExhausted() &&
+             options.use_target_tree && !MemExhausted(options.memory)) {
+    auto lazy_result = LazyTargetSearch::Build(std::move(inputs),
+                                               context.component_cols);
+    if (lazy_result.ok()) {
+      lazy = std::move(lazy_result).value();
+    } else {
+      built = lazy_result.status();
     }
   } else {
-    std::vector<std::vector<Value>> targets = tree.EnumerateTargets();
-    if (stats != nullptr) stats->targets_materialized += targets.size();
-    for (size_t i : dirty) {
-      if (BudgetExhausted(options.budget) ||
-          MemExhausted(options.memory)) {
-        solution.truncated = true;
-        break;
-      }
-      double cost = 0;
-      size_t t = FindBestTargetLinear(targets,
-                                      context.sigma_patterns[i].values,
-                                      context.component_cols, model, &cost);
-      solution.targets[i] = targets[t];
-      solution.target_costs[i] = cost;
-      solution.cost += context.sigma_patterns[i].count() * cost;
+    built = tree_result.status();
+  }
+  if (built.IsNotFound()) {
+    // Empty join: leave tuples unrepaired, surface the flag.
+    if (stats != nullptr) stats->join_empty = true;
+    return solution;
+  }
+  FTR_RETURN_NOT_OK(built);
+  std::vector<std::vector<Value>> linear_targets;
+  if (!options.use_target_tree) {
+    linear_targets = tree->EnumerateTargets();
+    if (stats != nullptr) {
+      stats->targets_materialized += linear_targets.size();
     }
+  }
+  auto query = [&](size_t i,
+                   TargetTree::SearchStats* search_stats) -> TargetQuery {
+    const std::vector<Value>& proj = context.sigma_patterns[i].values;
+    if (lazy.has_value()) {
+      return lazy->FindBest(proj, model, options.max_target_visits,
+                            search_stats, options.budget, options.memory);
+    }
+    if (options.use_target_tree) {
+      return tree->FindBest(proj, model, search_stats, options.budget,
+                            options.memory);
+    }
+    TargetQuery result;
+    size_t t = FindBestTargetLinear(linear_targets, proj,
+                                    context.component_cols, model,
+                                    &result.cost);
+    result.target = linear_targets[t];
+    return result;
+  };
+
+  // Per-pattern searches are independent reads of the immutable search
+  // structure and distance model; run them across the pool, then merge
+  // strictly in dirty order so cost summation and the search-counter
+  // accumulation follow the serial order. Once the budget or memory
+  // runs out, remaining shards do not run and the merge stops at the
+  // first of them (at threads > 1, exactly which later shards ran is
+  // the documented truncation nondeterminism).
+  struct Shard {
+    TargetQuery query;
+    TargetTree::SearchStats search_stats;
+    bool ran = false;
+  };
+  std::vector<Shard> shards(dirty.size());
+  ParallelFor(
+      static_cast<int>(dirty.size()), options.threads,
+      [&](int d) {
+        // Before the search: its first BudgetCharge would spend a unit.
+        if (BudgetExhausted(options.budget) || MemExhausted(options.memory)) {
+          return;
+        }
+        Shard& shard = shards[static_cast<size_t>(d)];
+        shard.query = query(dirty[static_cast<size_t>(d)],
+                            &shard.search_stats);
+        shard.ran = true;
+      },
+      options.budget);
+  for (size_t d = 0; d < dirty.size(); ++d) {
+    Shard& shard = shards[d];
+    if (!shard.ran) {
+      // Remaining dirty patterns stay unrepaired (detect-only).
+      solution.truncated = true;
+      break;
+    }
+    if (stats != nullptr) {
+      stats->target_nodes_visited += shard.search_stats.nodes_visited;
+      stats->target_nodes_pruned += shard.search_stats.nodes_pruned;
+    }
+    size_t i = dirty[d];
+    if (shard.query.target.empty()) {
+      if (shard.query.truncated) {
+        solution.truncated = true;
+      } else if (stats != nullptr) {
+        stats->join_empty = true;
+      }
+      continue;  // leave this pattern unrepaired
+    }
+    solution.targets[i] = std::move(shard.query.target);
+    solution.target_costs[i] = shard.query.cost;
+    solution.cost += context.sigma_patterns[i].count() * shard.query.cost;
   }
   return solution;
 }

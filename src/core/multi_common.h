@@ -48,10 +48,25 @@ ComponentContext BuildComponentContext(const Table& table,
 /// phase; Algorithm 3 lines 13-21, Algorithm 4 lines 7-9).
 ///
 /// `chosen[k]` holds phi-pattern ids of graphs[k]. Sigma-patterns whose
-/// every phi-projection is chosen keep their values. Uses the target
-/// tree (§5) or, when `options.use_target_tree` is false, materializes
-/// targets and scans them linearly. A NotFound join sets
-/// `stats->join_empty` and leaves all tuples unrepaired.
+/// every phi-projection is chosen keep their values; each other (dirty)
+/// pattern gets one target query. The search is chosen once per call:
+///   * the eager TargetTree (§5), by default;
+///   * LazyTargetSearch, when the eager build exceeds
+///     `options.max_tree_nodes` (ResourceExhausted) while the memory
+///     budget still holds;
+///   * with `options.use_target_tree` false, the tree's materialized
+///     targets and FindBestTargetLinear (no lazy fallback).
+/// Any other build failure is returned. The queries run under
+/// ParallelFor at `options.threads` and merge in dirty order, so the
+/// result is the same at every thread count (budget truncation aside).
+///
+/// An empty join (NotFound from either build) sets `stats->join_empty`
+/// and leaves every tuple unrepaired. When the budget or the memory
+/// budget runs out, the remaining patterns stay unrepaired and the
+/// solution is `truncated`. A query that returns no target leaves its
+/// pattern unrepaired: it sets `truncated` if the search was cut short
+/// and `stats->join_empty` otherwise (the lazy build's relaxation can
+/// miss an empty join that its queries then find).
 Result<MultiFDSolution> AssignTargets(const ComponentContext& context,
                                       const std::vector<std::vector<int>>& chosen,
                                       const DistanceModel& model,

@@ -183,25 +183,6 @@ std::string ComponentName(const std::vector<FD>& named,
   return name;
 }
 
-std::vector<Pattern> PatternsFor(const Table& table, const FD& fd,
-                                 bool group_tuples) {
-  if (group_tuples) return BuildPatterns(table, fd.attrs());
-  std::vector<Pattern> out;
-  out.reserve(static_cast<size_t>(table.num_rows()));
-  for (int r = 0; r < table.num_rows(); ++r) {
-    Pattern p;
-    p.values.reserve(fd.attrs().size());
-    p.codes.reserve(fd.attrs().size());
-    for (int c : fd.attrs()) {
-      p.values.push_back(table.cell(r, c));
-      p.codes.push_back(table.code(r, c));
-    }
-    p.rows.push_back(r);
-    out.push_back(std::move(p));
-  }
-  return out;
-}
-
 // Validated copies of `fds` with guaranteed-unique names (`prefix` +
 // index for unnamed ones), so per-FD taus — and the auto-threshold
 // heuristic — resolve by name. Confidence rides along for soft-fd.
@@ -578,8 +559,9 @@ void SolveComponent(const Table& table, const std::vector<FD>& named,
     out->fd = &fd;
     Timer graph_timer;
     out->graph = ViolationGraph::Build(
-        PatternsFor(table, fd, opts.group_tuples), fd, model, opts.FTFor(fd),
-        opts.budget);
+        opts.group_tuples ? BuildPatterns(table, fd.attrs())
+                          : BuildRowPatterns(table, fd.attrs()),
+        fd, model, opts.FTFor(fd), opts.budget);
     out->stats.phases.graph_ms += graph_timer.Millis();
     out->apply_single =
         unit.GraphChecked(out->graph.truncated(), "graph") &&

@@ -212,11 +212,10 @@ double TargetTree::Edist(const Node& node,
   return sum;
 }
 
-std::vector<Value> TargetTree::FindBest(const std::vector<Value>& tuple_proj,
-                                        const DistanceModel& model,
-                                        double* cost, SearchStats* stats,
-                                        const Budget* budget,
-                                        const MemoryBudget* memory) const {
+TargetQuery TargetTree::FindBest(const std::vector<Value>& tuple_proj,
+                                 const DistanceModel& model,
+                                 SearchStats* stats, const Budget* budget,
+                                 const MemoryBudget* memory) const {
   struct QueueEntry {
     double f;
     int node;
@@ -228,12 +227,14 @@ std::vector<Value> TargetTree::FindBest(const std::vector<Value>& tuple_proj,
       queue;
   queue.push(QueueEntry{Edist(nodes_[0], tuple_proj, model), 0, 0.0});
 
+  TargetQuery result;
   double c_min = ViolationGraph::kInfinity;
   int best_leaf = -1;
   while (!queue.empty()) {
     if (!BudgetCharge(budget) ||
         !MemCharge(memory, sizeof(QueueEntry), MemPhase::kTargets)) {
-      break;  // out of budget: settle for the best leaf so far, if any
+      result.truncated = true;  // settle for the best leaf so far, if any
+      break;
     }
     QueueEntry top = queue.top();
     queue.pop();
@@ -271,12 +272,12 @@ std::vector<Value> TargetTree::FindBest(const std::vector<Value>& tuple_proj,
   if (best_leaf < 0) {
     // Only reachable when a budget ran out before the first leaf;
     // an unbudgeted search always reaches one (the tree is nonempty).
-    FTR_DCHECK(BudgetExhausted(budget) || MemExhausted(memory));
-    *cost = ViolationGraph::kInfinity;
-    return {};
+    FTR_DCHECK(result.truncated);
+    return result;
   }
-  *cost = c_min;
-  return nodes_[static_cast<size_t>(best_leaf)].assign;
+  result.target = nodes_[static_cast<size_t>(best_leaf)].assign;
+  result.cost = c_min;
+  return result;
 }
 
 std::vector<std::vector<Value>> TargetTree::EnumerateTargets() const {

@@ -13,6 +13,18 @@
 
 namespace ftrepair {
 
+/// The outcome of one target search (TargetTree or LazyTargetSearch).
+struct TargetQuery {
+  /// The cheapest target found, over component_cols order; empty when
+  /// none was found (an empty join, or a search stopped before its
+  /// first leaf).
+  std::vector<Value> target;
+  /// Exact repair cost of `target`.
+  double cost = 0;
+  /// A budget, memory budget or visit cap stopped the search early.
+  bool truncated = false;
+};
+
 /// \brief The target tree of §5: a trie over one independent set per FD
 /// whose root-to-leaf paths are the joinable *targets* of a multi-FD
 /// component.
@@ -56,18 +68,17 @@ class TargetTree {
 
   /// Best-first search (Algorithm 5) for the target minimizing the
   /// repair cost of `tuple_proj` (values over component_cols order).
-  /// Returns the winning assignment; `cost` receives its exact cost.
   ///
   /// `budget` (optional, not owned) is charged one unit per node
-  /// popped; on exhaustion the best leaf reached so far is returned
-  /// (possibly suboptimal), or an empty vector with `cost` = infinity
-  /// when no leaf was reached yet. `memory` (optional, not owned) is
-  /// charged per queue entry and truncates the search the same way.
-  std::vector<Value> FindBest(const std::vector<Value>& tuple_proj,
-                              const DistanceModel& model, double* cost,
-                              SearchStats* stats,
-                              const Budget* budget = nullptr,
-                              const MemoryBudget* memory = nullptr) const;
+  /// popped; on exhaustion the search stops with `truncated` set and
+  /// returns the best leaf reached so far (possibly suboptimal), or an
+  /// empty target when no leaf was reached yet. `memory` (optional, not
+  /// owned) is charged per queue entry and truncates the search the
+  /// same way. An untruncated search always finds a target.
+  TargetQuery FindBest(const std::vector<Value>& tuple_proj,
+                       const DistanceModel& model, SearchStats* stats,
+                       const Budget* budget = nullptr,
+                       const MemoryBudget* memory = nullptr) const;
 
   /// Materializes every target (the no-tree ablation uses this plus a
   /// linear scan).

@@ -66,4 +66,20 @@ std::vector<Pattern> BuildPatternsForRows(const Table& table,
   return patterns;
 }
 
+std::vector<Pattern> BuildRowPatterns(const Table& table,
+                                      const std::vector<int>& cols) {
+  std::vector<Pattern> patterns(static_cast<size_t>(table.num_rows()));
+  for (int r = 0; r < table.num_rows(); ++r) {
+    Pattern& p = patterns[static_cast<size_t>(r)];
+    p.values.reserve(cols.size());
+    p.codes.reserve(cols.size());
+    for (int c : cols) {
+      p.values.push_back(table.cell(r, c));
+      p.codes.push_back(table.code(r, c));
+    }
+    p.rows.push_back(r);
+  }
+  return patterns;
+}
+
 }  // namespace ftrepair

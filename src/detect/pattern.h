@@ -51,6 +51,12 @@ std::vector<Pattern> BuildPatternsForRows(const Table& table,
                                           const std::vector<int>& cols,
                                           const std::vector<int>& row_ids);
 
+/// One pattern per row of `table` (projection onto `cols`), in row
+/// order: the no-grouping ablation (`RepairOptions::group_tuples`
+/// false).
+std::vector<Pattern> BuildRowPatterns(const Table& table,
+                                      const std::vector<int>& cols);
+
 /// Hash key for a projection value vector (boost-style mix-then-combine
 /// of the element hashes; see common/hash.h for why a plain XOR fold is
 /// not enough). The library keys projections on codes; this hash

@@ -44,13 +44,11 @@ TEST(LazyTargetsTest, MatchesEagerTreeCosts) {
   for (int r = 0; r < ex.table.num_rows(); ++r) {
     std::vector<Value> proj;
     for (int c : ex.cols) proj.push_back(ex.table.cell(r, c));
-    double eager_cost = 0;
-    tree.FindBest(proj, model, &eager_cost, nullptr);
-    LazyTargetSearch::QueryResult lazy_result =
-        lazy.FindBest(proj, model, 100000, nullptr);
+    TargetQuery eager_result = tree.FindBest(proj, model, nullptr);
+    TargetQuery lazy_result = lazy.FindBest(proj, model, 100000, nullptr);
     ASSERT_FALSE(lazy_result.target.empty());
     EXPECT_FALSE(lazy_result.truncated);
-    EXPECT_NEAR(lazy_result.cost, eager_cost, 1e-12) << "row " << r;
+    EXPECT_NEAR(lazy_result.cost, eager_result.cost, 1e-12) << "row " << r;
   }
 }
 
@@ -95,7 +93,7 @@ TEST(LazyTargetsTest, MatchesEagerOnRandomInstances) {
       // it may only fail to *prove* emptiness, not invent targets).
       ASSERT_TRUE(eager.status().IsNotFound());
       if (lazy.ok()) {
-        LazyTargetSearch::QueryResult q = lazy.value().FindBest(
+        TargetQuery q = lazy.value().FindBest(
             {Value("a0"), Value("b0"), Value("c0"), Value("d0")}, model,
             100000, nullptr);
         EXPECT_TRUE(q.target.empty());
@@ -104,12 +102,10 @@ TEST(LazyTargetsTest, MatchesEagerOnRandomInstances) {
     }
     ASSERT_TRUE(lazy.ok()) << lazy.status().ToString();
     std::vector<Value> probe = {rnd("a"), rnd("b"), rnd("c"), rnd("d")};
-    double eager_cost = 0;
-    eager.value().FindBest(probe, model, &eager_cost, nullptr);
-    LazyTargetSearch::QueryResult q =
-        lazy.value().FindBest(probe, model, 100000, nullptr);
+    TargetQuery eager_q = eager.value().FindBest(probe, model, nullptr);
+    TargetQuery q = lazy.value().FindBest(probe, model, 100000, nullptr);
     ASSERT_FALSE(q.target.empty());
-    EXPECT_NEAR(q.cost, eager_cost, 1e-12) << "iter " << iter;
+    EXPECT_NEAR(q.cost, eager_q.cost, 1e-12) << "iter " << iter;
   }
 }
 
@@ -130,7 +126,7 @@ TEST(LazyTargetsTest, VisitBudgetTruncates) {
   DistanceModel model(ex.table);
   std::vector<Value> proj = {Value("Boston"), Value("Main"),
                              Value("Manhattan"), Value("NY")};
-  LazyTargetSearch::QueryResult q = lazy.FindBest(proj, model, 1, nullptr);
+  TargetQuery q = lazy.FindBest(proj, model, 1, nullptr);
   EXPECT_TRUE(q.truncated || !q.target.empty());
 }
 

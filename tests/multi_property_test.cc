@@ -152,12 +152,19 @@ TEST_P(MultiPropertyTest, ChosenSetsAreIndependent) {
 TEST_P(MultiPropertyTest, TreeAndLinearAgreeOnCost) {
   RepairOptions no_tree = options_;
   no_tree.use_target_tree = false;
-  RepairStats s1, s2;
+  // A one-node cap overflows the eager tree: the lazy search answers.
+  // Costs, not targets, are compared: ties may pick different targets.
+  RepairOptions lazy = options_;
+  lazy.max_tree_nodes = 1;
+  RepairStats s1, s2, s3;
   auto with_tree = SolveApproMulti(context_, *model_, options_, &s1);
   auto without = SolveApproMulti(context_, *model_, no_tree, &s2);
+  auto via_lazy = SolveApproMulti(context_, *model_, lazy, &s3);
   ASSERT_TRUE(with_tree.ok());
   ASSERT_TRUE(without.ok());
+  ASSERT_TRUE(via_lazy.ok());
   EXPECT_NEAR(with_tree.value().cost, without.value().cost, 1e-9);
+  EXPECT_NEAR(with_tree.value().cost, via_lazy.value().cost, 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MultiPropertyTest,

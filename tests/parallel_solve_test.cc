@@ -115,16 +115,28 @@ TEST_P(ParallelSolveGeneratorTest, BitIdenticalAcrossThreadCounts) {
     serial.tau_by_fd[name] = tau;
   }
   serial.compute_violation_stats = false;
-  Repairer reference_repairer(serial);
-  RepairResult reference =
-      std::move(reference_repairer.Repair(dirty, ds.fds)).ValueOrDie();
-  for (int threads : {2, 4, 8, 0}) {
-    RepairOptions opts = serial;
-    opts.threads = threads;
-    Repairer repairer(opts);
-    RepairResult got = std::move(repairer.Repair(dirty, ds.fds)).ValueOrDie();
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    ExpectResultsIdentical(reference, got);
+  // Every target search: the eager tree, the lazy search (a one-node
+  // cap overflows the eager tree) and the linear-scan ablation.
+  RepairOptions lazy = serial;
+  lazy.max_tree_nodes = 1;
+  RepairOptions linear = serial;
+  linear.use_target_tree = false;
+  for (const RepairOptions& search : {serial, lazy, linear}) {
+    Repairer reference_repairer(search);
+    RepairResult reference =
+        std::move(reference_repairer.Repair(dirty, ds.fds)).ValueOrDie();
+    for (int threads : {2, 4, 8, 0}) {
+      RepairOptions opts = search;
+      opts.threads = threads;
+      Repairer repairer(opts);
+      RepairResult got =
+          std::move(repairer.Repair(dirty, ds.fds)).ValueOrDie();
+      SCOPED_TRACE("max_tree_nodes=" + std::to_string(search.max_tree_nodes) +
+                   " use_target_tree=" +
+                   std::to_string(search.use_target_tree) +
+                   " threads=" + std::to_string(threads));
+      ExpectResultsIdentical(reference, got);
+    }
   }
 }
 

@@ -66,11 +66,11 @@ TEST(TargetTreeTest, Example14SearchRepairsT4) {
       std::move(TargetTree::Build(ex.inputs, ex.cols, 100000)).ValueOrDie();
   DistanceModel model(ex.table);
   std::vector<Value> t4_proj = Target("New York", "Western", "Queens", "MA");
-  double cost = 0;
   TargetTree::SearchStats stats;
-  std::vector<Value> best = tree.FindBest(t4_proj, model, &cost, &stats);
-  EXPECT_EQ(best, Target("New York", "Western", "Queens", "NY"));
-  EXPECT_DOUBLE_EQ(cost, 1.0);  // dist("MA", "NY") = 1
+  TargetQuery best = tree.FindBest(t4_proj, model, &stats);
+  EXPECT_EQ(best.target, Target("New York", "Western", "Queens", "NY"));
+  EXPECT_DOUBLE_EQ(best.cost, 1.0);  // dist("MA", "NY") = 1
+  EXPECT_FALSE(best.truncated);
   EXPECT_GT(stats.nodes_visited, 0u);
 }
 
@@ -82,10 +82,9 @@ TEST(TargetTreeTest, Example3SearchRepairsT5) {
       std::move(TargetTree::Build(ex.inputs, ex.cols, 100000)).ValueOrDie();
   DistanceModel model(ex.table);
   std::vector<Value> t5_proj = Target("Boston", "Main", "Manhattan", "NY");
-  double cost = 0;
   TargetTree::SearchStats stats;
-  std::vector<Value> best = tree.FindBest(t5_proj, model, &cost, &stats);
-  EXPECT_EQ(best, Target("New York", "Main", "Manhattan", "NY"));
+  TargetQuery best = tree.FindBest(t5_proj, model, &stats);
+  EXPECT_EQ(best.target, Target("New York", "Main", "Manhattan", "NY"));
 }
 
 TEST(TargetTreeTest, SearchMatchesLinearScan) {
@@ -98,12 +97,25 @@ TEST(TargetTreeTest, SearchMatchesLinearScan) {
   for (int r = 0; r < ex.table.num_rows(); ++r) {
     std::vector<Value> proj;
     for (int c : ex.cols) proj.push_back(ex.table.cell(r, c));
-    double tree_cost = 0;
-    tree.FindBest(proj, model, &tree_cost, nullptr);
     double linear_cost = 0;
     FindBestTargetLinear(targets, proj, ex.cols, model, &linear_cost);
-    EXPECT_NEAR(tree_cost, linear_cost, 1e-12) << "row " << r;
+    EXPECT_NEAR(tree.FindBest(proj, model, nullptr).cost, linear_cost, 1e-12)
+        << "row " << r;
   }
+}
+
+TEST(TargetTreeTest, ExhaustedBudgetTruncatesSearch) {
+  Example13 ex;
+  TargetTree tree =
+      std::move(TargetTree::Build(ex.inputs, ex.cols, 100000)).ValueOrDie();
+  DistanceModel model(ex.table);
+  Budget budget;
+  budget.Cancel();
+  TargetQuery query =
+      tree.FindBest(Target("New York", "Western", "Queens", "MA"), model,
+                    nullptr, &budget);
+  EXPECT_TRUE(query.truncated);
+  EXPECT_TRUE(query.target.empty());
 }
 
 TEST(TargetTreeTest, DisagreeingSetsYieldEmptyJoin) {
@@ -133,11 +145,10 @@ TEST(TargetTreeTest, SingleLevelTree) {
       std::move(TargetTree::Build(inputs, cols, 1000)).ValueOrDie();
   EXPECT_EQ(tree.num_targets(), 2u);
   DistanceModel model(ex.table);
-  double cost = 0;
-  std::vector<Value> best = tree.FindBest(
-      {Value("Boton"), Value("MA")}, model, &cost, nullptr);
-  EXPECT_EQ(best, (std::vector<Value>{Value("Boston"), Value("MA")}));
-  EXPECT_NEAR(cost, 1.0 / 6.0, 1e-12);  // edit(Boton, Boston) = 1/6
+  TargetQuery best =
+      tree.FindBest({Value("Boton"), Value("MA")}, model, nullptr);
+  EXPECT_EQ(best.target, (std::vector<Value>{Value("Boston"), Value("MA")}));
+  EXPECT_NEAR(best.cost, 1.0 / 6.0, 1e-12);  // edit(Boton, Boston) = 1/6
 }
 
 TEST(TargetTreeTest, UncoveredColumnIsError) {
