@@ -43,7 +43,8 @@ if [[ "${mode}" == "thread" ]]; then
   export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
   # The concurrency surface: thread pool + ParallelFor, the parallel
   # graph build (and everything exercising it), the per-component solve
-  # fan-out and the solvers it runs concurrently, shared-budget and
+  # fan-out and the solvers it runs concurrently, the eager and lazy
+  # target searches that AssignTargets fans out, shared-budget and
   # shared-memory-budget charging (the chaos/ladder sweeps), the
   # relaxed-atomic metrics/trace registries, the thread-local kernel
   # scratch of the edit-distance kernels (the kernel fuzz) with the
@@ -51,7 +52,7 @@ if [[ "${mode}" == "thread" ]]; then
   # cross-semantics property sweeps run repairs at several thread
   # counts).
   ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)" \
-    -R 'ThreadPool|Parallel|ViolationGraph|BlockIndex|Detector|Budget|Metrics|Trace|Repairer|Greedy|Expansion|Multi|TargetTree|Trusted|Chaos|Memory|Ladder|Provenance|ExplainReport|AuditLog|Columnar|StreamingIngest|DistanceKernel|SimdScreen|Semantics|Cardinality|SoftFd'
+    -R 'ThreadPool|Parallel|ViolationGraph|BlockIndex|Detector|Budget|Metrics|Trace|Repairer|Greedy|Expansion|Multi|TargetTree|LazyTargets|Trusted|Chaos|Memory|Ladder|Provenance|ExplainReport|AuditLog|Columnar|StreamingIngest|DistanceKernel|SimdScreen|Semantics|Cardinality|SoftFd'
 else
   export ASAN_OPTIONS="detect_leaks=1:abort_on_error=1"
   export UBSAN_OPTIONS="print_stacktrace=1"
