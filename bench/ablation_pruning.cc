@@ -34,7 +34,7 @@ int main() {
     FTOptions ft{dataset.recommended_w_l, dataset.recommended_w_r,
                  dataset.recommended_tau.at(fd.name())};
     ViolationGraph graph = ViolationGraph::Build(
-        BuildPatterns(dirty, fd.attrs()), fd, model, ft);
+        BuildPatterns(dirty, fd.attrs()), dirty, fd, model, ft);
 
     std::vector<std::string> row = {Report::Num(pct, 0) + "%"};
     double pruned_cost = 0;

@@ -61,7 +61,7 @@ void BM_ViolationGraphInterned(benchmark::State& state) {
   std::vector<Pattern> patterns = BuildPatterns(slice, fd.attrs());
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        ViolationGraph::Build(patterns, fd, model, opts));
+        ViolationGraph::Build(patterns, slice, fd, model, opts));
   }
 }
 BENCHMARK(BM_ViolationGraphInterned)
@@ -81,7 +81,8 @@ void BM_DetectPhaseColumnar(benchmark::State& state) {
       FTOptions opts{ds.recommended_w_l, ds.recommended_w_r,
                      ds.recommended_tau.at(fd.name())};
       std::vector<Pattern> patterns = BuildPatterns(slice, fd.attrs());
-      edges += ViolationGraph::Build(patterns, fd, model, opts).num_edges();
+      edges += ViolationGraph::Build(patterns, slice, fd, model, opts)
+                   .num_edges();
     }
     benchmark::DoNotOptimize(edges);
   }

@@ -54,7 +54,7 @@ void BM_ViolationGraphBuild(benchmark::State& state) {
   std::vector<Pattern> patterns = BuildPatterns(slice, fd.attrs());
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        ViolationGraph::Build(patterns, fd, model, opts));
+        ViolationGraph::Build(patterns, slice, fd, model, opts));
   }
 }
 BENCHMARK(BM_ViolationGraphBuild)->Arg(1000)->Arg(4000);
@@ -74,7 +74,7 @@ void BM_ViolationGraphBuildThreads(benchmark::State& state) {
   std::vector<Pattern> patterns = BuildPatterns(slice, fd.attrs());
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        ViolationGraph::Build(patterns, fd, model, opts));
+        ViolationGraph::Build(patterns, slice, fd, model, opts));
   }
 }
 BENCHMARK(BM_ViolationGraphBuildThreads)
@@ -121,9 +121,10 @@ void BM_ViolationGraphBuildIndex(benchmark::State& state) {
                  ModeArg(state.range(1))};
   std::vector<Pattern> patterns = BuildPatterns(slice, fd.attrs());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ViolationGraph::Build(patterns, fd, model, opts));
+    benchmark::DoNotOptimize(
+        ViolationGraph::Build(patterns, slice, fd, model, opts));
   }
-  ViolationGraph g = ViolationGraph::Build(patterns, fd, model, opts);
+  ViolationGraph g = ViolationGraph::Build(patterns, slice, fd, model, opts);
   state.counters["patterns"] = static_cast<double>(g.num_patterns());
   state.counters["edges"] = static_cast<double>(g.num_edges());
   state.counters["cand_generated"] =
@@ -171,9 +172,10 @@ void BM_ViolationGraphBuildTau0(benchmark::State& state) {
   opts.index = ModeArg(state.range(1));
   std::vector<Pattern> patterns = BuildPatterns(slice, fd.attrs());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ViolationGraph::Build(patterns, fd, model, opts));
+    benchmark::DoNotOptimize(
+        ViolationGraph::Build(patterns, slice, fd, model, opts));
   }
-  ViolationGraph g = ViolationGraph::Build(patterns, fd, model, opts);
+  ViolationGraph g = ViolationGraph::Build(patterns, slice, fd, model, opts);
   state.counters["patterns"] = static_cast<double>(g.num_patterns());
   state.counters["edges"] = static_cast<double>(g.num_edges());
   state.counters["cand_generated"] =

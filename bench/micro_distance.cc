@@ -179,7 +179,8 @@ void BM_DetectPhase(benchmark::State& state) {
       FTOptions opts{ds.recommended_w_l, ds.recommended_w_r,
                      ds.recommended_tau.at(fd.name())};
       std::vector<Pattern> patterns = BuildPatterns(slice, fd.attrs());
-      edges += ViolationGraph::Build(patterns, fd, model, opts).num_edges();
+      edges += ViolationGraph::Build(patterns, slice, fd, model, opts)
+                   .num_edges();
     }
     benchmark::DoNotOptimize(edges);
   }
@@ -203,7 +204,8 @@ void BM_ViolationGraphThreads(benchmark::State& state) {
   opts.threads = static_cast<int>(state.range(0));
   std::vector<Pattern> patterns = BuildPatterns(slice, fd.attrs());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ViolationGraph::Build(patterns, fd, model, opts));
+    benchmark::DoNotOptimize(
+        ViolationGraph::Build(patterns, slice, fd, model, opts));
   }
 }
 BENCHMARK(BM_ViolationGraphThreads)

@@ -44,7 +44,7 @@ struct Fixture {
     const FD& fd = dataset.fds[2];  // ZipCode -> City
     FTOptions ft{dataset.recommended_w_l, dataset.recommended_w_r,
                  dataset.recommended_tau.at(fd.name())};
-    return ViolationGraph::Build(BuildPatterns(dirty, fd.attrs()), fd,
+    return ViolationGraph::Build(BuildPatterns(dirty, fd.attrs()), dirty, fd,
                                  model, ft);
   }
 };
@@ -89,18 +89,19 @@ void BM_TargetTreeSearch(benchmark::State& state) {
   for (size_t k = 0; k < fds.size(); ++k) {
     inputs[k].fd = fds[k];
     for (int j : SolveGreedySingle(context.graphs[k]).chosen_set) {
-      inputs[k].elements.push_back(context.graphs[k].pattern(j).values);
+      inputs[k].elements.push_back(context.graphs[k].pattern(j).codes);
     }
   }
-  TargetTree tree = std::move(TargetTree::Build(
-                                  inputs, context.component_cols, 1000000))
-                        .ValueOrDie();
+  TargetTree tree =
+      std::move(TargetTree::Build(inputs, context.component_cols,
+                                  fixture.dirty, 1000000))
+          .ValueOrDie();
   size_t i = 0;
   for (auto _ : state) {
     const Pattern& sigma =
         context.sigma_patterns[i++ % context.sigma_patterns.size()];
     benchmark::DoNotOptimize(
-        tree.FindBest(sigma.values, fixture.model, nullptr));
+        tree.FindBest(sigma.codes, fixture.model, nullptr));
   }
 }
 BENCHMARK(BM_TargetTreeSearch);

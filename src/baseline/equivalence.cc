@@ -8,11 +8,12 @@ std::vector<LhsClass> BuildLhsClasses(const Table& table, const FD& fd) {
   std::vector<LhsClass> out;
   for (Pattern& lhs_group : BuildPatterns(table, fd.lhs())) {
     LhsClass cls;
-    cls.lhs_values = std::move(lhs_group.values);
-    cls.rows = lhs_group.rows;
+    cls.lhs_values = DecodeProjection(table, fd.lhs(), lhs_group.codes);
+    cls.rows = std::move(lhs_group.rows);
     for (Pattern& rhs_group :
          BuildPatternsForRows(table, fd.rhs(), cls.rows)) {
-      cls.rhs_values.push_back(std::move(rhs_group.values));
+      cls.rhs_values.push_back(
+          DecodeProjection(table, fd.rhs(), rhs_group.codes));
       cls.rhs_rows.push_back(std::move(rhs_group.rows));
     }
     out.push_back(std::move(cls));

@@ -77,13 +77,12 @@ struct CombinationSearch {
           static_cast<size_t>(context->graphs[k].num_patterns()), false);
       for (int j : set) {
         member[k][static_cast<size_t>(j)] = true;
-        inputs[k].elements.push_back(context->graphs[k].pattern(j).values);
+        inputs[k].elements.push_back(context->graphs[k].pattern(j).codes);
       }
     }
-    auto tree_result = TargetTree::Build(std::move(inputs),
-                                         context->component_cols,
-                                         options->max_tree_nodes,
-                                         options->memory);
+    auto tree_result = TargetTree::Build(
+        std::move(inputs), context->component_cols, *context->table,
+        options->max_tree_nodes, options->memory);
     if (!tree_result.ok()) {
       if (tree_result.status().IsNotFound()) return Status::OK();  // no join
       return tree_result.status();
@@ -99,7 +98,7 @@ struct CombinationSearch {
       }
       if (all_member) continue;
       TargetTree::SearchStats search_stats;
-      TargetQuery query = tree.FindBest(context->sigma_patterns[i].values,
+      TargetQuery query = tree.FindBest(context->sigma_patterns[i].codes,
                                         *model, &search_stats);
       if (stats != nullptr) {
         stats->target_nodes_visited += search_stats.nodes_visited;

@@ -131,8 +131,8 @@ void ApplySingleFDSolution(const ViolationGraph& graph, const FD& fd,
       d.source_pattern = i;
       d.target_pattern = target;
       d.cols.assign(fd.attrs().begin(), fd.attrs().end());
-      d.source_values = src.values;
-      d.target_values = dst.values;
+      d.source_values = DecodeProjection(*table, fd.attrs(), src.codes);
+      d.target_values = DecodeProjection(*table, fd.attrs(), dst.codes);
       d.rows = src.rows;
       d.degradations_before = scope.degradations_before;
       for (const ViolationGraph::Edge& e : graph.Neighbors(i)) {
@@ -142,7 +142,8 @@ void ApplySingleFDSolution(const ViolationGraph& graph, const FD& fd,
         ProvenanceEdge edge;
         edge.fd = scope.fd;
         edge.peer = e.to;
-        edge.peer_values = graph.pattern(e.to).values;
+        edge.peer_values =
+            DecodeProjection(*table, fd.attrs(), graph.pattern(e.to).codes);
         edge.proj_dist = e.proj_dist;
         edge.unit_cost = e.unit_cost;
         d.edges.push_back(std::move(edge));
@@ -154,7 +155,8 @@ void ApplySingleFDSolution(const ViolationGraph& graph, const FD& fd,
       for (int p = 0; p < fd.num_attrs(); ++p) {
         int col = fd.attrs()[static_cast<size_t>(p)];
         const Value& cell = table->cell(row, col);
-        const Value& new_value = dst.values[static_cast<size_t>(p)];
+        const Value& new_value =
+            table->dictionary(col).value(dst.codes[static_cast<size_t>(p)]);
         if (cell != new_value) {
           if (changes != nullptr) {
             changes->push_back(CellChange{row, col, cell, new_value});
@@ -176,7 +178,7 @@ void ApplyMultiFDSolution(const MultiFDSolution& solution, Table* table,
   FTR_TRACE_SPAN("repair.apply_multi");
   RepairProvenance* prov = scope.prov;
   for (size_t i = 0; i < solution.sigma_patterns.size(); ++i) {
-    const std::vector<Value>& target = solution.targets[i];
+    const std::vector<uint32_t>& target = solution.targets[i];
     if (target.empty()) continue;
     const Pattern& src = solution.sigma_patterns[i];
     int decision_index = -1;
@@ -189,8 +191,10 @@ void ApplyMultiFDSolution(const MultiFDSolution& solution, Table* table,
       d.source_pattern = static_cast<int>(i);
       d.target_pattern = -1;  // joined value vector, not a pattern id
       d.cols = solution.component_cols;
-      d.source_values = src.values;
-      d.target_values = target;
+      d.source_values =
+          DecodeProjection(*table, solution.component_cols, src.codes);
+      d.target_values =
+          DecodeProjection(*table, solution.component_cols, target);
       d.rows = src.rows;
       d.unit_cost =
           i < solution.target_costs.size() ? solution.target_costs[i] : 0.0;
@@ -218,14 +222,15 @@ void ApplyMultiFDSolution(const MultiFDSolution& solution, Table* table,
       for (size_t p = 0; p < solution.component_cols.size(); ++p) {
         int col = solution.component_cols[p];
         const Value& cell = table->cell(row, col);
-        if (cell != target[p]) {
+        const Value& new_value = table->dictionary(col).value(target[p]);
+        if (cell != new_value) {
           if (changes != nullptr) {
-            changes->push_back(CellChange{row, col, cell, target[p]});
+            changes->push_back(CellChange{row, col, cell, new_value});
             if (prov != nullptr) {
               prov->change_decision.push_back(decision_index);
             }
           }
-          table->SetCell(row, col, target[p]);
+          table->SetCell(row, col, new_value);
         }
       }
     }

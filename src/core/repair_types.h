@@ -321,7 +321,13 @@ struct SingleFDSolution {
 
 /// Writes `solution` into `table`: every row of a repaired pattern gets
 /// the target pattern's values on `fd.attrs()`. Appends the individual
-/// cell changes to `changes` when non-null. Rows in `trusted` (may be
+/// cell changes to `changes` when non-null.
+///
+/// Pattern codes decode through `table` itself. That is sound when
+/// `table` is the table the graph's patterns were built from or a copy
+/// of it, however far it has been repaired since: column dictionaries
+/// are append-only, so every code keeps its value. Both apply
+/// functions rely on this. Rows in `trusted` (may be
 /// null) are never written. When `scope.prov` is non-null, records one
 /// RepairDecision per repaired pattern (with its implicating edge set
 /// from `graph`) and annotates every appended change with its decision
@@ -340,11 +346,13 @@ std::vector<bool> TrustedPatternMask(
 /// \brief Solution of a multi-FD component over Sigma-patterns.
 ///
 /// `targets[i]` is empty when Sigma-pattern `i` keeps its values,
-/// otherwise it holds the assignment over `component_cols`.
+/// otherwise it holds the assignment over `component_cols` as codes in
+/// the dictionaries of the table the patterns were built from (as the
+/// patterns' own codes are).
 struct MultiFDSolution {
   std::vector<int> component_cols;
   std::vector<Pattern> sigma_patterns;
-  std::vector<std::vector<Value>> targets;
+  std::vector<std::vector<uint32_t>> targets;
   /// The independent set realized per FD (phi-pattern ids of the
   /// component context's graphs), for inspection and tests.
   std::vector<std::vector<int>> chosen;

@@ -561,7 +561,7 @@ void SolveComponent(const Table& table, const std::vector<FD>& named,
     out->graph = ViolationGraph::Build(
         opts.group_tuples ? BuildPatterns(table, fd.attrs())
                           : BuildRowPatterns(table, fd.attrs()),
-        fd, model, opts.FTFor(fd), opts.budget);
+        table, fd, model, opts.FTFor(fd), opts.budget);
     out->stats.phases.graph_ms += graph_timer.Millis();
     out->apply_single =
         unit.GraphChecked(out->graph.truncated(), "graph") &&
@@ -993,8 +993,8 @@ Result<RepairResult> Repairer::RepairCFDs(const Table& table,
     if (scope.size() < 2) return;
     Timer graph_timer;
     ViolationGraph graph = ViolationGraph::Build(
-        BuildPatternsForRows(result.repaired, fd.attrs(), scope), fd, model,
-        ropts.FTFor(named_fd), ropts.budget);
+        BuildPatternsForRows(result.repaired, fd.attrs(), scope),
+        result.repaired, fd, model, ropts.FTFor(named_fd), ropts.budget);
     out->stats.phases.graph_ms += graph_timer.Millis();
     SingleFDSolution solution;
     if (!unit.GraphChecked(graph.truncated(), "graph") ||

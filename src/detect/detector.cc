@@ -108,7 +108,7 @@ std::vector<Violation> FindFTViolations(const Table& table, const FD& fd,
                                         bool* truncated, bool* clipped,
                                         PairAccounting* accounting) {
   ViolationGraph graph = ViolationGraph::Build(
-      BuildPatterns(table, fd.attrs()), fd, model, opts, budget);
+      BuildPatterns(table, fd.attrs()), table, fd, model, opts, budget);
   if (truncated != nullptr) *truncated = graph.truncated();
   if (accounting != nullptr) {
     accounting->candidates_generated = graph.candidates_generated();
@@ -156,7 +156,8 @@ bool IsConsistent(const Table& table, const std::vector<FD>& fds) {
 bool IsFTConsistent(const Table& table, const FD& fd,
                     const DistanceModel& model, const FTOptions& opts) {
   ViolationGraph graph =
-      ViolationGraph::Build(BuildPatterns(table, fd.attrs()), fd, model, opts);
+      ViolationGraph::Build(BuildPatterns(table, fd.attrs()), table, fd,
+                            model, opts);
   return graph.num_edges() == 0;
 }
 
@@ -188,7 +189,7 @@ uint64_t CountFTViolations(const Table& table, const FD& fd,
                            const Budget* budget, bool* truncated) {
   FTR_TRACE_SPAN("detect.count_ft", {{"fd", fd.name()}});
   ViolationGraph graph = ViolationGraph::Build(
-      BuildPatterns(table, fd.attrs()), fd, model, opts, budget);
+      BuildPatterns(table, fd.attrs()), table, fd, model, opts, budget);
   if (truncated != nullptr) *truncated = graph.truncated();
   uint64_t total = 0;
   for (int i = 0; i < graph.num_patterns(); ++i) {

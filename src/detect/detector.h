@@ -81,11 +81,12 @@ bool IsFTConsistent(const Table& table, const std::vector<FD>& fds,
 /// equivalence-class sizes, never materializing pairs).
 uint64_t CountExactViolations(const Table& table, const FD& fd);
 
-/// Number of FT-violating tuple pairs (computed from the grouped graph
-/// as sum over edges of count(u) * count(v), plus pairs of tuples whose
-/// projections tie... identical projections are never violations).
-/// With a `budget` the count is a lower bound when it runs out
-/// mid-build (`truncated` reports that, when non-null).
+/// Number of FT-violating tuple pairs: the sum over the grouped
+/// graph's edges (u, v) of count(u) * count(v). Tuples with identical
+/// projections share a pattern and never count (an FT-violation needs
+/// differing projections). With a `budget` that runs out mid-build the
+/// graph is truncated and the count is a lower bound (`truncated`
+/// reports that, when non-null).
 uint64_t CountFTViolations(const Table& table, const FD& fd,
                            const DistanceModel& model, const FTOptions& opts,
                            const Budget* budget = nullptr,

@@ -11,8 +11,13 @@ namespace ftrepair {
 double SuggestThreshold(const Table& table, const FD& fd,
                         const DistanceModel& model,
                         const ThresholdOptions& opts) {
-  std::vector<Pattern> patterns = BuildPatterns(table, fd.attrs());
-  size_t n = patterns.size();
+  // ProjDistance is the value-keyed reference: decode each pattern
+  // once, not once per pair.
+  std::vector<std::vector<Value>> projections;
+  for (const Pattern& p : BuildPatterns(table, fd.attrs())) {
+    projections.push_back(DecodeProjection(table, fd.attrs(), p.codes));
+  }
+  size_t n = projections.size();
   std::vector<double> distances;
 
   // Deterministic stride subsampling keeps the pair count bounded.
@@ -26,8 +31,7 @@ double SuggestThreshold(const Table& table, const FD& fd,
     for (size_t j = i + 1; j < n; ++j, ++pair_index) {
       if (pair_index % stride != 0) continue;
       double d = ViolationGraph::ProjDistance(
-          patterns[i].values, patterns[j].values, fd, model, opts.w_l,
-          opts.w_r);
+          projections[i], projections[j], fd, model, opts.w_l, opts.w_r);
       if (d > 0 && d <= opts.ceiling) distances.push_back(d);
     }
   }

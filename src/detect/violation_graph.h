@@ -79,11 +79,12 @@ class ViolationGraph {
 
   static constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
-  /// Builds the graph over `patterns`, whose value and code vectors are
-  /// laid out over `fd.attrs()`; every pattern must carry codes from
-  /// one table's dictionaries (the identical-projection check, the
-  /// exact bucket join and the per-pair distance memo key on them).
-  /// Patterns with identical projections never form an edge
+  /// Builds the graph over `patterns`, whose code vectors are laid out
+  /// over `fd.attrs()` in `table`'s dictionaries (the table they were
+  /// built from, or a copy of it: dictionaries are append-only). The
+  /// identical-projection check, the exact bucket join and the per-pair
+  /// distance memo key on codes; the distance kernels decode through
+  /// `table`. Patterns with identical projections never form an edge
   /// (FT-violations require differing projections).
   ///
   /// `budget` (optional) is charged one unit per candidate pair; when
@@ -96,7 +97,8 @@ class ViolationGraph {
   /// that exhausts mid-build, *which* pairs were evaluated is only
   /// deterministic at threads == 1, but the graph is always marked
   /// truncated and always well-formed.
-  static ViolationGraph Build(std::vector<Pattern> patterns, const FD& fd,
+  static ViolationGraph Build(std::vector<Pattern> patterns,
+                              const Table& table, const FD& fd,
                               const DistanceModel& model,
                               const FTOptions& opts,
                               const Budget* budget = nullptr);

@@ -127,19 +127,24 @@ std::set<std::pair<int, int>> EdgeSet(const ViolationGraph& g) {
   return edges;
 }
 
-// Brute force, no filters, exact ProjDistance: the ground truth the
-// index filters must never dip below.
+// Brute force, no filters, exact ProjDistance over the patterns'
+// decoded value vectors: the ground truth the index filters must never
+// dip below.
 std::set<std::pair<int, int>> OracleEdges(const std::vector<Pattern>& patterns,
-                                          const FD& fd,
+                                          const Table& t, const FD& fd,
                                           const DistanceModel& model,
                                           double w_l, double w_r,
                                           double tau) {
+  std::vector<std::vector<Value>> values;
+  for (const Pattern& p : patterns) {
+    values.push_back(DecodeProjection(t, fd.attrs(), p.codes));
+  }
   std::set<std::pair<int, int>> edges;
   int n = static_cast<int>(patterns.size());
   for (int i = 0; i < n; ++i) {
     for (int j = i + 1; j < n; ++j) {
-      const auto& a = patterns[static_cast<size_t>(i)].values;
-      const auto& b = patterns[static_cast<size_t>(j)].values;
+      const auto& a = values[static_cast<size_t>(i)];
+      const auto& b = values[static_cast<size_t>(j)];
       if (a == b) continue;
       if (ViolationGraph::ProjDistance(a, b, fd, model, w_l, w_r) <= tau) {
         edges.emplace(i, j);
@@ -175,14 +180,16 @@ void CheckInvariants(const ViolationGraph& g, uint64_t seed) {
 
 // The build's memoized code-keyed kernels against the value references:
 // every edge's doubles equal ProjDistance / UnitCost on the patterns'
-// value vectors bit for bit.
-void CheckEdgeDoubles(const ViolationGraph& g, const FD& fd,
+// decoded value vectors bit for bit.
+void CheckEdgeDoubles(const ViolationGraph& g, const Table& t, const FD& fd,
                       const DistanceModel& model, double w_l, double w_r,
                       uint64_t seed) {
   for (int i = 0; i < g.num_patterns(); ++i) {
-    const std::vector<Value>& a = g.pattern(i).values;
+    const std::vector<Value> a =
+        DecodeProjection(t, fd.attrs(), g.pattern(i).codes);
     for (const ViolationGraph::Edge& e : g.Neighbors(i)) {
-      const std::vector<Value>& b = g.pattern(e.to).values;
+      const std::vector<Value> b =
+          DecodeProjection(t, fd.attrs(), g.pattern(e.to).codes);
       EXPECT_EQ(e.proj_dist,
                 ViolationGraph::ProjDistance(a, b, fd, model, w_l, w_r))
           << "seed=" << seed << " edge " << i << "-" << e.to;
@@ -198,19 +205,19 @@ void CheckInstance(const Table& t, const DistanceModel& model, double w_l,
   FD fd = std::move(FD::Make({0}, {1}, "p")).ValueOrDie();
   std::vector<Pattern> patterns = BuildPatterns(t, fd.attrs());
   ViolationGraph all = ViolationGraph::Build(
-      patterns, fd, model, FTOptions{w_l, w_r, tau, 1,
+      patterns, t, fd, model, FTOptions{w_l, w_r, tau, 1,
                                      DetectIndexMode::kAllPairs});
   ViolationGraph blocked = ViolationGraph::Build(
-      patterns, fd, model, FTOptions{w_l, w_r, tau, 1,
+      patterns, t, fd, model, FTOptions{w_l, w_r, tau, 1,
                                      DetectIndexMode::kBlocked});
   // Bit-identical graphs, and both agree with the filter-free oracle.
   EXPECT_EQ(Fingerprint(all), Fingerprint(blocked))
       << "seed=" << seed << " tau=" << tau << " w_l=" << w_l;
   std::set<std::pair<int, int>> oracle =
-      OracleEdges(patterns, fd, model, w_l, w_r, tau);
+      OracleEdges(patterns, t, fd, model, w_l, w_r, tau);
   EXPECT_EQ(EdgeSet(blocked), oracle) << "seed=" << seed << " tau=" << tau;
-  CheckEdgeDoubles(all, fd, model, w_l, w_r, seed);
-  CheckEdgeDoubles(blocked, fd, model, w_l, w_r, seed);
+  CheckEdgeDoubles(all, t, fd, model, w_l, w_r, seed);
+  CheckEdgeDoubles(blocked, t, fd, model, w_l, w_r, seed);
   CheckInvariants(all, seed);
   CheckInvariants(blocked, seed);
   EXPECT_LE(blocked.candidates_generated(), all.candidates_generated())
@@ -358,11 +365,11 @@ TEST(BlockIndexPropertyTest, ThreadedBlockedBuildsBitIdentical) {
     FD fd = std::move(FD::Make({0}, {1}, "p")).ValueOrDie();
     std::vector<Pattern> patterns = BuildPatterns(t, fd.attrs());
     std::string want = Fingerprint(ViolationGraph::Build(
-        patterns, fd, model,
+        patterns, t, fd, model,
         FTOptions{0.5, 0.5, 0.3, 1, DetectIndexMode::kAllPairs}));
     for (int threads : {2, 4}) {
       ViolationGraph g = ViolationGraph::Build(
-          patterns, fd, model,
+          patterns, t, fd, model,
           FTOptions{0.5, 0.5, 0.3, threads, DetectIndexMode::kBlocked});
       EXPECT_EQ(want, Fingerprint(g)) << "seed=" << seed
                                       << " threads=" << threads;
@@ -381,7 +388,7 @@ TEST(BlockIndexPropertyTest, ScratchReuseIsDeterministic) {
     FD fd = std::move(FD::Make({0}, {1}, "p")).ValueOrDie();
     std::vector<Pattern> patterns = BuildPatterns(t, fd.attrs());
     FTOptions opts{0.5, 0.5, 0.3, 1, DetectIndexMode::kBlocked};
-    BlockIndex index(patterns, fd, model, opts);
+    BlockIndex index(patterns, t, fd, model, opts);
     BlockIndex::Scratch scratch;
     std::vector<std::vector<int>> first;
     for (int i = 0; i < static_cast<int>(patterns.size()); ++i) {
@@ -396,7 +403,7 @@ TEST(BlockIndexPropertyTest, ScratchReuseIsDeterministic) {
       }
       first.push_back(std::move(cand));
     }
-    BlockIndex again(patterns, fd, model, opts);
+    BlockIndex again(patterns, t, fd, model, opts);
     for (int i = 0; i < static_cast<int>(patterns.size()); ++i) {
       std::vector<int> cand;
       again.AppendCandidates(i, &scratch, &cand);
@@ -416,11 +423,11 @@ TEST(BlockIndexPropertyTest, BudgetExhaustionStaysSound) {
     FD fd = std::move(FD::Make({0}, {1}, "p")).ValueOrDie();
     std::vector<Pattern> patterns = BuildPatterns(t, fd.attrs());
     std::set<std::pair<int, int>> oracle =
-        OracleEdges(patterns, fd, model, 0.5, 0.5, 0.4);
+        OracleEdges(patterns, t, fd, model, 0.5, 0.5, 0.4);
     setenv("FTREPAIR_FAULT_BUDGET_UNITS", "30", 1);
     Budget budget(1e9);
     ViolationGraph g = ViolationGraph::Build(
-        patterns, fd, model,
+        patterns, t, fd, model,
         FTOptions{0.5, 0.5, 0.4, 1, DetectIndexMode::kBlocked}, &budget);
     unsetenv("FTREPAIR_FAULT_BUDGET_UNITS");
     CheckInvariants(g, seed);

@@ -62,7 +62,7 @@ ViolationGraph BuildMode(const Table& t, const FD& fd,
                          double tau, DetectIndexMode mode, int threads = 1,
                          const Budget* budget = nullptr) {
   FTOptions opts{w_l, w_r, tau, threads, mode};
-  return ViolationGraph::Build(BuildPatterns(t, fd.attrs()), fd, model, opts,
+  return ViolationGraph::Build(BuildPatterns(t, fd.attrs()), t, fd, model, opts,
                                budget);
 }
 

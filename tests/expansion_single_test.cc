@@ -59,7 +59,7 @@ double BruteForceOptimal(const ViolationGraph& g) {
 
 ViolationGraph GraphFromTable(const Table& t, const FD& fd,
                               const DistanceModel& model, double tau) {
-  return ViolationGraph::Build(BuildPatterns(t, fd.attrs()), fd, model,
+  return ViolationGraph::Build(BuildPatterns(t, fd.attrs()), t, fd, model,
                                FTOptions{0.5, 0.5, tau});
 }
 
@@ -110,10 +110,10 @@ TEST(ExpansionSingleTest, OptimalOnPaperExample8) {
   SingleFDSolution solution =
       std::move(SolveExpansionSingle(g, ExpansionConfig{})).ValueOrDie();
   EXPECT_TRUE(IsMaximal(g, solution.chosen_set));
-  auto pattern_of = [&g](const char* education, double level) {
+  auto pattern_of = [&](const char* education, double level) {
     for (int i = 0; i < g.num_patterns(); ++i) {
-      if (g.pattern(i).values[0] == Value(education) &&
-          g.pattern(i).values[1] == Value(level)) {
+      if (DecodeProjection(t, fds[0].attrs(), g.pattern(i).codes) ==
+          std::vector<Value>{Value(education), Value(level)}) {
         return i;
       }
     }

@@ -52,7 +52,9 @@ struct GreedyMultiState {
   std::vector<std::vector<double>> best_unit;
   size_t remaining = 0;  // candidates not yet chosen nor blocked
 
-  // Per FD: lookup from phi projection values to phi-pattern id.
+  // Per FD: each phi-pattern's decoded value vector, and the lookup
+  // from those values back to the phi-pattern id.
+  std::vector<std::vector<std::vector<Value>>> phi_values;
   std::vector<std::unordered_map<std::vector<Value>, int, ProjectionHash>>
       phi_index;
   // Per FD: component position of each of its attrs.
@@ -68,6 +70,7 @@ struct GreedyMultiState {
     blocked.resize(num_fds);
     chosen_list.resize(num_fds);
     best_unit.resize(num_fds);
+    phi_values.resize(num_fds);
     phi_index.resize(num_fds);
     attr_pos.resize(num_fds);
     shared_pos.assign(num_fds, std::vector<std::vector<int>>(num_fds));
@@ -83,7 +86,10 @@ struct GreedyMultiState {
       best_unit[k].assign(static_cast<size_t>(n), kInf);
       remaining += static_cast<size_t>(n);
       for (int j = 0; j < n; ++j) {
-        phi_index[k].emplace(context.graphs[k].pattern(j).values, j);
+        phi_values[k].push_back(
+            DecodeProjection(*context.table, context.fds[k]->attrs(),
+                             context.graphs[k].pattern(j).codes));
+        phi_index[k].emplace(phi_values[k].back(), j);
       }
       for (int c : context.fds[k]->attrs()) {
         attr_pos[k].push_back(col_to_pos.at(c));
@@ -122,9 +128,8 @@ struct GreedyMultiState {
       return blocked[j][static_cast<size_t>(cur_phi)] > 0 ? 1 : 0;
     }
     const std::vector<Value>& cur_values =
-        ctx->graphs[j].pattern(cur_phi).values;
-    const std::vector<Value>& u_values =
-        ctx->graphs[k].pattern(u).values;
+        phi_values[j][static_cast<size_t>(cur_phi)];
+    const std::vector<Value>& u_values = phi_values[k][static_cast<size_t>(u)];
     // Check for a change before paying for a projection copy.
     bool changed = false;
     for (size_t a = 0; a < attr_pos[k].size() && !changed; ++a) {

@@ -22,14 +22,18 @@ ViolationGraph Phi1Graph(const Table& t, const DistanceModel& model) {
   std::vector<FD> fds = CitizensFDs(t.schema());
   // tau = 0.30 reproduces the Fig. 2 graph exactly (see
   // expansion_single_test.cc for the 0.34 cross-cluster pair).
-  return ViolationGraph::Build(BuildPatterns(t, fds[0].attrs()), fds[0],
+  return ViolationGraph::Build(BuildPatterns(t, fds[0].attrs()), t, fds[0],
                                model, FTOptions{0.5, 0.5, 0.30});
 }
 
-int PatternOf(const ViolationGraph& g, const char* education, double level) {
+// Pattern id of a phi1 graph over `t` whose values match (education,
+// level); -1 if absent.
+int PatternOf(const ViolationGraph& g, const Table& t, const char* education,
+              double level) {
+  const std::vector<int> cols = CitizensFDs(t.schema())[0].attrs();
   for (int i = 0; i < g.num_patterns(); ++i) {
-    if (g.pattern(i).values[0] == Value(education) &&
-        g.pattern(i).values[1] == Value(level)) {
+    if (DecodeProjection(t, cols, g.pattern(i).codes) ==
+        std::vector<Value>{Value(education), Value(level)}) {
       return i;
     }
   }
@@ -45,23 +49,23 @@ TEST(GreedySingleTest, PaperExample9Outcome) {
   SingleFDSolution solution = SolveGreedySingle(g);
   std::set<int> chosen(solution.chosen_set.begin(),
                        solution.chosen_set.end());
-  int bachelors3 = PatternOf(g, "Bachelors", 3);
-  int masters4 = PatternOf(g, "Masters", 4);
-  int hsgrad9 = PatternOf(g, "HS-grad", 9);
+  int bachelors3 = PatternOf(g, t, "Bachelors", 3);
+  int masters4 = PatternOf(g, t, "Masters", 4);
+  int hsgrad9 = PatternOf(g, t, "HS-grad", 9);
   EXPECT_TRUE(chosen.count(bachelors3));
   EXPECT_TRUE(chosen.count(masters4));
   EXPECT_TRUE(chosen.count(hsgrad9));  // isolated: always kept
   EXPECT_EQ(solution.repair_target[static_cast<size_t>(
-                PatternOf(g, "Masers", 4))],
+                PatternOf(g, t, "Masers", 4))],
             masters4);
   EXPECT_EQ(solution.repair_target[static_cast<size_t>(
-                PatternOf(g, "Masters", 3))],
+                PatternOf(g, t, "Masters", 3))],
             masters4);
   EXPECT_EQ(solution.repair_target[static_cast<size_t>(
-                PatternOf(g, "Bachelors", 1))],
+                PatternOf(g, t, "Bachelors", 1))],
             bachelors3);
   EXPECT_EQ(solution.repair_target[static_cast<size_t>(
-                PatternOf(g, "Bachelers", 3))],
+                PatternOf(g, t, "Bachelers", 3))],
             bachelors3);
 }
 
@@ -72,7 +76,7 @@ TEST_P(GreedyPropertyTest, ChosenSetIsMaximalIndependent) {
   FD fd = std::move(FD::Make({0, 2}, {1})).ValueOrDie();
   DistanceModel model(t);
   ViolationGraph g = ViolationGraph::Build(
-      BuildPatterns(t, fd.attrs()), fd, model, FTOptions{0.5, 0.5, 0.5});
+      BuildPatterns(t, fd.attrs()), t, fd, model, FTOptions{0.5, 0.5, 0.5});
   SingleFDSolution solution = SolveGreedySingle(g);
   std::set<int> chosen(solution.chosen_set.begin(),
                        solution.chosen_set.end());
@@ -100,7 +104,7 @@ TEST_P(GreedyPropertyTest, CostNeverBeatsExact) {
   FD fd = std::move(FD::Make({0}, {1})).ValueOrDie();
   DistanceModel model(t);
   ViolationGraph g = ViolationGraph::Build(
-      BuildPatterns(t, fd.attrs()), fd, model, FTOptions{0.5, 0.5, 0.6});
+      BuildPatterns(t, fd.attrs()), t, fd, model, FTOptions{0.5, 0.5, 0.6});
   SingleFDSolution greedy = SolveGreedySingle(g);
   auto exact = SolveExpansionSingle(g, ExpansionConfig{});
   ASSERT_TRUE(exact.ok()) << exact.status().ToString();
@@ -115,7 +119,7 @@ TEST(GreedySingleTest, DeterministicAcrossRuns) {
   FD fd = std::move(FD::Make({0}, {1})).ValueOrDie();
   DistanceModel model(t);
   ViolationGraph g = ViolationGraph::Build(
-      BuildPatterns(t, fd.attrs()), fd, model, FTOptions{0.5, 0.5, 0.5});
+      BuildPatterns(t, fd.attrs()), t, fd, model, FTOptions{0.5, 0.5, 0.5});
   SingleFDSolution a = SolveGreedySingle(g);
   SingleFDSolution b = SolveGreedySingle(g);
   EXPECT_EQ(a.chosen_set, b.chosen_set);
@@ -127,7 +131,7 @@ TEST(GreedySingleTest, EmptyGraph) {
   Table t(Schema({{"a", ValueType::kString}, {"b", ValueType::kString}}));
   FD fd = std::move(FD::Make({0}, {1})).ValueOrDie();
   DistanceModel model(t);
-  ViolationGraph g = ViolationGraph::Build({}, fd, model,
+  ViolationGraph g = ViolationGraph::Build({}, t, fd, model,
                                            FTOptions{0.5, 0.5, 0.3});
   SingleFDSolution solution = SolveGreedySingle(g);
   EXPECT_TRUE(solution.chosen_set.empty());
@@ -145,12 +149,12 @@ TEST(GreedySingleTest, HighFrequencyPatternWins) {
   FD fd = std::move(FD::Make({0}, {1})).ValueOrDie();
   DistanceModel model(t);
   ViolationGraph g = ViolationGraph::Build(
-      BuildPatterns(t, fd.attrs()), fd, model, FTOptions{0.5, 0.5, 0.3});
+      BuildPatterns(t, fd.attrs()), t, fd, model, FTOptions{0.5, 0.5, 0.3});
   ASSERT_EQ(g.num_patterns(), 2);
   SingleFDSolution solution = SolveGreedySingle(g);
   ASSERT_EQ(solution.chosen_set.size(), 1u);
   int kept = solution.chosen_set[0];
-  EXPECT_EQ(g.pattern(kept).values[0], Value("aaaaaa"));
+  EXPECT_EQ(t.dictionary(0).value(g.pattern(kept).codes[0]), Value("aaaaaa"));
   EXPECT_EQ(solution.repair_target[static_cast<size_t>(1 - kept)], kept);
 }
 
@@ -295,7 +299,7 @@ TEST(GreedyDifferentialTest, MatchesFullRescanOnGenerators) {
     DistanceModel model(dirty);
     for (const FD& fd : ds.fds) {
       ViolationGraph g = ViolationGraph::Build(
-          BuildPatterns(dirty, fd.attrs()), fd, model,
+          BuildPatterns(dirty, fd.attrs()), dirty, fd, model,
           FTOptions{ds.recommended_w_l, ds.recommended_w_r,
                     ds.recommended_tau.at(fd.name())});
       SCOPED_TRACE((hosp ? std::string("hosp fd=") : std::string("tax fd=")) +
@@ -311,7 +315,7 @@ TEST(GreedyDifferentialTest, MatchesFullRescanOnRandomTables) {
     FD fd = std::move(FD::Make({0}, {1})).ValueOrDie();
     DistanceModel model(t);
     ViolationGraph g = ViolationGraph::Build(
-        BuildPatterns(t, fd.attrs()), fd, model, FTOptions{0.5, 0.5, 0.45});
+        BuildPatterns(t, fd.attrs()), t, fd, model, FTOptions{0.5, 0.5, 0.45});
     SCOPED_TRACE("seed=" + std::to_string(seed));
     ExpectSameSolution(g);
     // Also with a forced mask pinning a slice of the patterns.

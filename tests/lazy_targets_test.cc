@@ -10,25 +10,31 @@ namespace {
 
 using testing_util::CitizensDirty;
 using testing_util::CitizensFDs;
+using testing_util::CodeBook;
 
+// Example 13's independent sets (see target_tree_test.cc), interned
+// into `book`.
 struct Example13 {
   Table table = CitizensDirty();
   std::vector<FD> fds = CitizensFDs(table.schema());
+  CodeBook book{table.schema()};
   std::vector<TargetTree::LevelInput> inputs;
   std::vector<int> cols;
 
   Example13() {
     TargetTree::LevelInput phi2;
     phi2.fd = &fds[1];
-    phi2.elements = {{Value("New York"), Value("NY")},
-                     {Value("Boston"), Value("MA")}};
+    phi2.elements = book.Elements(fds[1].attrs(),
+                                  {{Value("New York"), Value("NY")},
+                                   {Value("Boston"), Value("MA")}});
     TargetTree::LevelInput phi3;
     phi3.fd = &fds[2];
-    phi3.elements = {
-        {Value("New York"), Value("Main"), Value("Manhattan")},
-        {Value("New York"), Value("Western"), Value("Queens")},
-        {Value("Boston"), Value("Main"), Value("Financial")},
-        {Value("Boston"), Value("Arlingto"), Value("Brookside")}};
+    phi3.elements = book.Elements(
+        fds[2].attrs(),
+        {{Value("New York"), Value("Main"), Value("Manhattan")},
+         {Value("New York"), Value("Western"), Value("Queens")},
+         {Value("Boston"), Value("Main"), Value("Financial")},
+         {Value("Boston"), Value("Arlingto"), Value("Brookside")}});
     inputs = {phi2, phi3};
     cols = {3, 4, 5, 6};
   }
@@ -36,14 +42,17 @@ struct Example13 {
 
 TEST(LazyTargetsTest, MatchesEagerTreeCosts) {
   Example13 ex;
-  TargetTree tree =
-      std::move(TargetTree::Build(ex.inputs, ex.cols, 100000)).ValueOrDie();
+  TargetTree tree = std::move(TargetTree::Build(ex.inputs, ex.cols,
+                                                ex.book.table(), 100000))
+                        .ValueOrDie();
   LazyTargetSearch lazy =
-      std::move(LazyTargetSearch::Build(ex.inputs, ex.cols)).ValueOrDie();
+      std::move(LazyTargetSearch::Build(ex.inputs, ex.cols, ex.book.table()))
+          .ValueOrDie();
   DistanceModel model(ex.table);
   for (int r = 0; r < ex.table.num_rows(); ++r) {
-    std::vector<Value> proj;
-    for (int c : ex.cols) proj.push_back(ex.table.cell(r, c));
+    std::vector<Value> values;
+    for (int c : ex.cols) values.push_back(ex.table.cell(r, c));
+    std::vector<uint32_t> proj = ex.book.Codes(ex.cols, values);
     TargetQuery eager_result = tree.FindBest(proj, model, nullptr);
     TargetQuery lazy_result = lazy.FindBest(proj, model, 100000, nullptr);
     ASSERT_FALSE(lazy_result.target.empty());
@@ -71,6 +80,7 @@ TEST(LazyTargetsTest, MatchesEagerOnRandomInstances) {
                     .ok());
   }
   DistanceModel model(table);
+  CodeBook book(schema);
   Rng rng(17);
   for (int iter = 0; iter < 20; ++iter) {
     auto rnd = [&rng](const char* prefix) {
@@ -81,27 +91,32 @@ TEST(LazyTargetsTest, MatchesEagerOnRandomInstances) {
     inputs[1].fd = &f2;
     inputs[2].fd = &f3;
     for (int e = 0; e < 6; ++e) {
-      inputs[0].elements.push_back({rnd("a"), rnd("b")});
-      inputs[1].elements.push_back({rnd("b"), rnd("c")});
-      inputs[2].elements.push_back({rnd("c"), rnd("d")});
+      inputs[0].elements.push_back(
+          book.Codes(f1.attrs(), {rnd("a"), rnd("b")}));
+      inputs[1].elements.push_back(
+          book.Codes(f2.attrs(), {rnd("b"), rnd("c")}));
+      inputs[2].elements.push_back(
+          book.Codes(f3.attrs(), {rnd("c"), rnd("d")}));
     }
     std::vector<int> cols = {0, 1, 2, 3};
-    auto eager = TargetTree::Build(inputs, cols, 1000000);
-    auto lazy = LazyTargetSearch::Build(inputs, cols);
+    auto eager = TargetTree::Build(inputs, cols, book.table(), 1000000);
+    auto lazy = LazyTargetSearch::Build(inputs, cols, book.table());
     if (!eager.ok()) {
       // Empty joins must agree (the lazy prefilter is a relaxation, so
       // it may only fail to *prove* emptiness, not invent targets).
       ASSERT_TRUE(eager.status().IsNotFound());
       if (lazy.ok()) {
         TargetQuery q = lazy.value().FindBest(
-            {Value("a0"), Value("b0"), Value("c0"), Value("d0")}, model,
-            100000, nullptr);
+            book.Codes(cols,
+                       {Value("a0"), Value("b0"), Value("c0"), Value("d0")}),
+            model, 100000, nullptr);
         EXPECT_TRUE(q.target.empty());
       }
       continue;
     }
     ASSERT_TRUE(lazy.ok()) << lazy.status().ToString();
-    std::vector<Value> probe = {rnd("a"), rnd("b"), rnd("c"), rnd("d")};
+    std::vector<uint32_t> probe =
+        book.Codes(cols, {rnd("a"), rnd("b"), rnd("c"), rnd("d")});
     TargetQuery eager_q = eager.value().FindBest(probe, model, nullptr);
     TargetQuery q = lazy.value().FindBest(probe, model, 100000, nullptr);
     ASSERT_FALSE(q.target.empty());
@@ -111,10 +126,12 @@ TEST(LazyTargetsTest, MatchesEagerOnRandomInstances) {
 
 TEST(LazyTargetsTest, PairwisePrefilterDetectsEmptyJoin) {
   Example13 ex;
-  ex.inputs[0].elements = {{Value("New York"), Value("NY")}};
-  ex.inputs[1].elements = {
-      {Value("Boston"), Value("Main"), Value("Financial")}};
-  auto result = LazyTargetSearch::Build(ex.inputs, ex.cols);
+  ex.inputs[0].elements =
+      ex.book.Elements(ex.fds[1].attrs(), {{Value("New York"), Value("NY")}});
+  ex.inputs[1].elements = ex.book.Elements(
+      ex.fds[2].attrs(),
+      {{Value("Boston"), Value("Main"), Value("Financial")}});
+  auto result = LazyTargetSearch::Build(ex.inputs, ex.cols, ex.book.table());
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsNotFound());
 }
@@ -122,10 +139,12 @@ TEST(LazyTargetsTest, PairwisePrefilterDetectsEmptyJoin) {
 TEST(LazyTargetsTest, VisitBudgetTruncates) {
   Example13 ex;
   LazyTargetSearch lazy =
-      std::move(LazyTargetSearch::Build(ex.inputs, ex.cols)).ValueOrDie();
+      std::move(LazyTargetSearch::Build(ex.inputs, ex.cols, ex.book.table()))
+          .ValueOrDie();
   DistanceModel model(ex.table);
-  std::vector<Value> proj = {Value("Boston"), Value("Main"),
-                             Value("Manhattan"), Value("NY")};
+  std::vector<uint32_t> proj = ex.book.Codes(
+      ex.cols,
+      {Value("Boston"), Value("Main"), Value("Manhattan"), Value("NY")});
   TargetQuery q = lazy.FindBest(proj, model, 1, nullptr);
   EXPECT_TRUE(q.truncated || !q.target.empty());
 }
@@ -133,7 +152,7 @@ TEST(LazyTargetsTest, VisitBudgetTruncates) {
 TEST(LazyTargetsTest, UncoveredColumnIsError) {
   Example13 ex;
   std::vector<TargetTree::LevelInput> inputs = {ex.inputs[0]};
-  auto result = LazyTargetSearch::Build(inputs, {3, 4, 6});
+  auto result = LazyTargetSearch::Build(inputs, {3, 4, 6}, ex.book.table());
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsInvalidArgument());
 }

@@ -144,14 +144,16 @@ TEST(ExpansionMultiTest, CloseWorldTargets) {
   const MultiFDSolution& solution = exact.value();
   for (size_t i = 0; i < solution.targets.size(); ++i) {
     if (solution.targets[i].empty()) continue;
+    std::vector<Value> target = DecodeProjection(
+        c.table, solution.component_cols, solution.targets[i]);
     for (size_t p = 0; p < solution.component_cols.size(); ++p) {
       int col = solution.component_cols[p];
       bool exists = false;
       for (int r = 0; r < c.table.num_rows() && !exists; ++r) {
-        exists = c.table.cell(r, col) == solution.targets[i][p];
+        exists = c.table.cell(r, col) == target[p];
       }
       EXPECT_TRUE(exists) << "column " << col << " value "
-                          << solution.targets[i][p].ToString();
+                          << target[p].ToString();
     }
   }
 }

@@ -66,14 +66,16 @@ TEST_F(PaperExamples, Example7_GraphAndWeights) {
   // ("we normalize the Euclidean distance by dividing the largest
   //  distance" — the Level range of Table 1 is 8).
   ViolationGraph g = ViolationGraph::Build(
-      BuildPatterns(table, fds[0].attrs()), fds[0], model,
+      BuildPatterns(table, fds[0].attrs()), table, fds[0], model,
       FTOptions{0.5, 0.5, 0.35});
   int t1_pattern = -1;
   int t9_pattern = -1;
   for (int i = 0; i < g.num_patterns(); ++i) {
-    if (g.pattern(i).values[0] == Value("Bachelors")) {
-      if (g.pattern(i).values[1] == Value(3.0)) t1_pattern = i;
-      if (g.pattern(i).values[1] == Value(1.0)) t9_pattern = i;
+    std::vector<Value> values =
+        DecodeProjection(table, fds[0].attrs(), g.pattern(i).codes);
+    if (values[0] == Value("Bachelors")) {
+      if (values[1] == Value(3.0)) t1_pattern = i;
+      if (values[1] == Value(1.0)) t9_pattern = i;
     }
   }
   ASSERT_GE(t1_pattern, 0);

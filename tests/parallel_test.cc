@@ -267,12 +267,12 @@ TEST_P(ParallelBuildTest, ByteIdenticalToSerialOnGenerators) {
     FTOptions serial{ds.recommended_w_l, ds.recommended_w_r,
                      ds.recommended_tau.at(fd.name()), 1};
     ViolationGraph reference =
-        ViolationGraph::Build(patterns, fd, model, serial);
+        ViolationGraph::Build(patterns, dirty, fd, model, serial);
     for (int threads : {2, 3, 4, 0}) {
       FTOptions opts = serial;
       opts.threads = threads;
       ViolationGraph parallel =
-          ViolationGraph::Build(patterns, fd, model, opts);
+          ViolationGraph::Build(patterns, dirty, fd, model, opts);
       SCOPED_TRACE("fd=" + fd.name() +
                    " threads=" + std::to_string(threads));
       ExpectGraphsIdentical(reference, parallel);
@@ -289,11 +289,13 @@ TEST(ParallelGraphBuildTest, ByteIdenticalOnRandomTableManyPatterns) {
   std::vector<Pattern> patterns = BuildPatterns(t, fd.attrs());
   ASSERT_GT(patterns.size(), 128u);
   FTOptions serial{0.5, 0.5, 0.45, 1};
-  ViolationGraph reference = ViolationGraph::Build(patterns, fd, model, serial);
+  ViolationGraph reference =
+      ViolationGraph::Build(patterns, t, fd, model, serial);
   for (int threads : {2, 4, 7, 0}) {
     FTOptions opts = serial;
     opts.threads = threads;
-    ViolationGraph parallel = ViolationGraph::Build(patterns, fd, model, opts);
+    ViolationGraph parallel =
+        ViolationGraph::Build(patterns, t, fd, model, opts);
     SCOPED_TRACE("threads=" + std::to_string(threads));
     ExpectGraphsIdentical(reference, parallel);
   }
@@ -309,7 +311,7 @@ TEST(ParallelGraphBuildTest, TruncatedParallelBuildIsWellFormed) {
   DistanceModel model(t);
   std::vector<Pattern> patterns = BuildPatterns(t, fd.attrs());
   Budget budget(1e9);  // limited, so the fault seam applies
-  ViolationGraph g = ViolationGraph::Build(patterns, fd, model,
+  ViolationGraph g = ViolationGraph::Build(patterns, t, fd, model,
                                            FTOptions{0.5, 0.5, 0.45, 4},
                                            &budget);
   EXPECT_TRUE(g.truncated());
@@ -342,7 +344,7 @@ TEST(ParallelGraphBuildTest, PreExhaustedBudgetMarksTruncated) {
   Budget zero(0);
   for (int threads : {1, 4}) {
     ViolationGraph g = ViolationGraph::Build(
-        BuildPatterns(t, fd.attrs()), fd, model,
+        BuildPatterns(t, fd.attrs()), t, fd, model,
         FTOptions{0.5, 0.5, 0.45, threads}, &zero);
     EXPECT_TRUE(g.truncated()) << "threads=" << threads;
     EXPECT_EQ(g.num_edges(), 0u);

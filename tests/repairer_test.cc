@@ -189,5 +189,80 @@ TEST(RepairerTest, RepairCFDsFixesConstantAndVariableViolations) {
   EXPECT_GT(result.stats.cells_changed, 0);
 }
 
+TEST(RepairerTest, RepairCFDsRepairsTowardConstantNewToTheColumn) {
+  // The tableau constant "NY-STATE" appears nowhere in the input State
+  // column: pinning it mints a dictionary code after load. The later
+  // variable row then repairs the State column over patterns carrying
+  // that code — the typo row (New Yorkk, NY) is FT-close to (New York,
+  // NY-STATE) and moves onto it, so apply decodes the minted code.
+  Table dirty = CitizensDirty();
+  ASSERT_TRUE(dirty
+                  .AppendRow(testing_util::CitizensRow(
+                      "Ines", "Bachelors", 3, "New Yorkk", "Main",
+                      "Manhattan", "NY"))
+                  .ok());
+  Schema schema = dirty.schema();
+  const int city = schema.IndexOf("City");
+  const int state = schema.IndexOf("State");
+  for (int r = 0; r < dirty.num_rows(); ++r) {
+    ASSERT_NE(dirty.cell(r, state), Value("NY-STATE"));
+  }
+  FD fd = std::move(FD::Make({city}, {state}, "phi2")).ValueOrDie();
+  std::vector<PatternRow> tableau;
+  tableau.push_back({Value("New York"), Value("NY-STATE")});
+  tableau.push_back({std::nullopt, std::nullopt});
+  CFD cfd = std::move(CFD::Make(fd, std::move(tableau), "c1")).ValueOrDie();
+  RepairOptions options;
+  options.tau_by_fd = {{"phi2", 0.5}};
+  Repairer repairer(options);
+  RepairResult result =
+      std::move(repairer.RepairCFDs(dirty, {cfd})).ValueOrDie();
+  // Pinned output: the constant rule writes NY-STATE into the four
+  // New York rows; the variable row then moves the typo row onto
+  // (New York, NY-STATE) and the Boston/MA rows onto (Boton, MA).
+  struct Change {
+    int row;
+    int col;
+    const char* old_value;
+    const char* new_value;
+  };
+  const std::vector<Change> want = {
+      {0, state, "NY", "NY-STATE"},   {1, state, "NY", "NY-STATE"},
+      {2, state, "NY", "NY-STATE"},   {3, state, "MA", "NY-STATE"},
+      {5, city, "Boston", "Boton"},   {6, city, "Boston", "Boton"},
+      {8, city, "Boston", "Boton"},   {10, city, "New Yorkk", "New York"},
+      {10, state, "NY", "NY-STATE"},
+  };
+  ASSERT_EQ(result.changes.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    const CellChange& got = result.changes[i];
+    EXPECT_EQ(got.row, want[i].row) << "change " << i;
+    EXPECT_EQ(got.col, want[i].col) << "change " << i;
+    EXPECT_EQ(got.old_value, Value(want[i].old_value)) << "change " << i;
+    EXPECT_EQ(got.new_value, Value(want[i].new_value)) << "change " << i;
+  }
+  const std::vector<std::pair<const char*, const char*>> want_rows = {
+      {"New York", "NY-STATE"}, {"New York", "NY-STATE"},
+      {"New York", "NY-STATE"}, {"New York", "NY-STATE"},
+      {"Boston", "NY"},         {"Boton", "MA"},
+      {"Boton", "MA"},          {"Boton", "MA"},
+      {"Boton", "MA"},          {"Boston", "NY"},
+      {"New York", "NY-STATE"},
+  };
+  ASSERT_EQ(result.repaired.num_rows(), static_cast<int>(want_rows.size()));
+  for (int r = 0; r < result.repaired.num_rows(); ++r) {
+    EXPECT_EQ(result.repaired.cell(r, city),
+              Value(want_rows[static_cast<size_t>(r)].first))
+        << "row " << r;
+    EXPECT_EQ(result.repaired.cell(r, state),
+              Value(want_rows[static_cast<size_t>(r)].second))
+        << "row " << r;
+  }
+  EXPECT_EQ(result.stats.cells_changed, 9);
+  EXPECT_EQ(result.stats.tuples_changed, 8);
+  EXPECT_DOUBLE_EQ(result.stats.repair_cost, 4.4861111111111107);
+  EXPECT_TRUE(result.stats.degradations.empty());
+}
+
 }  // namespace
 }  // namespace ftrepair

@@ -95,7 +95,7 @@ ViolationGraph ClassicalGraph(const Table& t, const FD& fd) {
   for (int c = 0; c < t.num_columns(); ++c) {
     model.SetColumnMetric(c, ColumnMetric::kDiscrete);
   }
-  return ViolationGraph::Build(BuildPatterns(t, fd.attrs()), fd, model,
+  return ViolationGraph::Build(BuildPatterns(t, fd.attrs()), t, fd, model,
                                FTOptions{1.0, 0.0, 0.0});
 }
 
@@ -108,11 +108,13 @@ Table TwoColumnTable(const std::vector<std::pair<std::string, std::string>>&
   return t;
 }
 
-int PatternId(const ViolationGraph& g, const std::string& lhs,
+// Pattern id of a (c0 -> c1) graph over `t` rendering as (lhs, rhs).
+int PatternId(const ViolationGraph& g, const Table& t, const std::string& lhs,
               const std::string& rhs) {
   for (int i = 0; i < g.num_patterns(); ++i) {
-    if (g.pattern(i).values[0].ToString() == lhs &&
-        g.pattern(i).values[1].ToString() == rhs) {
+    const std::vector<uint32_t>& codes = g.pattern(i).codes;
+    if (t.dictionary(0).value(codes[0]).ToString() == lhs &&
+        t.dictionary(1).value(codes[1]).ToString() == rhs) {
       return i;
     }
   }
@@ -138,10 +140,10 @@ TEST(CardinalityMajorityTest, RepairsMinorityTowardMajority) {
   EXPECT_EQ(solution.rung, SolverRung::kCardinality);
   EXPECT_FALSE(solution.truncated);
 
-  const int x = PatternId(g, "a", "x");
-  const int y = PatternId(g, "a", "y");
-  const int z = PatternId(g, "a", "z");
-  const int w = PatternId(g, "b", "w");
+  const int x = PatternId(g, t, "a", "x");
+  const int y = PatternId(g, t, "a", "y");
+  const int z = PatternId(g, t, "a", "z");
+  const int w = PatternId(g, t, "b", "w");
   EXPECT_EQ(solution.repair_target[static_cast<size_t>(x)], -1);
   EXPECT_EQ(solution.repair_target[static_cast<size_t>(y)], x);
   EXPECT_EQ(solution.repair_target[static_cast<size_t>(z)], x);
@@ -159,8 +161,8 @@ TEST(CardinalityMajorityTest, TieBreaksTowardLowestPatternId) {
 
   uint64_t conflicts = 0;
   SingleFDSolution solution = SolveCardinalityMajority(g, nullptr, &conflicts);
-  const int x = PatternId(g, "a", "x");
-  const int y = PatternId(g, "a", "y");
+  const int x = PatternId(g, t, "a", "x");
+  const int y = PatternId(g, t, "a", "y");
   const int lo = std::min(x, y);
   const int hi = std::max(x, y);
   EXPECT_EQ(solution.repair_target[static_cast<size_t>(lo)], -1);
@@ -176,8 +178,8 @@ TEST(CardinalityMajorityTest, ForcedPatternBeatsMajority) {
   FD fd = std::move(FD::Make({0}, {1}, "phi")).ValueOrDie();
   ViolationGraph g = ClassicalGraph(t, fd);
 
-  const int x = PatternId(g, "a", "x");
-  const int y = PatternId(g, "a", "y");
+  const int x = PatternId(g, t, "a", "x");
+  const int y = PatternId(g, t, "a", "y");
   std::vector<bool> forced(static_cast<size_t>(g.num_patterns()), false);
   forced[static_cast<size_t>(y)] = true;
 
@@ -194,9 +196,9 @@ TEST(CardinalityMajorityTest, ConflictingForcedPatternsAreCountedNotRepaired) {
   FD fd = std::move(FD::Make({0}, {1}, "phi")).ValueOrDie();
   ViolationGraph g = ClassicalGraph(t, fd);
 
-  const int x = PatternId(g, "a", "x");
-  const int y = PatternId(g, "a", "y");
-  const int z = PatternId(g, "a", "z");
+  const int x = PatternId(g, t, "a", "x");
+  const int y = PatternId(g, t, "a", "y");
+  const int z = PatternId(g, t, "a", "z");
   std::vector<bool> forced(static_cast<size_t>(g.num_patterns()), false);
   forced[static_cast<size_t>(x)] = true;
   forced[static_cast<size_t>(y)] = true;
@@ -231,8 +233,8 @@ TEST(SoftFdTest, SingleFilterRevertsExactlyWhenCostExceedsPenalty) {
   Table t = TwoColumnTable({{"a", "x"}, {"a", "x"}, {"a", "x"}, {"a", "y"}});
   FD fd = std::move(FD::Make({0}, {1}, "phi")).ValueOrDie();
   ViolationGraph g = ClassicalGraph(t, fd);
-  const int x = PatternId(g, "a", "x");
-  const int y = PatternId(g, "a", "y");
+  const int x = PatternId(g, t, "a", "x");
+  const int y = PatternId(g, t, "a", "y");
 
   uint64_t conflicts = 0;
   SingleFDSolution repaired = SolveCardinalityMajority(g, nullptr, &conflicts);

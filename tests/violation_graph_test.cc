@@ -16,16 +16,18 @@ using testing_util::RandomFDTable;
 ViolationGraph Phi1Graph(const Table& t, const DistanceModel& model,
                          double tau = 0.35) {
   std::vector<FD> fds = CitizensFDs(t.schema());
-  return ViolationGraph::Build(BuildPatterns(t, fds[0].attrs()), fds[0],
+  return ViolationGraph::Build(BuildPatterns(t, fds[0].attrs()), t, fds[0],
                                model, FTOptions{0.5, 0.5, tau});
 }
 
-// Pattern id whose values match (education, level); -1 if absent.
-int FindPattern(const ViolationGraph& g, const char* education,
-                double level) {
+// Pattern id of a phi1 graph over `t` whose values match (education,
+// level); -1 if absent.
+int FindPattern(const ViolationGraph& g, const Table& t,
+                const char* education, double level) {
+  const std::vector<int> cols = CitizensFDs(t.schema())[0].attrs();
   for (int i = 0; i < g.num_patterns(); ++i) {
-    if (g.pattern(i).values[0] == Value(education) &&
-        g.pattern(i).values[1] == Value(level)) {
+    if (DecodeProjection(t, cols, g.pattern(i).codes) ==
+        std::vector<Value>{Value(education), Value(level)}) {
       return i;
     }
   }
@@ -45,13 +47,13 @@ TEST(ViolationGraphTest, PaperFig2Structure) {
   DistanceModel model(t);
   ViolationGraph g = Phi1Graph(t, model);
   ASSERT_EQ(g.num_patterns(), 7);
-  int bachelors3 = FindPattern(g, "Bachelors", 3);
-  int bachelors1 = FindPattern(g, "Bachelors", 1);
-  int bachelers3 = FindPattern(g, "Bachelers", 3);
-  int masters4 = FindPattern(g, "Masters", 4);
-  int masters3 = FindPattern(g, "Masters", 3);
-  int masers4 = FindPattern(g, "Masers", 4);
-  int hsgrad9 = FindPattern(g, "HS-grad", 9);
+  int bachelors3 = FindPattern(g, t, "Bachelors", 3);
+  int bachelors1 = FindPattern(g, t, "Bachelors", 1);
+  int bachelers3 = FindPattern(g, t, "Bachelers", 3);
+  int masters4 = FindPattern(g, t, "Masters", 4);
+  int masters3 = FindPattern(g, t, "Masters", 3);
+  int masers4 = FindPattern(g, t, "Masers", 4);
+  int hsgrad9 = FindPattern(g, t, "HS-grad", 9);
   ASSERT_GE(bachelors3, 0);
   ASSERT_GE(masers4, 0);
   // Edges shown in Fig. 2.
@@ -69,8 +71,8 @@ TEST(ViolationGraphTest, EdgeWeightsMatchExample7) {
   Table t = CitizensDirty();
   DistanceModel model(t);
   ViolationGraph g = Phi1Graph(t, model);
-  int bachelors3 = FindPattern(g, "Bachelors", 3);
-  int bachelors1 = FindPattern(g, "Bachelors", 1);
+  int bachelors3 = FindPattern(g, t, "Bachelors", 3);
+  int bachelors1 = FindPattern(g, t, "Bachelors", 1);
   double unit = -1;
   for (const ViolationGraph::Edge& e : g.Neighbors(bachelors3)) {
     if (e.to == bachelors1) unit = e.unit_cost;
@@ -89,8 +91,8 @@ TEST(ViolationGraphTest, IdenticalProjectionsNeverEdge) {
     std::vector<Pattern> one = BuildPatternsForRows(t, fds[0].attrs(), {r});
     per_row.push_back(std::move(one[0]));
   }
-  ViolationGraph g = ViolationGraph::Build(std::move(per_row), fds[0], model,
-                                           FTOptions{0.5, 0.5, 0.35});
+  ViolationGraph g = ViolationGraph::Build(std::move(per_row), t, fds[0],
+                                           model, FTOptions{0.5, 0.5, 0.35});
   // Rows 0 and 1 share (Bachelors, 3): no edge between them.
   EXPECT_FALSE(HasEdge(g, 0, 1));
 }
@@ -102,16 +104,19 @@ TEST(ViolationGraphTest, LengthFilterIsLossless) {
   FD fd = std::move(FD::Make({0}, {1})).ValueOrDie();
   DistanceModel model(t);
   FTOptions opts{0.5, 0.5, 0.4};
-  ViolationGraph g =
-      ViolationGraph::Build(BuildPatterns(t, fd.attrs()), fd, model, opts);
-  // Recount edges without any filtering.
-  std::vector<Pattern> patterns = BuildPatterns(t, fd.attrs());
+  ViolationGraph g = ViolationGraph::Build(BuildPatterns(t, fd.attrs()), t,
+                                           fd, model, opts);
+  // Recount edges without any filtering, over decoded value vectors.
+  std::vector<std::vector<Value>> projections;
+  for (const Pattern& p : BuildPatterns(t, fd.attrs())) {
+    projections.push_back(DecodeProjection(t, fd.attrs(), p.codes));
+  }
   size_t expected = 0;
-  for (size_t i = 0; i < patterns.size(); ++i) {
-    for (size_t j = i + 1; j < patterns.size(); ++j) {
-      if (patterns[i].values == patterns[j].values) continue;
-      double d = ViolationGraph::ProjDistance(
-          patterns[i].values, patterns[j].values, fd, model, 0.5, 0.5);
+  for (size_t i = 0; i < projections.size(); ++i) {
+    for (size_t j = i + 1; j < projections.size(); ++j) {
+      if (projections[i] == projections[j]) continue;
+      double d = ViolationGraph::ProjDistance(projections[i], projections[j],
+                                              fd, model, 0.5, 0.5);
       if (d <= opts.tau) ++expected;
     }
   }
@@ -123,7 +128,7 @@ TEST(ViolationGraphTest, GroupedWeightsUseMultiplicity) {
   Table t = CitizensDirty();
   DistanceModel model(t);
   ViolationGraph g = Phi1Graph(t, model);
-  int bachelors3 = FindPattern(g, "Bachelors", 3);
+  int bachelors3 = FindPattern(g, t, "Bachelors", 3);
   EXPECT_EQ(g.pattern(bachelors3).count(), 3);  // t1, t2, t3
   // TotalMinEdgeCost weights by count.
   EXPECT_GT(g.TotalMinEdgeCost(), 0.0);
@@ -173,7 +178,7 @@ TEST(ViolationGraphTest, SubgraphPropagatesTruncationAndStats) {
   DistanceModel model(t);
   Budget budget(1e9);  // limited, so the fault seam applies
   ViolationGraph g =
-      ViolationGraph::Build(BuildPatterns(t, fd.attrs()), fd, model,
+      ViolationGraph::Build(BuildPatterns(t, fd.attrs()), t, fd, model,
                             FTOptions{0.5, 0.5, 0.45}, &budget);
   unsetenv("FTREPAIR_FAULT_BUDGET_UNITS");
   ASSERT_TRUE(g.truncated());
@@ -199,7 +204,7 @@ TEST(ViolationGraphTest, EmptyInput) {
   Table t = CitizensDirty();
   DistanceModel model(t);
   std::vector<FD> fds = CitizensFDs(t.schema());
-  ViolationGraph g = ViolationGraph::Build({}, fds[0], model,
+  ViolationGraph g = ViolationGraph::Build({}, t, fds[0], model,
                                            FTOptions{0.5, 0.5, 0.3});
   EXPECT_EQ(g.num_patterns(), 0);
   EXPECT_EQ(g.num_edges(), 0u);
