@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <deque>
 #include <unordered_map>
+#include <vector>
 
 #include "data/value.h"
 
@@ -27,7 +28,21 @@ class ColumnDictionary {
  public:
   static constexpr uint32_t kNullCode = 0;
 
-  ColumnDictionary() { values_.emplace_back(); }  // slot 0 = null
+  ColumnDictionary() { Append(Value()); }  // slot 0 = null
+  ColumnDictionary(const ColumnDictionary& other)
+      : values_(other.values_), index_(other.index_) {
+    Reslot();
+  }
+  ColumnDictionary& operator=(const ColumnDictionary& other) {
+    values_ = other.values_;
+    index_ = other.index_;
+    Reslot();
+    return *this;
+  }
+  // Moving a deque keeps its elements where they are, so the slots
+  // stay valid.
+  ColumnDictionary(ColumnDictionary&&) = default;
+  ColumnDictionary& operator=(ColumnDictionary&&) = default;
 
   /// Returns the code of `v`, interning it first if unseen. Null maps
   /// to kNullCode without touching the index.
@@ -35,15 +50,15 @@ class ColumnDictionary {
     if (v.is_null()) return kNullCode;
     auto it = index_.find(v);
     if (it != index_.end()) return it->second;
-    uint32_t code = static_cast<uint32_t>(values_.size());
-    values_.push_back(std::move(v));
+    uint32_t code = size();
+    Append(std::move(v));
     index_.emplace(values_.back(), code);
     return code;
   }
 
   /// The value a code decodes to; reference stable across interns.
   const Value& value(uint32_t code) const {
-    return values_[static_cast<size_t>(code)];
+    return *slots_[static_cast<size_t>(code)];
   }
 
   /// True (writing `*code`) iff `v` is already interned. Null reports
@@ -60,7 +75,7 @@ class ColumnDictionary {
   }
 
   /// Number of codes, null slot included (codes are [0, size)).
-  uint32_t size() const { return static_cast<uint32_t>(values_.size()); }
+  uint32_t size() const { return static_cast<uint32_t>(slots_.size()); }
 
   /// Approximate resident bytes of the dictionary entries (used by the
   /// ingest path's MemoryBudget charging).
@@ -69,7 +84,21 @@ class ColumnDictionary {
   }
 
  private:
+  void Append(Value v) {
+    values_.push_back(std::move(v));
+    slots_.push_back(&values_.back());
+  }
+  void Reslot() {
+    slots_.clear();
+    slots_.reserve(values_.size());
+    for (const Value& v : values_) slots_.push_back(&v);
+  }
+
   std::deque<Value> values_;
+  /// slots_[code] == &values_[code]. The graph build and the target
+  /// searches decode per distance; a slot load is cheaper than a deque
+  /// index, which locates the block first.
+  std::vector<const Value*> slots_;
   std::unordered_map<Value, uint32_t, ValueHash> index_;
 };
 
