@@ -17,7 +17,6 @@
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
-#include "detect/block_index.h"
 #include "detect/pattern.h"
 #include "detect/violation_graph.h"
 #include "gen/error_injector.h"
@@ -118,31 +117,6 @@ void BM_BoundedEditDistanceKernel(benchmark::State& state) {
 }
 BENCHMARK(BM_BoundedEditDistanceKernel)
     ->ArgsProduct({{8, 16, 64, 128}, {1, 3, 8}, {0, 1}});
-
-// ---- SIMD bigram screen vs scalar reference -------------------------
-
-void BM_ScreenSharedCounts(benchmark::State& state) {
-  ftrepair::Rng rng(3);
-  int n = static_cast<int>(state.range(0));
-  bool simd = state.range(1) != 0;
-  const uint32_t threshold = 4;
-  std::vector<uint32_t> counts(static_cast<size_t>(n));
-  for (uint32_t& c : counts) {
-    c = static_cast<uint32_t>(rng.Uniform(2 * threshold + 2));
-  }
-  std::vector<int> out;
-  out.reserve(counts.size());
-  for (auto _ : state) {
-    out.clear();
-    if (simd) {
-      ScreenSharedCounts(counts.data(), n, threshold, &out);
-    } else {
-      ScreenSharedCountsScalar(counts.data(), n, threshold, &out);
-    }
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_ScreenSharedCounts)->ArgsProduct({{64, 1024, 16384}, {0, 1}});
 
 // ---- Detect phase (50k-row HOSP) ------------------------------------
 

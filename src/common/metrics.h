@@ -23,7 +23,7 @@ namespace ftrepair {
 ///
 /// Naming convention (see docs/OBSERVABILITY.md for the full catalog):
 /// dot-separated `ftrepair.<subsystem>.<what>[_<unit>]`, e.g.
-/// `ftrepair.detect.pairs_evaluated`, `ftrepair.repair.total_ms`.
+/// `ftrepair.detect.candidates_verified`, `ftrepair.repair.total_ms`.
 /// Labeled counters mangle the label into the name Prometheus-style:
 /// `ftrepair.degradations{stage=exact->greedy}`.
 

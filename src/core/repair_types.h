@@ -219,8 +219,12 @@ struct DegradationEvent {
 /// feed the tracer (src/common/trace.h), so the numbers here and in a
 /// --trace-json export agree. All values are milliseconds. `solve_ms`
 /// excludes the target-assignment time nested inside the multi-FD
-/// solvers — the six phases are disjoint, and total_ms additionally
-/// covers the small glue between them.
+/// solvers. `detect_ms`, `apply_ms` and `stats_ms` are wall-clock
+/// spans of the pipeline. `graph_ms`, `solve_ms` and `targets_ms` are
+/// sums over FD-graph components, and components run concurrently at
+/// threads > 1, so at threads > 1 the six fields can add up to more
+/// than total_ms. At threads 1 they are disjoint and total_ms
+/// additionally covers the small glue between them.
 struct PhaseTimings {
   /// FT-violation counting before the repair (compute_violation_stats).
   double detect_ms = 0;

@@ -781,9 +781,9 @@ Result<RepairResult> RunRepairPipeline(const Table& table,
     FTR_TRACE_SPAN("repair.stats");
     PhaseTimer phase(&result.stats.phases.stats_ms);
     if (opts.compute_violation_stats) {
-      // The "after" count runs unbudgeted only when the run never
-      // degraded; a degraded run is already past its deadline, so give
-      // the recount the same (exhausted) budget and let it skip.
+      // The "after" count runs under the same opts.budget as the rest
+      // of the call, degraded or not: once that budget is spent the
+      // recount truncates and ft_violations_after is a lower bound.
       result.stats.ft_violations_after = CountViolationStats(
           result.repaired, named, model, opts, repair_clock, "recounting",
           "ft_violations_after", &result.stats);

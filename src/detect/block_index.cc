@@ -1,17 +1,10 @@
 #include "detect/block_index.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <string>
-
-#if defined(__x86_64__) || defined(_M_X64)
-#include <immintrin.h>
-#endif
-#if defined(__aarch64__)
-#include <arm_neon.h>
-#endif
-
 
 namespace ftrepair {
 
@@ -378,6 +371,18 @@ void BlockIndex::AppendCandidates(int i, Scratch* scratch,
         if (j > i) cand.push_back(j);
       }
     } else {
+      // Kept ids are marked in a bitmap over pattern ids, and walking it
+      // emits them in ascending order: buckets and the screen below
+      // produce ids in no particular order, and a sort of the merged
+      // list cost more than the walk.
+      std::vector<uint64_t>& kept = scratch->kept;
+      kept.resize((static_cast<size_t>(n_) + 63) / 64);  // all-zero here
+      int last = i;  // largest kept id
+      auto keep = [&kept, &last, i](int id) {
+        if (id <= i) return;
+        kept[static_cast<size_t>(id) >> 6] |= uint64_t{1} << (id & 63);
+        last = std::max(last, id);
+      };
       const std::vector<GramRun>& runs = primary_.grams[static_cast<size_t>(i)];
       for (const LenBucket& bucket : len_buckets_) {
         int lmax = len_i > bucket.len ? len_i : bucket.len;
@@ -387,18 +392,14 @@ void BlockIndex::AppendCandidates(int i, Scratch* scratch,
         if (t <= 0) {
           // The count filter cannot bite at these lengths; keep the
           // whole bucket (the length filter above already passed).
-          for (int j : bucket.ids) {
-            if (j > i) cand.push_back(j);
-          }
+          for (int j : bucket.ids) keep(j);
           continue;
         }
-        // Accumulate shared-gram counts by rank within the bucket, so
-        // the accumulator is dense over [0, bn) and the threshold
-        // screen below can test one member per SIMD lane.
-        const int bn = static_cast<int>(bucket.ids.size());
-        if (scratch->shared.size() < static_cast<size_t>(bn)) {
-          scratch->shared.assign(static_cast<size_t>(bn), 0);
-        }
+        // Accumulate shared-gram counts by rank within the bucket, then
+        // keep the touched ranks with shared >= t, resetting each
+        // counter as it is read.
+        const size_t bn = bucket.ids.size();
+        if (scratch->shared.size() < bn) scratch->shared.assign(bn, 0);
         for (const GramRun& run : runs) {
           auto it = bucket.postings.find(run.gram);
           if (it == bucket.postings.end()) continue;
@@ -408,33 +409,22 @@ void BlockIndex::AppendCandidates(int i, Scratch* scratch,
             acc += run.count < posting.second ? run.count : posting.second;
           }
         }
-        // Screen: dense (vectorized over the whole bucket, then a
-        // dense reset — amortized by the touched density) when enough
-        // ranks were hit, sparse touched-walk otherwise. Both paths
-        // keep exactly the ranks with shared >= t; the global sort
-        // below makes the emission order identical either way.
-        if (scratch->touched.size() * 4 >= static_cast<size_t>(bn)) {
-          scratch->ranks.clear();
-          ScreenSharedCounts(scratch->shared.data(), bn,
-                             static_cast<uint32_t>(t), &scratch->ranks);
-          for (int r : scratch->ranks) {
-            int id = bucket.ids[static_cast<size_t>(r)];
-            if (id > i) cand.push_back(id);
+        for (int r : scratch->touched) {
+          if (scratch->shared[static_cast<size_t>(r)] >=
+              static_cast<uint32_t>(t)) {
+            keep(bucket.ids[static_cast<size_t>(r)]);
           }
-          std::fill_n(scratch->shared.begin(), bn, uint32_t{0});
-        } else {
-          for (int r : scratch->touched) {
-            if (scratch->shared[static_cast<size_t>(r)] >=
-                static_cast<uint32_t>(t)) {
-              int id = bucket.ids[static_cast<size_t>(r)];
-              if (id > i) cand.push_back(id);
-            }
-            scratch->shared[static_cast<size_t>(r)] = 0;
-          }
+          scratch->shared[static_cast<size_t>(r)] = 0;
         }
         scratch->touched.clear();
       }
-      std::sort(cand.begin(), cand.end());
+      for (size_t w = static_cast<size_t>(i + 1) >> 6;
+           w <= static_cast<size_t>(last) >> 6; ++w) {
+        for (uint64_t bits = kept[w]; bits != 0; bits &= bits - 1) {
+          cand.push_back(static_cast<int>(w * 64) + std::countr_zero(bits));
+        }
+        kept[w] = 0;
+      }
     }
   }
   if (secondary_.empty()) {
@@ -527,127 +517,5 @@ int SharedGramCount(const std::vector<BlockIndex::GramRun>& a,
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------
-// Threshold screen over a dense count array. All paths evaluate the
-// same predicate (unsigned 32-bit counts[r] >= threshold) and emit
-// ranks in ascending order, so the dispatch is invisible to callers.
-
-void ScreenSharedCountsScalar(const uint32_t* counts, int n,
-                              uint32_t threshold, std::vector<int>* out) {
-  for (int r = 0; r < n; ++r) {
-    if (counts[r] >= threshold) out->push_back(r);
-  }
-}
-
-namespace {
-
-using ScreenFn = void (*)(const uint32_t*, int, uint32_t, std::vector<int>*);
-
-#if defined(__x86_64__) || defined(_M_X64)
-
-// Unsigned v >= t has no direct SSE/AVX compare; max_epu32(v, t) == v
-// is the standard equivalent and is exact for all 32-bit values.
-__attribute__((target("avx2"))) void ScreenAvx2(const uint32_t* counts, int n,
-                                                uint32_t threshold,
-                                                std::vector<int>* out) {
-  const __m256i t = _mm256_set1_epi32(static_cast<int>(threshold));
-  int r = 0;
-  for (; r + 8 <= n; r += 8) {
-    __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(counts + r));
-    __m256i ge = _mm256_cmpeq_epi32(_mm256_max_epu32(v, t), v);
-    unsigned mask = static_cast<unsigned>(
-        _mm256_movemask_ps(_mm256_castsi256_ps(ge)));
-    while (mask) {
-      out->push_back(r + __builtin_ctz(mask));
-      mask &= mask - 1;
-    }
-  }
-  for (; r < n; ++r) {
-    if (counts[r] >= threshold) out->push_back(r);
-  }
-}
-
-__attribute__((target("sse4.2"))) void ScreenSse42(const uint32_t* counts,
-                                                   int n, uint32_t threshold,
-                                                   std::vector<int>* out) {
-  const __m128i t = _mm_set1_epi32(static_cast<int>(threshold));
-  int r = 0;
-  for (; r + 4 <= n; r += 4) {
-    __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(counts + r));
-    __m128i ge = _mm_cmpeq_epi32(_mm_max_epu32(v, t), v);
-    unsigned mask =
-        static_cast<unsigned>(_mm_movemask_ps(_mm_castsi128_ps(ge)));
-    while (mask) {
-      out->push_back(r + __builtin_ctz(mask));
-      mask &= mask - 1;
-    }
-  }
-  for (; r < n; ++r) {
-    if (counts[r] >= threshold) out->push_back(r);
-  }
-}
-
-#endif  // x86-64
-
-#if defined(__aarch64__)
-
-void ScreenNeon(const uint32_t* counts, int n, uint32_t threshold,
-                std::vector<int>* out) {
-  const uint32x4_t t = vdupq_n_u32(threshold);
-  int r = 0;
-  for (; r + 4 <= n; r += 4) {
-    uint32x4_t v = vld1q_u32(counts + r);
-    uint32x4_t ge = vcgeq_u32(v, t);
-    // Narrow each 32-bit lane to 16 bits and pull four nibbles out of
-    // the 64-bit result — the usual NEON movemask substitute.
-    uint64_t bits =
-        vget_lane_u64(vreinterpret_u64_u16(vshrn_n_u32(ge, 16)), 0);
-    while (bits) {
-      int lane = __builtin_ctzll(bits) >> 4;
-      out->push_back(r + lane);
-      bits &= ~(uint64_t{0xffff} << (lane * 16));
-    }
-  }
-  for (; r < n; ++r) {
-    if (counts[r] >= threshold) out->push_back(r);
-  }
-}
-
-#endif  // aarch64
-
-struct ScreenDispatch {
-  ScreenFn fn = &ScreenSharedCountsScalar;
-  const char* name = "scalar";
-  ScreenDispatch() {
-#if defined(__x86_64__) || defined(_M_X64)
-    if (__builtin_cpu_supports("avx2")) {
-      fn = &ScreenAvx2;
-      name = "avx2";
-    } else if (__builtin_cpu_supports("sse4.2")) {
-      fn = &ScreenSse42;
-      name = "sse4.2";
-    }
-#elif defined(__aarch64__)
-    fn = &ScreenNeon;
-    name = "neon";
-#endif
-  }
-};
-
-const ScreenDispatch& Screen() {
-  static const ScreenDispatch dispatch;
-  return dispatch;
-}
-
-}  // namespace
-
-void ScreenSharedCounts(const uint32_t* counts, int n, uint32_t threshold,
-                        std::vector<int>* out) {
-  Screen().fn(counts, n, threshold, out);
-}
-
-const char* SimdScreenPathName() { return Screen().name; }
 
 }  // namespace ftrepair

@@ -63,11 +63,12 @@ class BlockIndex {
   /// Per-caller query state, reused across AppendCandidates calls to
   /// avoid re-allocating the shared-gram accumulator (grown to the
   /// largest length bucket seen). `shared` is indexed by rank within
-  /// the current bucket and is all-zero between buckets.
+  /// the current bucket and is all-zero between buckets; `kept` is a
+  /// bitmap over pattern ids, all-zero between calls.
   struct Scratch {
     std::vector<uint32_t> shared;
     std::vector<int> touched;
-    std::vector<int> ranks;
+    std::vector<uint64_t> kept;
     std::vector<int> cand;
   };
 
@@ -127,8 +128,7 @@ class BlockIndex {
   // One anchor-length bucket of the gram join: member ids (ascending)
   // plus an inverted gram index with per-member multiplicities. A
   // posting is (rank within `ids`, gram count) — rank-based so the
-  // count accumulator is dense over the bucket and the threshold
-  // screen can run one SIMD lane per member.
+  // count accumulator is dense over the bucket.
   struct LenBucket {
     int len = 0;
     std::vector<int> ids;
@@ -176,23 +176,6 @@ class BlockIndex {
   // Per-pair secondary filters (gram join and tau > 0 exact join).
   std::vector<AttrFilter> secondary_;
 };
-
-/// Appends to `out`, in ascending order, every index r in [0, n) with
-/// counts[r] >= threshold. Dispatches at runtime to the widest vector
-/// path the CPU supports (AVX2 / SSE4.2 on x86-64, NEON on AArch64,
-/// scalar otherwise). Bit-identical to ScreenSharedCountsScalar on
-/// every input: the predicate is the same unsigned 32-bit compare,
-/// lane width only changes how many elements one instruction tests.
-void ScreenSharedCounts(const uint32_t* counts, int n, uint32_t threshold,
-                        std::vector<int>* out);
-
-/// Scalar reference implementation (differential tests and fallback).
-void ScreenSharedCountsScalar(const uint32_t* counts, int n,
-                              uint32_t threshold, std::vector<int>* out);
-
-/// The path ScreenSharedCounts dispatches to on this machine:
-/// "avx2", "sse4.2", "neon", or "scalar".
-const char* SimdScreenPathName();
 
 }  // namespace ftrepair
 

@@ -150,8 +150,8 @@ struct ShardEdge {
 struct ShardResult {
   std::vector<ShardEdge> edges;
   size_t pairs_length_filtered = 0;
-  size_t pairs_evaluated = 0;
   uint64_t candidates_generated = 0;
+  uint64_t candidates_verified = 0;
   uint64_t candidates_filtered = 0;
   bool truncated = false;
 };
@@ -269,7 +269,7 @@ ViolationGraph ViolationGraph::Build(std::vector<Pattern> patterns,
       ++r.candidates_filtered;
       return true;
     }
-    ++r.pairs_evaluated;
+    ++r.candidates_verified;
     double proj = ProjDistanceCutoffMemo(pi, pj, decoder, fd, model,
                                          opts.w_l, opts.w_r, opts.tau, &memo);
     if (proj > opts.tau) return true;
@@ -339,8 +339,8 @@ ViolationGraph ViolationGraph::Build(std::vector<Pattern> patterns,
   bool merge_exhausted = false;
   for (const ShardResult& r : shards) {
     g.pairs_length_filtered_ += r.pairs_length_filtered;
-    g.pairs_evaluated_ += r.pairs_evaluated;
     g.candidates_generated_ += r.candidates_generated;
+    g.candidates_verified_ += r.candidates_verified;
     g.candidates_filtered_ += r.candidates_filtered;
     if (r.truncated) g.truncated_ = true;
     shard_scratch_bytes += r.edges.size() * sizeof(ShardEdge);
@@ -378,8 +378,6 @@ ViolationGraph ViolationGraph::Build(std::vector<Pattern> patterns,
   // Similarity-join accounting, once per build (not per pair): the
   // pair-filter effectiveness is the first thing to look at when
   // detection dominates a trace.
-  static Counter* pairs_evaluated =
-      Metrics().GetCounter("ftrepair.detect.pairs_evaluated");
   static Counter* pairs_filtered =
       Metrics().GetCounter("ftrepair.detect.pairs_length_filtered");
   static Counter* edges = Metrics().GetCounter("ftrepair.detect.edges");
@@ -396,10 +394,9 @@ ViolationGraph ViolationGraph::Build(std::vector<Pattern> patterns,
   static Gauge* detect_threads =
       Metrics().GetGauge("ftrepair.detect.threads");
   detect_threads->Set(threads);
-  pairs_evaluated->Increment(g.pairs_evaluated_);
   pairs_filtered->Increment(g.pairs_length_filtered_);
   cand_generated->Increment(g.candidates_generated_);
-  cand_verified->Increment(g.candidates_verified());
+  cand_verified->Increment(g.candidates_verified_);
   cand_filtered->Increment(g.candidates_filtered_);
   edges->Increment(g.num_edges_);
   if (g.truncated_) truncated_builds->Increment();
@@ -462,9 +459,9 @@ ViolationGraph ViolationGraph::InducedSubgraph(
   // budget-truncated graph may itself be missing edges, and its solver
   // must not believe detection was complete.
   g.truncated_ = truncated_;
-  g.pairs_evaluated_ = pairs_evaluated_;
   g.pairs_length_filtered_ = pairs_length_filtered_;
   g.candidates_generated_ = candidates_generated_;
+  g.candidates_verified_ = candidates_verified_;
   g.candidates_filtered_ = candidates_filtered_;
   g.index_mode_ = index_mode_;
   return g;

@@ -129,7 +129,6 @@ class ViolationGraph {
   /// Number of candidate pairs skipped by the cheap length filter
   /// before any edit-distance evaluation (similarity-join stat).
   size_t pairs_length_filtered() const { return pairs_length_filtered_; }
-  size_t pairs_evaluated() const { return pairs_evaluated_; }
 
   /// Candidate accounting, identical in meaning across both join
   /// strategies: `generated` pairs were emitted by the candidate
@@ -143,9 +142,7 @@ class ViolationGraph {
   /// reduction is the index's whole point — while the edge list stays
   /// bit-identical.
   uint64_t candidates_generated() const { return candidates_generated_; }
-  uint64_t candidates_verified() const {
-    return static_cast<uint64_t>(pairs_evaluated_);
-  }
+  uint64_t candidates_verified() const { return candidates_verified_; }
   uint64_t candidates_filtered() const { return candidates_filtered_; }
 
   /// The join strategy this graph was actually built with (kAuto
@@ -190,8 +187,8 @@ class ViolationGraph {
   double total_min_edge_cost_ = 0;
   size_t num_edges_ = 0;
   size_t pairs_length_filtered_ = 0;
-  size_t pairs_evaluated_ = 0;
   uint64_t candidates_generated_ = 0;
+  uint64_t candidates_verified_ = 0;
   uint64_t candidates_filtered_ = 0;
   DetectIndexMode index_mode_ = DetectIndexMode::kAllPairs;
   bool truncated_ = false;

@@ -132,30 +132,4 @@ double DistanceModel::CellDistanceCappedInterned(
   return d;
 }
 
-double DistanceModel::ProjectionDistance(const FD& fd, const Row& t1,
-                                         const Row& t2, double w_l,
-                                         double w_r) const {
-  double lhs = 0;
-  for (int c : fd.lhs()) {
-    lhs += CellDistance(c, t1[static_cast<size_t>(c)],
-                        t2[static_cast<size_t>(c)]);
-  }
-  double rhs = 0;
-  for (int c : fd.rhs()) {
-    rhs += CellDistance(c, t1[static_cast<size_t>(c)],
-                        t2[static_cast<size_t>(c)]);
-  }
-  return w_l * lhs + w_r * rhs;
-}
-
-double DistanceModel::RepairCost(const std::vector<int>& cols, const Row& t1,
-                                 const Row& t2) const {
-  double cost = 0;
-  for (int c : cols) {
-    cost += CellDistance(c, t1[static_cast<size_t>(c)],
-                         t2[static_cast<size_t>(c)]);
-  }
-  return cost;
-}
-
 }  // namespace ftrepair

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/hash.h"
-#include "constraint/fd.h"
 #include "data/table.h"
 
 namespace ftrepair {
@@ -123,10 +122,9 @@ enum class ColumnMetric {
 ///
 /// A DistanceModel snapshots the numeric range of every column of the
 /// *original dirty* table (used to normalize Euclidean distances) and
-/// evaluates:
-///   * `CellDistance`       — dist(t1[A], t2[A]) in [0, 1]   (Eq. 1)
-///   * `ProjectionDistance` — weighted FD-projection distance  (Eq. 2)
-///   * `RepairCost`         — unweighted sum over attributes   (Eq. 3)
+/// evaluates `CellDistance`, dist(t1[A], t2[A]) in [0, 1] (Eq. 1). The
+/// Eq. 2 / Eq. 3 sums over an FD's attributes are
+/// `ViolationGraph::ProjDistance` / `UnitCost`.
 ///
 /// The model is immutable after construction and shared by detection,
 /// repair and evaluation so every component prices a change identically.
@@ -172,16 +170,6 @@ class DistanceModel {
                                     uint32_t ca, uint32_t cb, double cap,
                                     bool* clipped, size_t slot,
                                     PairDistanceMemo* memo) const;
-
-  /// Eq. 2: w_l * sum_{A in X} dist + w_r * sum_{A in Y} dist.
-  double ProjectionDistance(const FD& fd, const Row& t1, const Row& t2,
-                            double w_l, double w_r) const;
-
-  /// Eq. 3 restricted to `cols`: unweighted sum of cell distances.
-  /// With cols = all columns this is the tuple repair cost; with
-  /// cols = fd.attrs() it is the edge weight omega(u, v) of §3.
-  double RepairCost(const std::vector<int>& cols, const Row& t1,
-                    const Row& t2) const;
 
   /// Numeric range (max - min) of column `col`; 0 when unknown.
   double Range(int col) const { return ranges_[static_cast<size_t>(col)]; }

@@ -11,7 +11,10 @@
 //   * accounting: verified <= generated <= n*(n-1)/2 and
 //     generated = filtered + verified, in every mode;
 //   * determinism: thread counts and scratch reuse never change the
-//     graph.
+//     graph;
+//   * non-vacuity: each sweep whose columns admit a gram filter has
+//     instances where the gram join ran and pruned pairs, so the
+//     shared-gram screen is actually exercised.
 //
 // Each TEST iterates many seeds so the whole file sweeps well over the
 // 1000-table floor while any failure prints the seed that caused it.
@@ -199,8 +202,11 @@ void CheckEdgeDoubles(const ViolationGraph& g, const Table& t, const FD& fd,
   }
 }
 
-// One full property check of a (table, w, tau) instance.
-void CheckInstance(const Table& t, const DistanceModel& model, double w_l,
+// One full property check of a (table, w, tau) instance. Returns true
+// when the blocked build ran the gram join and generated fewer
+// candidates than all-pairs (the sweeps count these to stay
+// non-vacuous).
+bool CheckInstance(const Table& t, const DistanceModel& model, double w_l,
                    double w_r, double tau, uint64_t seed) {
   FD fd = std::move(FD::Make({0}, {1}, "p")).ValueOrDie();
   std::vector<Pattern> patterns = BuildPatterns(t, fd.attrs());
@@ -222,6 +228,10 @@ void CheckInstance(const Table& t, const DistanceModel& model, double w_l,
   CheckInvariants(blocked, seed);
   EXPECT_LE(blocked.candidates_generated(), all.candidates_generated())
       << "seed=" << seed;
+  BlockIndex index(patterns, t, fd, model,
+                   FTOptions{w_l, w_r, tau, 1, DetectIndexMode::kBlocked});
+  return index.gram_primary() >= 0 &&
+         blocked.candidates_generated() < all.candidates_generated();
 }
 
 const double kTaus[] = {0.0, 0.1, 0.25, 0.5};
@@ -233,13 +243,14 @@ const std::pair<double, double> kWeights[] = {
 TEST(BlockIndexPropertyTest, AdversarialStringsSoundAndIdentical) {
   // 150 tables x 4 taus x 3 weights = 1800 instances of pure
   // near-threshold string data.
+  int gram_pruned = 0;
   TableConfig cfg;
   for (uint64_t seed = 1; seed <= 150; ++seed) {
     Table t = RandomAdversarialTable(seed, cfg);
     DistanceModel model(t);
     for (double tau : kTaus) {
       for (const auto& w : kWeights) {
-        CheckInstance(t, model, w.first, w.second, tau, seed);
+        gram_pruned += CheckInstance(t, model, w.first, w.second, tau, seed);
       }
     }
   }
@@ -252,10 +263,11 @@ TEST(BlockIndexPropertyTest, AdversarialStringsSoundAndIdentical) {
     DistanceModel model(t);
     for (double tau : kTaus) {
       for (const auto& w : kWeights) {
-        CheckInstance(t, model, w.first, w.second, tau, seed);
+        gram_pruned += CheckInstance(t, model, w.first, w.second, tau, seed);
       }
     }
   }
+  EXPECT_GT(gram_pruned, 0);
 }
 
 TEST(BlockIndexPropertyTest, NullsAndNumbersSoundAndIdentical) {
@@ -278,6 +290,7 @@ TEST(BlockIndexPropertyTest, NullsAndNumbersSoundAndIdentical) {
 TEST(BlockIndexPropertyTest, DeepMutationsNearFilterBound) {
   // Long strings + deep mutations so |len(a) - len(b)| brushes against
   // the length filter bound from both sides.
+  int gram_pruned = 0;
   TableConfig cfg;
   cfg.num_bases = 4;
   cfg.max_edits = 6;
@@ -285,15 +298,17 @@ TEST(BlockIndexPropertyTest, DeepMutationsNearFilterBound) {
     Table t = RandomAdversarialTable(seed, cfg);
     DistanceModel model(t);
     for (double tau : {0.15, 0.35, 0.6}) {
-      CheckInstance(t, model, 0.5, 0.5, tau, seed);
-      CheckInstance(t, model, 0.3, 0.7, tau, seed);
+      gram_pruned += CheckInstance(t, model, 0.5, 0.5, tau, seed);
+      gram_pruned += CheckInstance(t, model, 0.3, 0.7, tau, seed);
     }
   }
+  EXPECT_GT(gram_pruned, 0);
 }
 
 TEST(BlockIndexPropertyTest, DiscreteMetricExactKeys) {
   // kDiscrete columns become exact keys at tau=0 and, when w > tau, at
   // tau > 0 too. 120 tables x 8 instances.
+  int gram_pruned = 0;
   TableConfig cfg;
   cfg.null_fraction = 0.1;
   for (uint64_t seed = 3000; seed < 3120; ++seed) {
@@ -301,14 +316,16 @@ TEST(BlockIndexPropertyTest, DiscreteMetricExactKeys) {
     DistanceModel model(t);
     model.SetColumnMetric(0, ColumnMetric::kDiscrete);
     for (double tau : kTaus) {
-      CheckInstance(t, model, 0.6, 0.4, tau, seed);
-      CheckInstance(t, model, 0.2, 0.8, tau, seed);
+      gram_pruned += CheckInstance(t, model, 0.6, 0.4, tau, seed);
+      gram_pruned += CheckInstance(t, model, 0.2, 0.8, tau, seed);
     }
   }
+  EXPECT_GT(gram_pruned, 0);
 }
 
 TEST(BlockIndexPropertyTest, EditMetricForcedOnMixedData) {
   // kEdit compares ToString forms, so numbers join the gram/key paths.
+  int gram_pruned = 0;
   TableConfig cfg;
   cfg.number_fraction = 0.3;
   cfg.null_fraction = 0.05;
@@ -318,9 +335,10 @@ TEST(BlockIndexPropertyTest, EditMetricForcedOnMixedData) {
     model.SetColumnMetric(0, ColumnMetric::kEdit);
     model.SetColumnMetric(1, ColumnMetric::kEdit);
     for (double tau : kTaus) {
-      CheckInstance(t, model, 0.5, 0.5, tau, seed);
+      gram_pruned += CheckInstance(t, model, 0.5, 0.5, tau, seed);
     }
   }
+  EXPECT_GT(gram_pruned, 0);
 }
 
 TEST(BlockIndexPropertyTest, UnfilterableMetricsDegradeSoundly) {
@@ -344,16 +362,18 @@ TEST(BlockIndexPropertyTest, UnfilterableMetricsDegradeSoundly) {
 TEST(BlockIndexPropertyTest, ExtremeWeightsAndTinyTau) {
   // Degenerate weights (all mass on one side) and taus near the float
   // rounding edge of the k_max fix-up loops.
+  int gram_pruned = 0;
   TableConfig cfg;
   for (uint64_t seed = 6000; seed < 6100; ++seed) {
     Table t = RandomAdversarialTable(seed, cfg);
     DistanceModel model(t);
     for (double tau : {1e-9, 0.01, 0.999}) {
-      CheckInstance(t, model, 1.0, 0.0, tau, seed);
-      CheckInstance(t, model, 0.0, 1.0, tau, seed);
-      CheckInstance(t, model, 1e-3, 1.0 - 1e-3, tau, seed);
+      gram_pruned += CheckInstance(t, model, 1.0, 0.0, tau, seed);
+      gram_pruned += CheckInstance(t, model, 0.0, 1.0, tau, seed);
+      gram_pruned += CheckInstance(t, model, 1e-3, 1.0 - 1e-3, tau, seed);
     }
   }
+  EXPECT_GT(gram_pruned, 0);
 }
 
 TEST(BlockIndexPropertyTest, ThreadedBlockedBuildsBitIdentical) {
@@ -446,13 +466,15 @@ TEST(BlockIndexPropertyTest, BudgetExhaustionStaysSound) {
 TEST(BlockIndexPropertyTest, RandomFDTablesFromSharedHelper) {
   // The shared RandomFDTable generator (different value shapes: keyNN /
   // valNNcC strings) through the same full property check.
+  int gram_pruned = 0;
   for (uint64_t seed = 1; seed <= 60; ++seed) {
     Table t = testing_util::RandomFDTable(50, 2, 7, 18, seed);
     DistanceModel model(t);
     for (double tau : kTaus) {
-      CheckInstance(t, model, 0.5, 0.5, tau, seed);
+      gram_pruned += CheckInstance(t, model, 0.5, 0.5, tau, seed);
     }
   }
+  EXPECT_GT(gram_pruned, 0);
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 
 #include <cstdlib>
 #include <iomanip>
-#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
@@ -21,7 +20,6 @@
 #include "common/metrics.h"
 #include "data/table.h"
 #include "detect/block_index.h"
-#include "detect/detector.h"
 #include "detect/violation_graph.h"
 #include "gen/dataset.h"
 #include "gen/error_injector.h"
@@ -352,93 +350,27 @@ TEST(BlockIndexTest, DetectIndexModeNames) {
   EXPECT_STREQ(DetectIndexModeName(DetectIndexMode::kBlocked), "blocked");
 }
 
-// --- FindFTViolations through both modes, including the clip path ---
+// --- Ungrouped builds (one pattern per row) through both modes ---
 
-std::string ViolationsKey(const std::vector<Violation>& v) {
-  std::ostringstream os;
-  os << std::hexfloat;
-  for (const Violation& x : v) {
-    os << x.row1 << "," << x.row2 << "," << x.distance << ";";
-  }
-  return os.str();
-}
-
-TEST(BlockIndexTest, FindFTViolationsModesAgree) {
+TEST(BlockIndexTest, RowPatternModesAgree) {
+  // The no-grouping ablation hands the build one pattern per row, so
+  // identical projections arrive as distinct patterns; both joins must
+  // still skip them and agree on every edge.
   Table t = HospSlice(600);
   std::vector<FD> fds = HospFDs(600);
   DistanceModel model(t);
-  for (size_t max_pairs : {size_t{3}, size_t{1000000}}) {
-    FTOptions all_opts{0.7, 0.3, 0.2, 1, DetectIndexMode::kAllPairs};
-    FTOptions blk_opts{0.7, 0.3, 0.2, 1, DetectIndexMode::kBlocked};
-    bool clip_a = false, clip_b = false;
-    PairAccounting acc_a, acc_b;
-    std::vector<Violation> a = FindFTViolations(
-        t, fds[2], model, all_opts, max_pairs, nullptr, nullptr, &clip_a,
-        &acc_a);
-    std::vector<Violation> b = FindFTViolations(
-        t, fds[2], model, blk_opts, max_pairs, nullptr, nullptr, &clip_b,
-        &acc_b);
-    EXPECT_EQ(ViolationsKey(a), ViolationsKey(b))
-        << "max_pairs=" << max_pairs;
-    EXPECT_EQ(clip_a, clip_b);
-    EXPECT_EQ(acc_a.candidates_generated,
-              acc_a.candidates_filtered + acc_a.candidates_verified);
-    EXPECT_EQ(acc_b.candidates_generated,
-              acc_b.candidates_filtered + acc_b.candidates_verified);
-    EXPECT_LE(acc_b.candidates_generated, acc_a.candidates_generated);
+  std::vector<ViolationGraph> graphs;
+  for (DetectIndexMode mode :
+       {DetectIndexMode::kAllPairs, DetectIndexMode::kBlocked}) {
+    FTOptions opts{0.7, 0.3, 0.2, 1, mode};
+    graphs.push_back(ViolationGraph::Build(
+        BuildRowPatterns(t, fds[2].attrs()), t, fds[2], model, opts));
+    CheckAccounting(graphs.back());
   }
-}
-
-// --- The unified pair accounting of the exact finder (satellite fix) ---
-
-TEST(BlockIndexTest, ExactFinderAccountingCountsEveryPair) {
-  Table t = CitizensDirty();
-  std::vector<FD> fds = CitizensFDs(t.schema());
-  uint64_t want = CountExactViolations(t, fds[1]);
-  ASSERT_GT(want, 0u);
-  bool clipped = true;
-  PairAccounting acc;
-  std::vector<Violation> v = FindExactViolations(
-      t, fds[1], std::numeric_limits<size_t>::max(), &clipped, &acc);
-  EXPECT_FALSE(clipped);
-  EXPECT_EQ(v.size(), want);
-  EXPECT_EQ(acc.candidates_generated, want);
-  EXPECT_EQ(acc.candidates_verified, want);
-  EXPECT_EQ(acc.candidates_filtered, 0u);
-}
-
-TEST(BlockIndexTest, ExactFinderAccountingCountsClipTrippingPair) {
-  Table t = CitizensDirty();
-  std::vector<FD> fds = CitizensFDs(t.schema());
-  uint64_t total = CountExactViolations(t, fds[1]);
-  ASSERT_GT(total, 2u);
-  bool clipped = false;
-  PairAccounting acc;
-  std::vector<Violation> v =
-      FindExactViolations(t, fds[1], 2, &clipped, &acc);
-  EXPECT_TRUE(clipped);
-  EXPECT_EQ(v.size(), 2u);
-  // The pair that tripped the cap was proven violating before being
-  // dropped, so it counts as generated+verified work performed.
-  EXPECT_EQ(acc.candidates_generated, 3u);
-  EXPECT_EQ(acc.candidates_verified, 3u);
-  EXPECT_EQ(acc.candidates_filtered, 0u);
-}
-
-TEST(BlockIndexTest, ExactFinderFeedsCandidateCounters) {
-  Table t = CitizensDirty();
-  std::vector<FD> fds = CitizensFDs(t.schema());
-  Counter* generated =
-      Metrics().GetCounter("ftrepair.detect.candidates_generated");
-  Counter* verified =
-      Metrics().GetCounter("ftrepair.detect.candidates_verified");
-  uint64_t g0 = generated->value();
-  uint64_t v0 = verified->value();
-  PairAccounting acc;
-  FindExactViolations(t, fds[1], std::numeric_limits<size_t>::max(), nullptr,
-                      &acc);
-  EXPECT_EQ(generated->value() - g0, acc.candidates_generated);
-  EXPECT_EQ(verified->value() - v0, acc.candidates_verified);
+  EXPECT_GT(graphs[0].num_edges(), 0u);
+  EXPECT_EQ(Fingerprint(graphs[0]), Fingerprint(graphs[1]));
+  EXPECT_LE(graphs[1].candidates_generated(),
+            graphs[0].candidates_generated());
 }
 
 TEST(BlockIndexTest, GraphBuildFeedsCandidateCounters) {

@@ -9,7 +9,11 @@ namespace {
 using testing_util::CitizensDirty;
 using testing_util::CitizensFDs;
 using testing_util::CitizensTruth;
+using testing_util::HasRowPair;
 using testing_util::RandomFDTable;
+using testing_util::RowPair;
+using testing_util::RowProjection;
+using testing_util::ViolatingRowPairs;
 
 // Brute-force FT-violation pair count, for cross-checking the grouped
 // implementation.
@@ -27,8 +31,9 @@ uint64_t BruteForceFTCount(const Table& t, const FD& fd,
         }
       }
       if (!differ) continue;
-      double d =
-          model.ProjectionDistance(fd, t.row(i), t.row(j), opts.w_l, opts.w_r);
+      double d = ViolationGraph::ProjDistance(
+          RowProjection(t, i, fd.attrs()), RowProjection(t, j, fd.attrs()),
+          fd, model, opts.w_l, opts.w_r);
       if (d <= opts.tau) ++count;
     }
   }
@@ -40,22 +45,19 @@ TEST(DetectorTest, PaperExample4ClassicalViolation) {
   // (t4, t6) do not: Education differs.
   Table t = CitizensDirty();
   std::vector<FD> fds = CitizensFDs(t.schema());
-  std::vector<Violation> violations = FindExactViolations(t, fds[0]);
-  bool has_t4_t8 = false;
-  bool has_t4_t6 = false;
-  for (const Violation& v : violations) {
-    if (v.row1 == 3 && v.row2 == 7) has_t4_t8 = true;
-    if (v.row1 == 3 && v.row2 == 5) has_t4_t6 = true;
-  }
-  EXPECT_TRUE(has_t4_t8);
-  EXPECT_FALSE(has_t4_t6);
-  EXPECT_FALSE(IsConsistent(t, fds[0]));
+  DistanceModel model(t);
+  std::vector<RowPair> violations =
+      ViolatingRowPairs(t, fds[0], model, ClassicalFTOptions());
+  EXPECT_TRUE(HasRowPair(violations, 3, 7));
+  EXPECT_FALSE(HasRowPair(violations, 3, 5));
+  EXPECT_GT(CountExactViolations(t, fds[0]), 0u);
 }
 
 TEST(DetectorTest, TruthIsClassicallyConsistent) {
   Table truth = CitizensTruth();
-  std::vector<FD> fds = CitizensFDs(truth.schema());
-  EXPECT_TRUE(IsConsistent(truth, fds));
+  for (const FD& fd : CitizensFDs(truth.schema())) {
+    EXPECT_EQ(CountExactViolations(truth, fd), 0u) << fd.name();
+  }
 }
 
 TEST(DetectorTest, PaperExample6FTViolation) {
@@ -65,17 +67,15 @@ TEST(DetectorTest, PaperExample6FTViolation) {
   std::vector<FD> fds = CitizensFDs(t.schema());
   DistanceModel model(t);
   FTOptions opts{0.5, 0.5, 0.35};
-  std::vector<Violation> violations =
-      FindFTViolations(t, fds[0], model, opts);
   bool has_t4_t6 = false;
-  for (const Violation& v : violations) {
+  for (const RowPair& v : ViolatingRowPairs(t, fds[0], model, opts)) {
     if (v.row1 == 3 && v.row2 == 5) {
       has_t4_t6 = true;
-      EXPECT_NEAR(v.distance, 0.5 / 7.0, 1e-9);
+      EXPECT_NEAR(v.proj_dist, 0.5 / 7.0, 1e-9);
     }
   }
   EXPECT_TRUE(has_t4_t6);
-  EXPECT_FALSE(IsFTConsistent(t, fds[0], model, opts));
+  EXPECT_GT(CountFTViolations(t, fds[0], model, opts), 0u);
 }
 
 TEST(DetectorTest, FTCapturesErrorsEqualityCannot) {
@@ -85,17 +85,16 @@ TEST(DetectorTest, FTCapturesErrorsEqualityCannot) {
   Table t = CitizensDirty();
   std::vector<FD> fds = CitizensFDs(t.schema());
   DistanceModel model(t);
-  bool exact_touches_t8 = false;
-  for (const Violation& v : FindExactViolations(t, fds[1])) {
-    if (v.row1 == 7 || v.row2 == 7) exact_touches_t8 = true;
-  }
-  EXPECT_FALSE(exact_touches_t8);
-  bool ft_touches_t8 = false;
-  FTOptions opts{0.5, 0.5, 0.35};
-  for (const Violation& v : FindFTViolations(t, fds[1], model, opts)) {
-    if (v.row1 == 7 || v.row2 == 7) ft_touches_t8 = true;
-  }
-  EXPECT_TRUE(ft_touches_t8);
+  auto touches_t8 = [](const std::vector<RowPair>& pairs) {
+    for (const RowPair& v : pairs) {
+      if (v.row1 == 7 || v.row2 == 7) return true;
+    }
+    return false;
+  };
+  EXPECT_FALSE(
+      touches_t8(ViolatingRowPairs(t, fds[1], model, ClassicalFTOptions())));
+  EXPECT_TRUE(touches_t8(
+      ViolatingRowPairs(t, fds[1], model, FTOptions{0.5, 0.5, 0.35})));
 }
 
 TEST(DetectorTest, ClassicalDegenerationProperty) {
@@ -139,102 +138,38 @@ TEST_P(DetectorPropertyTest, Theorem1FTConsistencyImpliesConsistency) {
   DistanceModel model(t);
   double w_r = 0.5;
   FTOptions opts{0.5, w_r, w_r * fd.rhs_size()};
-  if (IsFTConsistent(t, fd, model, opts)) {
-    EXPECT_TRUE(IsConsistent(t, fd));
-  } else {
-    SUCCEED();  // implication vacuously holds
-  }
-  // Contrapositive check: classically inconsistent => FT-inconsistent.
-  if (!IsConsistent(t, fd)) {
-    EXPECT_FALSE(IsFTConsistent(t, fd, model, opts));
-  }
+  // A classical violation (equal X, different Y) is within
+  // w_r * |Y| <= tau, so it is an FT-violation too: FT-consistent
+  // (count 0) implies consistent (count 0).
+  uint64_t exact = CountExactViolations(t, fd);
+  EXPECT_GT(exact, 0u);
+  EXPECT_GE(CountFTViolations(t, fd, model, opts), exact);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DetectorPropertyTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6));
 
 TEST(DetectorTest, ExactCountFormulaMatchesPairList) {
+  // The class-size formula against the listed classical pairs: equal X,
+  // different Y.
   Table t = CitizensDirty();
-  std::vector<FD> fds = CitizensFDs(t.schema());
-  for (const FD& fd : fds) {
-    EXPECT_EQ(CountExactViolations(t, fd),
-              FindExactViolations(t, fd).size());
-  }
-}
-
-TEST(DetectorTest, MaxPairsCapRespected) {
-  Table t = CitizensDirty();
-  std::vector<FD> fds = CitizensFDs(t.schema());
   DistanceModel model(t);
-  EXPECT_LE(FindExactViolations(t, fds[1], 2).size(), 2u);
-  EXPECT_LE(
-      FindFTViolations(t, fds[1], model, FTOptions{0.5, 0.5, 0.5}, 3).size(),
-      3u);
-}
-
-bool SortedByRowPair(const std::vector<Violation>& v) {
-  for (size_t i = 1; i < v.size(); ++i) {
-    if (v[i - 1].row1 > v[i].row1) return false;
-    if (v[i - 1].row1 == v[i].row1 && v[i - 1].row2 >= v[i].row2) {
-      return false;
+  for (const FD& fd : CitizensFDs(t.schema())) {
+    uint64_t listed = 0;
+    for (int i = 0; i < t.num_rows(); ++i) {
+      for (int j = i + 1; j < t.num_rows(); ++j) {
+        if (RowProjection(t, i, fd.lhs()) == RowProjection(t, j, fd.lhs()) &&
+            RowProjection(t, i, fd.rhs()) != RowProjection(t, j, fd.rhs())) {
+          ++listed;
+        }
+      }
     }
+    EXPECT_GT(listed, 0u) << fd.name();
+    EXPECT_EQ(CountExactViolations(t, fd), listed) << fd.name();
+    EXPECT_EQ(ViolatingRowPairs(t, fd, model, ClassicalFTOptions()).size(),
+              listed)
+        << fd.name();
   }
-  return true;
-}
-
-TEST(DetectorTest, ClippedOutputIsSortedAndReported) {
-  // Regression: FindFTViolations used to return early at max_pairs,
-  // skipping the final sort (nondeterministic order) and reporting
-  // nothing about the dropped pairs.
-  Table t = RandomFDTable(60, 3, 6, 20, 21);
-  FD fd = std::move(FD::Make({0}, {1})).ValueOrDie();
-  DistanceModel model(t);
-  FTOptions opts{0.5, 0.5, 0.5};
-  std::vector<Violation> all = FindFTViolations(t, fd, model, opts);
-  ASSERT_GT(all.size(), 5u);
-  EXPECT_TRUE(SortedByRowPair(all));
-
-  bool clipped = false;
-  std::vector<Violation> capped =
-      FindFTViolations(t, fd, model, opts, 5, nullptr, nullptr, &clipped);
-  EXPECT_EQ(capped.size(), 5u);
-  EXPECT_TRUE(clipped);
-  EXPECT_TRUE(SortedByRowPair(capped));
-  // The capped call keeps a subset of the full, sorted list.
-  for (const Violation& v : capped) {
-    bool found = false;
-    for (const Violation& w : all) {
-      found = found || (w.row1 == v.row1 && w.row2 == v.row2);
-    }
-    EXPECT_TRUE(found) << v.row1 << "," << v.row2;
-  }
-  // An uncapped call must not report a clip.
-  clipped = true;
-  FindFTViolations(t, fd, model, opts, SIZE_MAX, nullptr, nullptr, &clipped);
-  EXPECT_FALSE(clipped);
-  // A cap equal to the exact size is not a clip either.
-  clipped = true;
-  std::vector<Violation> snug = FindFTViolations(t, fd, model, opts,
-                                                 all.size(), nullptr, nullptr,
-                                                 &clipped);
-  EXPECT_EQ(snug.size(), all.size());
-  EXPECT_FALSE(clipped);
-}
-
-TEST(DetectorTest, ExactClippedOutputIsSortedAndReported) {
-  Table t = RandomFDTable(60, 3, 5, 25, 33);
-  FD fd = std::move(FD::Make({0}, {1})).ValueOrDie();
-  std::vector<Violation> all = FindExactViolations(t, fd);
-  ASSERT_GT(all.size(), 4u);
-  EXPECT_TRUE(SortedByRowPair(all));
-  bool clipped = false;
-  std::vector<Violation> capped = FindExactViolations(t, fd, 4, &clipped);
-  EXPECT_EQ(capped.size(), 4u);
-  EXPECT_TRUE(clipped);
-  EXPECT_TRUE(SortedByRowPair(capped));
-  clipped = true;
-  FindExactViolations(t, fd, SIZE_MAX, &clipped);
-  EXPECT_FALSE(clipped);
 }
 
 TEST(DetectorTest, MultiFDConsistencyHelpers) {
@@ -243,9 +178,17 @@ TEST(DetectorTest, MultiFDConsistencyHelpers) {
   std::vector<FD> fds = CitizensFDs(truth.schema());
   DistanceModel model(dirty);
   FTOptions opts{0.5, 0.5, 0.3};
-  EXPECT_TRUE(IsConsistent(truth, fds));
-  EXPECT_FALSE(IsConsistent(dirty, fds));
-  EXPECT_FALSE(IsFTConsistent(dirty, fds, model, opts));
+  uint64_t truth_exact = 0;
+  uint64_t dirty_exact = 0;
+  uint64_t dirty_ft = 0;
+  for (const FD& fd : fds) {
+    truth_exact += CountExactViolations(truth, fd);
+    dirty_exact += CountExactViolations(dirty, fd);
+    dirty_ft += CountFTViolations(dirty, fd, model, opts);
+  }
+  EXPECT_EQ(truth_exact, 0u);
+  EXPECT_GT(dirty_exact, 0u);
+  EXPECT_GT(dirty_ft, 0u);
 }
 
 }  // namespace

@@ -11,9 +11,7 @@
 //
 //   BoundedEditDistance(a, b, cap) == min(EditDistance(a, b), cap + 1)
 //
-// for both kernels and scalar == bitparallel throughout. The SIMD
-// screen of the blocking index gets the same treatment against its
-// scalar reference.
+// for both kernels and scalar == bitparallel throughout.
 
 #include <cstdint>
 #include <limits>
@@ -23,7 +21,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "detect/block_index.h"
 #include "gen/error_injector.h"
 #include "gen/hosp_gen.h"
 #include "gen/tax_gen.h"
@@ -142,47 +139,6 @@ TEST(DistanceKernelTest, CapSentinelSemantics) {
             size_t{3});
   EXPECT_EQ(BoundedEditDistanceScalar("abc", "xyz", 0), size_t{1});
   EXPECT_EQ(BoundedEditDistance("abc", "xyz", 0), size_t{1});
-}
-
-// ---- SIMD screen vs scalar reference --------------------------------
-
-class SimdScreenTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(SimdScreenTest, MatchesScalarReference) {
-  Rng rng(GetParam() * 104729 + 3);
-  // Sizes crossing every vector width (4 and 8 lanes) plus ragged tails.
-  const int sizes[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 100, 257};
-  for (int n : sizes) {
-    std::vector<uint32_t> counts(static_cast<size_t>(n));
-    uint32_t threshold = static_cast<uint32_t>(1 + rng.Uniform(6));
-    for (uint32_t& c : counts) {
-      // Cluster values tightly around the threshold so both compare
-      // outcomes occur in every lane position.
-      c = static_cast<uint32_t>(rng.Uniform(2 * threshold + 2));
-    }
-    if (n > 0) {
-      // Pin extremes into random slots.
-      counts[rng.Index(counts.size())] = 0;
-      counts[rng.Index(counts.size())] =
-          std::numeric_limits<uint32_t>::max();
-    }
-    std::vector<int> simd;
-    std::vector<int> scalar;
-    ScreenSharedCounts(counts.data(), n, threshold, &simd);
-    ScreenSharedCountsScalar(counts.data(), n, threshold, &scalar);
-    ASSERT_EQ(simd, scalar) << "n=" << n << " t=" << threshold
-                            << " path=" << SimdScreenPathName();
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, SimdScreenTest,
-                         ::testing::Range(uint64_t{1}, uint64_t{5}));
-
-TEST(SimdScreenTest, ReportsAPathName) {
-  const std::string name = SimdScreenPathName();
-  EXPECT_TRUE(name == "avx2" || name == "sse4.2" || name == "neon" ||
-              name == "scalar")
-      << name;
 }
 
 // ---- Jaccard whitespace fix: seed corpora are provably unaffected ---

@@ -77,7 +77,9 @@ TEST_P(DatasetTest, ShapeMatchesPaper) {
 
 TEST_P(DatasetTest, CleanDataSatisfiesAllFDs) {
   Dataset ds = Generate(800, 11);
-  EXPECT_TRUE(IsConsistent(ds.clean, ds.fds));
+  for (const FD& fd : ds.fds) {
+    EXPECT_EQ(CountExactViolations(ds.clean, fd), 0u) << fd.name();
+  }
 }
 
 TEST_P(DatasetTest, CleanDataHasZeroFTViolationsAtRecommendedTaus) {

@@ -110,8 +110,8 @@ TEST_P(MultiPropertyTest, AllEnginesProduceFTConsistentRepairs) {
     if (stats.join_empty) continue;
     Table repaired = Apply(solution.value());
     for (const FD& fd : instance_->fds) {
-      EXPECT_TRUE(IsFTConsistent(repaired, fd, *model_,
-                                 options_.FTFor(fd)))
+      EXPECT_EQ(CountFTViolations(repaired, fd, *model_, options_.FTFor(fd)),
+                0u)
           << "engine " << which << " fd " << fd.name();
     }
   }

@@ -16,6 +16,10 @@ namespace {
 using testing_util::CitizensDirty;
 using testing_util::CitizensFDs;
 using testing_util::CitizensTruth;
+using testing_util::HasRowPair;
+using testing_util::RowPair;
+using testing_util::RowProjection;
+using testing_util::ViolatingRowPairs;
 
 class PaperExamples : public ::testing::Test {
  protected:
@@ -27,25 +31,25 @@ class PaperExamples : public ::testing::Test {
 TEST_F(PaperExamples, Example2_ClassicalViolationsOfPhi1) {
   // "The two tuples t1 and t9 violate phi1, as they have the same
   //  Education (Bachelors) but different Level values."
-  bool found = false;
-  for (const Violation& v : FindExactViolations(table, fds[0])) {
-    if (v.row1 == 0 && v.row2 == 8) found = true;
-  }
-  EXPECT_TRUE(found);
+  EXPECT_TRUE(HasRowPair(
+      ViolatingRowPairs(table, fds[0], model, ClassicalFTOptions()), 0, 8));
 }
 
 TEST_F(PaperExamples, Example4_SemanticsOfSatisfaction) {
   // (t4, t8) violate phi1; (t4, t6) do not; hence D does not satisfy phi1.
-  EXPECT_FALSE(IsConsistent(table, fds[0]));
-  uint64_t count = CountExactViolations(table, fds[0]);
-  EXPECT_GT(count, 0u);
+  std::vector<RowPair> violations =
+      ViolatingRowPairs(table, fds[0], model, ClassicalFTOptions());
+  EXPECT_TRUE(HasRowPair(violations, 3, 7));
+  EXPECT_FALSE(HasRowPair(violations, 3, 5));
+  EXPECT_GT(CountExactViolations(table, fds[0]), 0u);
 }
 
 TEST_F(PaperExamples, Example5_ProjectionDistance) {
   // dist(t4^phi1, t6^phi1) = 0.5*dist(Masters, Masers) + 0.5*dist(4,4)
   //                        ~= 0.07.
-  double d =
-      model.ProjectionDistance(fds[0], table.row(3), table.row(5), 0.5, 0.5);
+  double d = ViolationGraph::ProjDistance(
+      RowProjection(table, 3, fds[0].attrs()),
+      RowProjection(table, 5, fds[0].attrs()), fds[0], model, 0.5, 0.5);
   EXPECT_NEAR(d, 0.07, 0.005);
 }
 
@@ -53,12 +57,9 @@ TEST_F(PaperExamples, Example6_FTViolationAtTau035) {
   // tau = 0.35 => (t4, t6) is an FT-violation and D is not FT-consistent;
   // the typo in t6[Education] becomes repairable.
   FTOptions opts{0.5, 0.5, 0.35};
-  EXPECT_FALSE(IsFTConsistent(table, fds[0], model, opts));
-  bool t4_t6 = false;
-  for (const Violation& v : FindFTViolations(table, fds[0], model, opts)) {
-    if (v.row1 == 3 && v.row2 == 5) t4_t6 = true;
-  }
-  EXPECT_TRUE(t4_t6);
+  EXPECT_GT(CountFTViolations(table, fds[0], model, opts), 0u);
+  EXPECT_TRUE(
+      HasRowPair(ViolatingRowPairs(table, fds[0], model, opts), 3, 5));
 }
 
 TEST_F(PaperExamples, Example7_GraphAndWeights) {
@@ -159,8 +160,9 @@ TEST_F(PaperExamples, Theorem1_TauAboveWrYSubsumesClassical) {
       std::move(repairer.Repair(table, {fds[0]})).ValueOrDie();
   FTOptions opts{0.5, 0.5, 0.5};
   DistanceModel repaired_model(result.repaired);
-  ASSERT_TRUE(IsFTConsistent(result.repaired, fds[0], repaired_model, opts));
-  EXPECT_TRUE(IsConsistent(result.repaired, fds[0]));
+  ASSERT_EQ(CountFTViolations(result.repaired, fds[0], repaired_model, opts),
+            0u);
+  EXPECT_EQ(CountExactViolations(result.repaired, fds[0]), 0u);
 }
 
 }  // namespace

@@ -217,7 +217,7 @@ TEST(BudgetConcurrencyTest, FaultSeamTripsOnceAcrossThreads) {
 void ExpectGraphsIdentical(const ViolationGraph& a, const ViolationGraph& b) {
   ASSERT_EQ(a.num_patterns(), b.num_patterns());
   EXPECT_EQ(a.num_edges(), b.num_edges());
-  EXPECT_EQ(a.pairs_evaluated(), b.pairs_evaluated());
+  EXPECT_EQ(a.candidates_verified(), b.candidates_verified());
   EXPECT_EQ(a.pairs_length_filtered(), b.pairs_length_filtered());
   EXPECT_EQ(a.truncated(), b.truncated());
   // Bit-identical doubles, not approximately equal: the parallel build

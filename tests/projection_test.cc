@@ -4,6 +4,7 @@
 
 #include "common/rng.h"
 #include "constraint/fd_parser.h"
+#include "detect/violation_graph.h"
 #include "metric/projection.h"
 #include "test_util.h"
 
@@ -12,6 +13,7 @@ namespace {
 
 using testing_util::CitizensDirty;
 using testing_util::CitizensFDs;
+using testing_util::RowProjection;
 
 TEST(DistanceModelTest, EqualValuesAreZero) {
   Table t = CitizensDirty();
@@ -156,7 +158,9 @@ TEST(ProjectionDistanceTest, PaperExample5) {
   DistanceModel model(t);
   std::vector<FD> fds = CitizensFDs(t.schema());
   const FD& phi1 = fds[0];
-  double d = model.ProjectionDistance(phi1, t.row(3), t.row(5), 0.5, 0.5);
+  std::vector<Value> t4 = RowProjection(t, 3, phi1.attrs());
+  std::vector<Value> t6 = RowProjection(t, 5, phi1.attrs());
+  double d = ViolationGraph::ProjDistance(t4, t6, phi1, model, 0.5, 0.5);
   EXPECT_NEAR(d, 0.5 / 7.0, 1e-12);
   EXPECT_NEAR(d, 0.07, 0.005);  // the paper rounds to .07
 }
@@ -167,34 +171,41 @@ TEST(ProjectionDistanceTest, WeightsScaleSides) {
   std::vector<FD> fds = CitizensFDs(t.schema());
   const FD& phi2 = fds[1];  // City -> State
   // t5 (Boston, NY) vs t1 (New York, NY): LHS-only difference.
-  double lhs_only = model.ProjectionDistance(phi2, t.row(4), t.row(0), 1.0, 0.0);
-  double rhs_only = model.ProjectionDistance(phi2, t.row(4), t.row(0), 0.0, 1.0);
+  std::vector<Value> t5 = RowProjection(t, 4, phi2.attrs());
+  std::vector<Value> t1 = RowProjection(t, 0, phi2.attrs());
+  double lhs_only = ViolationGraph::ProjDistance(t5, t1, phi2, model, 1.0, 0.0);
+  double rhs_only = ViolationGraph::ProjDistance(t5, t1, phi2, model, 0.0, 1.0);
   EXPECT_GT(lhs_only, 0.0);
   EXPECT_DOUBLE_EQ(rhs_only, 0.0);
-  double mixed = model.ProjectionDistance(phi2, t.row(4), t.row(0), 0.7, 0.3);
+  double mixed = ViolationGraph::ProjDistance(t5, t1, phi2, model, 0.7, 0.3);
   EXPECT_NEAR(mixed, 0.7 * lhs_only, 1e-12);
 }
 
 TEST(RepairCostTest, SumsUnweightedOverColumns) {
-  // Eq. 3 over chosen columns; weightless.
+  // Eq. 3 over the FD's attributes; weightless.
   Table t = CitizensDirty();
   DistanceModel model(t);
   std::vector<FD> fds = CitizensFDs(t.schema());
   const FD& phi1 = fds[0];
-  double cost = model.RepairCost(phi1.attrs(), t.row(3), t.row(5));
+  std::vector<Value> t4 = RowProjection(t, 3, phi1.attrs());
+  std::vector<Value> t6 = RowProjection(t, 5, phi1.attrs());
+  double cost = ViolationGraph::UnitCost(t4, t6, phi1, model);
   EXPECT_NEAR(cost, 1.0 / 7.0, 1e-12);  // Education differs, Level equal
-  // Restricting to one column.
-  double education_only =
-      model.RepairCost({t.schema().IndexOf("Education")}, t.row(3), t.row(5));
-  EXPECT_NEAR(education_only, 1.0 / 7.0, 1e-12);
+  // The sum of the per-attribute cell distances.
+  int education = t.schema().IndexOf("Education");
+  EXPECT_NEAR(cost,
+              model.CellDistance(education, t.cell(3, education),
+                                 t.cell(5, education)),
+              1e-12);
 }
 
 TEST(RepairCostTest, ZeroForIdenticalRows) {
   Table t = CitizensDirty();
   DistanceModel model(t);
-  std::vector<int> all_cols;
-  for (int c = 0; c < t.num_columns(); ++c) all_cols.push_back(c);
-  EXPECT_DOUBLE_EQ(model.RepairCost(all_cols, t.row(0), t.row(0)), 0.0);
+  for (const FD& fd : CitizensFDs(t.schema())) {
+    std::vector<Value> t1 = RowProjection(t, 0, fd.attrs());
+    EXPECT_DOUBLE_EQ(ViolationGraph::UnitCost(t1, t1, fd, model), 0.0);
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "constraint/fd_parser.h"
 #include "data/table.h"
 #include "detect/pattern.h"
+#include "detect/violation_graph.h"
 
 namespace ftrepair {
 namespace testing_util {
@@ -123,6 +124,51 @@ inline Table RandomFDTable(int num_rows, int num_cols, int num_keys,
     table.SetCell(r, c, v);
   }
   return table;
+}
+
+/// Row `row` of `table` projected onto `cols`: the value vector that
+/// ViolationGraph::ProjDistance / UnitCost take.
+inline std::vector<Value> RowProjection(const Table& table, int row,
+                                        const std::vector<int>& cols) {
+  std::vector<Value> values;
+  for (int c : cols) values.push_back(table.cell(row, c));
+  return values;
+}
+
+/// One FT-violating tuple pair (row1 < row2) and its Eq. 2 distance.
+struct RowPair {
+  int row1 = 0;
+  int row2 = 0;
+  double proj_dist = 0;
+};
+
+/// The FT-violating tuple pairs of `fd` under `opts`, sorted by (row1,
+/// row2): the edges of the violation graph built over one pattern per
+/// row (BuildRowPatterns), so pattern i is row i. Under
+/// ClassicalFTOptions() these are the classical violations (§2.1).
+inline std::vector<RowPair> ViolatingRowPairs(const Table& table,
+                                              const FD& fd,
+                                              const DistanceModel& model,
+                                              const FTOptions& opts) {
+  ViolationGraph g = ViolationGraph::Build(
+      BuildRowPatterns(table, fd.attrs()), table, fd, model, opts);
+  std::vector<RowPair> pairs;
+  for (int i = 0; i < g.num_patterns(); ++i) {
+    // Each adjacency list holds its higher neighbours in ascending order.
+    for (const ViolationGraph::Edge& e : g.Neighbors(i)) {
+      if (e.to > i) pairs.push_back(RowPair{i, e.to, e.proj_dist});
+    }
+  }
+  return pairs;
+}
+
+/// True when (row1, row2) is among `pairs`.
+inline bool HasRowPair(const std::vector<RowPair>& pairs, int row1,
+                       int row2) {
+  for (const RowPair& p : pairs) {
+    if (p.row1 == row1 && p.row2 == row2) return true;
+  }
+  return false;
 }
 
 /// \brief Interns literal values into dictionary codes, so tests can

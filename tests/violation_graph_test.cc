@@ -121,7 +121,7 @@ TEST(ViolationGraphTest, LengthFilterIsLossless) {
     }
   }
   EXPECT_EQ(g.num_edges(), expected);
-  EXPECT_GT(g.pairs_evaluated() + g.pairs_length_filtered(), 0u);
+  EXPECT_GT(g.candidates_verified() + g.pairs_length_filtered(), 0u);
 }
 
 TEST(ViolationGraphTest, GroupedWeightsUseMultiplicity) {
@@ -185,7 +185,7 @@ TEST(ViolationGraphTest, SubgraphPropagatesTruncationAndStats) {
   for (const auto& comp : g.ConnectedComponents()) {
     ViolationGraph sub = g.InducedSubgraph(comp);
     EXPECT_TRUE(sub.truncated());
-    EXPECT_EQ(sub.pairs_evaluated(), g.pairs_evaluated());
+    EXPECT_EQ(sub.candidates_verified(), g.candidates_verified());
     EXPECT_EQ(sub.pairs_length_filtered(), g.pairs_length_filtered());
   }
 }

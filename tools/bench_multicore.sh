@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Multi-core benchmark protocol for the distance kernels: builds the
 # bench suite (RelWithDebInfo, same as every recorded BENCH_*.json) and
-# records the scalar-vs-bitparallel A/B curves, the SIMD bigram
-# screen, and the end-to-end detect phase into BENCH_distance_kernels.json (3 repetitions, aggregates
+# records the scalar-vs-bitparallel A/B curves and the end-to-end
+# detect phase into BENCH_distance_kernels.json (3 repetitions, aggregates
 # only — medians are what docs/PERFORMANCE.md quotes).
 #
 # The thread-scaling sweep (BM_ViolationGraphThreads) is only
@@ -46,7 +46,7 @@ run_bench() {
 
 echo "== kernel A/B suites (valid on any core count) =="
 run_bench \
-  'BM_EditDistanceKernel|BM_BoundedEditDistanceKernel|BM_ScreenSharedCounts|BM_DetectPhase' \
+  'BM_EditDistanceKernel|BM_BoundedEditDistanceKernel|BM_DetectPhase' \
   "${kernel_json}"
 
 ncpu="$(nproc)"
@@ -81,7 +81,7 @@ merged["protocol"] = {
     "repetitions": 3,
     "build_type": "RelWithDebInfo",
     "kernel_arg": "0 = scalar, 1 = bitparallel",
-    "notes": "Kernel A/B, SIMD screen and detect-phase suites are single-core-valid and always recorded; BM_ViolationGraphThreads is only recorded when nproc >= 2.",
+    "notes": "Kernel A/B and detect-phase suites are single-core-valid and always recorded; BM_ViolationGraphThreads is only recorded when nproc >= 2.",
 }
 
 with open(out_path, "w") as f:

@@ -16,11 +16,11 @@ tsan_dir="${2:-${repo_root}/build-chaos-tsan}"
 # ladder completeness, bit-identity, the degradation-ladder golden
 # (FD components and CFD units under fault-seam sweeps), and the
 # deadline-budget ladder suite that shares the degradation machinery —
-# plus the distance-kernel fuzz and the SIMD screen differentials, so
-# a kernel change can never slip past the sanitizers, and the
-# repair-semantics property sweeps (cardinality majority, soft-fd
-# filters), whose pipelines ride the same degradation ladder.
-chaos_regex='Chaos|Memory|Ladder|Budget|DistanceKernel|SimdScreen|Semantics|Cardinality|SoftFd'
+# plus the distance-kernel fuzz, so a kernel change can never slip
+# past the sanitizers, and the repair-semantics property sweeps
+# (cardinality majority, soft-fd filters), whose pipelines ride the
+# same degradation ladder.
+chaos_regex='Chaos|Memory|Ladder|Budget|DistanceKernel|Semantics|Cardinality|SoftFd'
 
 run_mode() {
   local mode="$1" build_dir="$2"

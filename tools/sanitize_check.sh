@@ -47,12 +47,11 @@ if [[ "${mode}" == "thread" ]]; then
   # target searches that AssignTargets fans out, shared-budget and
   # shared-memory-budget charging (the chaos/ladder sweeps), the
   # relaxed-atomic metrics/trace registries, the thread-local kernel
-  # scratch of the edit-distance kernels (the kernel fuzz) with the
-  # SIMD screen differentials, and the per-semantics pipelines (the
-  # cross-semantics property sweeps run repairs at several thread
-  # counts).
+  # scratch of the edit-distance kernels (the kernel fuzz), and the
+  # per-semantics pipelines (the cross-semantics property sweeps run
+  # repairs at several thread counts).
   ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)" \
-    -R 'ThreadPool|Parallel|ViolationGraph|BlockIndex|Detector|Budget|Metrics|Trace|Repairer|Greedy|Expansion|Multi|TargetTree|LazyTargets|Trusted|Chaos|Memory|Ladder|Provenance|ExplainReport|AuditLog|Columnar|StreamingIngest|DistanceKernel|SimdScreen|Semantics|Cardinality|SoftFd'
+    -R 'ThreadPool|Parallel|ViolationGraph|BlockIndex|Detector|Budget|Metrics|Trace|Repairer|Greedy|Expansion|Multi|TargetTree|LazyTargets|Trusted|Chaos|Memory|Ladder|Provenance|ExplainReport|AuditLog|Columnar|StreamingIngest|DistanceKernel|Semantics|Cardinality|SoftFd'
 else
   export ASAN_OPTIONS="detect_leaks=1:abort_on_error=1"
   export UBSAN_OPTIONS="print_stacktrace=1"
