@@ -83,7 +83,7 @@ BENCHMARK(BM_ViolationGraphBuildThreads)
     ->Args({4000, 4})
     ->Args({4000, 8});
 
-// --- blocking-index sweeps (--detect-index) --------------------------
+// --- blocking-index sweeps -----------------------------------------
 
 // A larger HOSP instance for the index benchmarks; generated once.
 const Dataset& IndexDataset() {
@@ -104,39 +104,41 @@ const Table& IndexDirtyTable() {
   return *kTable;
 }
 
-DetectIndexMode ModeArg(int64_t v) {
-  return v == 0 ? DetectIndexMode::kAllPairs : DetectIndexMode::kBlocked;
+// Candidate counters of one build: `cand_generated` beside `all_pairs`
+// = n(n-1)/2, what enumerating every pair would generate.
+void ReportCandidates(benchmark::State& state, const ViolationGraph& g) {
+  uint64_t n = static_cast<uint64_t>(g.num_patterns());
+  state.counters["patterns"] = static_cast<double>(n);
+  state.counters["edges"] = static_cast<double>(g.num_edges());
+  state.counters["cand_generated"] =
+      static_cast<double>(g.candidates_generated());
+  state.counters["all_pairs"] = static_cast<double>(n * (n - 1) / 2);
 }
 
 // The tau > 0 q-gram path: h3 (ZipCode -> City) at tau = 0.2 with the
-// recommended weights, all-pairs vs blocked at 10k and 50k dirty rows
-// (acceptance: >= 5x candidate reduction at 50k). Single-threaded so
-// the sweep isolates the candidate generation, not the shard fan-out.
+// recommended weights at 10k and 50k dirty rows, where the build joins
+// through the index (acceptance: >= 5x candidate reduction at 50k).
+// Single-threaded so the sweep isolates the candidate generation, not
+// the shard fan-out.
 void BM_ViolationGraphBuildIndex(benchmark::State& state) {
   const Dataset& ds = IndexDataset();
   Table slice = IndexDirtyTable().Head(static_cast<int>(state.range(0)));
   const FD& fd = ds.fds[2];
   DistanceModel model(slice);
-  FTOptions opts{ds.recommended_w_l, ds.recommended_w_r, 0.2, 1,
-                 ModeArg(state.range(1))};
+  FTOptions opts{ds.recommended_w_l, ds.recommended_w_r, 0.2};
   std::vector<Pattern> patterns = BuildPatterns(slice, fd.attrs());
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         ViolationGraph::Build(patterns, slice, fd, model, opts));
   }
   ViolationGraph g = ViolationGraph::Build(patterns, slice, fd, model, opts);
-  state.counters["patterns"] = static_cast<double>(g.num_patterns());
-  state.counters["edges"] = static_cast<double>(g.num_edges());
-  state.counters["cand_generated"] =
-      static_cast<double>(g.candidates_generated());
+  ReportCandidates(state, g);
   state.counters["cand_verified"] =
       static_cast<double>(g.candidates_verified());
 }
 BENCHMARK(BM_ViolationGraphBuildIndex)
-    ->Args({10000, 0})
-    ->Args({10000, 1})
-    ->Args({50000, 0})
-    ->Args({50000, 1})
+    ->Arg(10000)
+    ->Arg(50000)
     ->Unit(benchmark::kMillisecond);
 
 // The tau = 0 exact-match bucket join under classical FD semantics:
@@ -169,29 +171,17 @@ void BM_ViolationGraphBuildTau0(benchmark::State& state) {
   const FD& fd = ds.fds[0];
   DistanceModel model(slice);
   FTOptions opts = ClassicalFTOptions();
-  opts.index = ModeArg(state.range(1));
   std::vector<Pattern> patterns = BuildPatterns(slice, fd.attrs());
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         ViolationGraph::Build(patterns, slice, fd, model, opts));
   }
-  ViolationGraph g = ViolationGraph::Build(patterns, slice, fd, model, opts);
-  state.counters["patterns"] = static_cast<double>(g.num_patterns());
-  state.counters["edges"] = static_cast<double>(g.num_edges());
-  state.counters["cand_generated"] =
-      static_cast<double>(g.candidates_generated());
+  ReportCandidates(state,
+                   ViolationGraph::Build(patterns, slice, fd, model, opts));
 }
 BENCHMARK(BM_ViolationGraphBuildTau0)
-    ->Args({20000, 0})
-    ->Args({20000, 1})
-    ->Args({100000, 1})
-    ->Unit(benchmark::kMillisecond);
-
-// The quadratic 100k-row all-pairs control runs once — it exists to
-// anchor the speedup ratio, not to be measured precisely.
-BENCHMARK(BM_ViolationGraphBuildTau0)
-    ->Args({100000, 0})
-    ->Iterations(1)
+    ->Arg(20000)
+    ->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 
 void BM_SuggestThreshold(benchmark::State& state) {

@@ -54,10 +54,6 @@ Options:
                       per-component solve phase; 0 = all hardware
                       threads, 1 = serial; any setting yields
                       identical results             (default: 0)
-  --detect-index MODE auto | allpairs | blocked: candidate generation
-                      for violation detection; auto picks the blocking
-                      index by tau and table size; any setting yields
-                      identical results             (default: auto)
   --trusted-rows LIST comma-separated 0-based row indices known correct
                       (master data): never modified, anchor the repair
   --auto-threshold    pick tau per FD from the distance-gap heuristic
@@ -226,18 +222,6 @@ Result<CliOptions> ParseCliArgs(const std::vector<std::string>& args) {
             "threads)");
       }
       options.repair.threads = static_cast<int>(v);
-    } else if (arg == "--detect-index") {
-      FTR_ASSIGN_OR_RETURN(std::string name, next());
-      if (name == "auto") {
-        options.repair.detect_index = DetectIndexMode::kAuto;
-      } else if (name == "allpairs") {
-        options.repair.detect_index = DetectIndexMode::kAllPairs;
-      } else if (name == "blocked") {
-        options.repair.detect_index = DetectIndexMode::kBlocked;
-      } else {
-        return Status::InvalidArgument("unknown --detect-index '" + name +
-                                       "' (auto | allpairs | blocked)");
-      }
     } else if (arg == "--profile") {
       options.profile = true;
     } else if (arg == "--discover") {

@@ -66,7 +66,6 @@ FTOptions RepairOptions::FTFor(const FD& fd) const {
   ft.w_r = w_r;
   ft.tau = TauFor(fd);
   ft.threads = threads;
-  ft.index = detect_index;
   ft.memory = memory;
   return ft;
 }

@@ -118,13 +118,6 @@ struct RepairOptions {
   /// is bit-identical for every setting.
   int threads = 1;
 
-  /// Candidate generation for the violation-graph builds (see
-  /// FTOptions::index / --detect-index): kAuto picks the blocking
-  /// index on large inputs when a sound filter applies, kAllPairs
-  /// forces the quadratic join, kBlocked forces the index. The repair
-  /// result is bit-identical for every setting.
-  DetectIndexMode detect_index = DetectIndexMode::kAuto;
-
   /// Optional wall-clock/cancellation budget (not owned; must outlive
   /// the repair call). Every algorithm layer polls it at loop
   /// boundaries; on exhaustion the run degrades along the ladder
@@ -215,9 +208,11 @@ struct DegradationEvent {
 
 /// \brief Wall-clock breakdown of one repair call by pipeline phase.
 ///
-/// Populated by the Repairer facade from the same scoped spans that
-/// feed the tracer (src/common/trace.h), so the numbers here and in a
-/// --trace-json export agree. All values are milliseconds. `solve_ms`
+/// Populated by the Repairer facade from its own PhaseTimer / Timer
+/// objects, which it places beside the tracer's scoped spans
+/// (src/common/trace.h) around the same phases; the numbers here and
+/// in a --trace-json export measure the same regions but come from
+/// separate clocks. All values are milliseconds. `solve_ms`
 /// excludes the target-assignment time nested inside the multi-FD
 /// solvers. `detect_ms`, `apply_ms` and `stats_ms` are wall-clock
 /// spans of the pipeline. `graph_ms`, `solve_ms` and `targets_ms` are

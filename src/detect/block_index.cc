@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <string>
 
+#include "common/trace.h"
+
 namespace ftrepair {
 
 namespace {
@@ -47,19 +49,6 @@ struct AttrStats {
   int max_len = 0;
 };
 
-// The join strategy MakePlan settles on; shared by the constructor and
-// the kAuto resolution so they can never disagree.
-struct JoinPlan {
-  bool exact = false;
-  std::vector<int> key_attrs;
-  std::vector<bool> key_by_tostring;
-  int primary = -1;
-  std::vector<int> secondary;
-  // True when some filter is expected to actually prune; kAuto only
-  // switches to the blocked join when this holds.
-  bool worthwhile = false;
-};
-
 std::vector<AttrStats> GatherStats(const std::vector<Pattern>& patterns,
                                    const Table& table, const FD& fd,
                                    const DistanceModel& model,
@@ -98,9 +87,30 @@ bool EditFaithful(const AttrStats& s) {
          (s.metric == ColumnMetric::kAuto && !s.has_number);
 }
 
-JoinPlan MakePlan(const std::vector<Pattern>& patterns, const Table& table,
-                  const FD& fd, const DistanceModel& model,
-                  const FTOptions& opts) {
+// Sorted run-length-encoded q-gram multiset of `s` (q = kQ = 2, grams
+// encoded as two bytes packed into a uint32).
+std::vector<BlockIndex::GramRun> GramRunsOf(const std::string& s);
+
+int SharedGramCount(const std::vector<BlockIndex::GramRun>& a,
+                    const std::vector<BlockIndex::GramRun>& b, int cap);
+
+}  // namespace
+
+struct BlockIndex::JoinPlan {
+  bool exact = false;
+  std::vector<int> key_attrs;
+  std::vector<bool> key_by_tostring;
+  int primary = -1;
+  std::vector<int> secondary;
+  // True when some filter is expected to actually prune; ForBuild only
+  // builds an index when this holds.
+  bool worthwhile = false;
+};
+
+BlockIndex::JoinPlan BlockIndex::MakePlan(const std::vector<Pattern>& patterns,
+                                          const Table& table, const FD& fd,
+                                          const DistanceModel& model,
+                                          const FTOptions& opts) {
   JoinPlan plan;
   std::vector<AttrStats> stats =
       GatherStats(patterns, table, fd, model, opts);
@@ -189,21 +199,6 @@ JoinPlan MakePlan(const std::vector<Pattern>& patterns, const Table& table,
   return plan;
 }
 
-// Sorted run-length-encoded q-gram multiset of `s` (q = kQ = 2, grams
-// encoded as two bytes packed into a uint32).
-std::vector<BlockIndex::GramRun> GramRunsOf(const std::string& s);
-
-int SharedGramCount(const std::vector<BlockIndex::GramRun>& a,
-                    const std::vector<BlockIndex::GramRun>& b, int cap);
-
-}  // namespace
-
-void BlockIndex::ChargeIndexBytes(uint64_t bytes) {
-  if (!MemCharge(memory_, bytes, MemPhase::kIndex)) {
-    memory_exhausted_ = true;
-  }
-}
-
 void BlockIndex::BuildExactJoin(const std::vector<Pattern>& patterns,
                                 const Table& table, const FD& fd,
                                 const std::vector<int>& key_attrs,
@@ -257,11 +252,11 @@ void BlockIndex::BuildExactJoin(const std::vector<Pattern>& patterns,
     members.push_back(i);
   }
   // bucket_of_ + rank_in_bucket_ + one member id per pattern.
-  ChargeIndexBytes(static_cast<uint64_t>(n_) * 3 * sizeof(int));
+  MemCharge(memory_, static_cast<uint64_t>(n_) * 3 * sizeof(int),
+            MemPhase::kIndex);
 }
 
-void BlockIndex::BuildGramJoin(const std::vector<Pattern>& patterns) {
-  (void)patterns;  // anchor data already lives in primary_
+void BlockIndex::BuildGramJoin() {
   std::unordered_map<int, int> bucket_of_len;
   for (int i = 0; i < n_; ++i) {
     int len = primary_.len[static_cast<size_t>(i)];
@@ -291,15 +286,33 @@ void BlockIndex::BuildGramJoin(const std::vector<Pattern>& patterns) {
       }
     }
   }
-  ChargeIndexBytes(posting_bytes);
+  MemCharge(memory_, posting_bytes, MemPhase::kIndex);
+}
+
+std::unique_ptr<BlockIndex> BlockIndex::ForBuild(
+    const std::vector<Pattern>& patterns, const Table& table, const FD& fd,
+    const DistanceModel& model, const FTOptions& opts) {
+  if (static_cast<int>(patterns.size()) < kMinPatterns) return nullptr;
+  JoinPlan plan = MakePlan(patterns, table, fd, model, opts);
+  if (!plan.worthwhile) return nullptr;
+  FTR_TRACE_SPAN("detect.block_index",
+                 {{"fd", fd.name()},
+                  {"patterns", std::to_string(patterns.size())}});
+  return std::unique_ptr<BlockIndex>(
+      new BlockIndex(patterns, table, fd, opts, plan));
 }
 
 BlockIndex::BlockIndex(const std::vector<Pattern>& patterns,
                        const Table& table, const FD& fd,
-                       const DistanceModel& model, const FTOptions& opts) {
+                       const DistanceModel& model, const FTOptions& opts)
+    : BlockIndex(patterns, table, fd, opts,
+                 MakePlan(patterns, table, fd, model, opts)) {}
+
+BlockIndex::BlockIndex(const std::vector<Pattern>& patterns,
+                       const Table& table, const FD& fd,
+                       const FTOptions& opts, const JoinPlan& plan) {
   n_ = static_cast<int>(patterns.size());
   memory_ = opts.memory;
-  JoinPlan plan = MakePlan(patterns, table, fd, model, opts);
   int lhs = fd.lhs_size();
   auto weight_of = [&](int p) { return p < lhs ? opts.w_l : opts.w_r; };
 
@@ -330,7 +343,7 @@ BlockIndex::BlockIndex(const std::vector<Pattern>& patterns,
     for (const std::vector<GramRun>& runs : f.grams) {
       filter_bytes += sizeof(runs) + runs.size() * sizeof(GramRun);
     }
-    ChargeIndexBytes(filter_bytes);
+    MemCharge(memory_, filter_bytes, MemPhase::kIndex);
     return f;
   };
 
@@ -342,7 +355,7 @@ BlockIndex::BlockIndex(const std::vector<Pattern>& patterns,
   } else {
     gram_primary_ = plan.primary;
     primary_ = make_filter(plan.primary);
-    BuildGramJoin(patterns);
+    BuildGramJoin();
   }
 }
 
@@ -457,18 +470,6 @@ bool BlockIndex::SecondaryPrune(int i, int j) const {
     }
   }
   return false;
-}
-
-DetectIndexMode BlockIndex::Choose(const std::vector<Pattern>& patterns,
-                                   const Table& table, const FD& fd,
-                                   const DistanceModel& model,
-                                   const FTOptions& opts) {
-  if (static_cast<int>(patterns.size()) < kAutoMinPatterns) {
-    return DetectIndexMode::kAllPairs;
-  }
-  return MakePlan(patterns, table, fd, model, opts).worthwhile
-             ? DetectIndexMode::kBlocked
-             : DetectIndexMode::kAllPairs;
 }
 
 namespace {

@@ -2,6 +2,7 @@
 #define FTREPAIR_DETECT_BLOCK_INDEX_H_
 
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -73,9 +74,11 @@ class BlockIndex {
   };
 
   /// Builds the index over `patterns` (code vectors laid out over
-  /// `fd.attrs()`, decoded through `table`'s dictionaries). The
-  /// referenced patterns/model must outlive the index; `opts` is
-  /// snapshotted, and `table` is only read during construction.
+  /// `fd.attrs()`, decoded through `table`'s dictionaries) on whatever
+  /// sound plan the input admits, worthwhile or not; the graph build
+  /// goes through ForBuild instead. The inputs are only read during
+  /// construction; the index keeps no reference to them beyond
+  /// `opts.memory`.
   BlockIndex(const std::vector<Pattern>& patterns, const Table& table,
              const FD& fd, const DistanceModel& model,
              const FTOptions& opts);
@@ -95,24 +98,19 @@ class BlockIndex {
   /// candidate and the index degrades to the all-pairs join.
   bool degenerate() const { return exact_join() && num_key_attrs_ == 0; }
 
-  /// True when `opts.memory` ran out while building the postings /
-  /// buckets / filters. The index stays usable (sound, possibly less
-  /// selective); the graph build sees the latched budget and truncates.
-  bool memory_exhausted() const { return memory_exhausted_; }
+  /// The graph build's join decision, made once per build: returns the
+  /// index when the pattern count reaches kMinPatterns and the plan
+  /// finds a filter expected to prune (an exact-key attribute, or a
+  /// gram anchor whose count filter or length spread bites at typical
+  /// lengths); nullptr otherwise, and the build enumerates every i < j
+  /// pair directly.
+  static std::unique_ptr<BlockIndex> ForBuild(
+      const std::vector<Pattern>& patterns, const Table& table, const FD& fd,
+      const DistanceModel& model, const FTOptions& opts);
 
-  /// Resolves DetectIndexMode::kAuto for this input: kBlocked when the
-  /// pattern count reaches kAutoMinPatterns and the analysis finds a
-  /// filter expected to prune (an exact-key attribute, or a gram anchor
-  /// whose count filter or length spread bites at typical lengths);
-  /// kAllPairs otherwise.
-  static DetectIndexMode Choose(const std::vector<Pattern>& patterns,
-                                const Table& table, const FD& fd,
-                                const DistanceModel& model,
-                                const FTOptions& opts);
-
-  /// Below this pattern count kAuto always stays on the all-pairs join
-  /// (the index's setup cost wouldn't amortize).
-  static constexpr int kAutoMinPatterns = 256;
+  /// Below this pattern count ForBuild never builds an index (its setup
+  /// cost wouldn't amortize).
+  static constexpr int kMinPatterns = 256;
 
   /// q-gram width of the count filter.
   static constexpr int kQ = 2;
@@ -151,17 +149,26 @@ class BlockIndex {
                       const Table& table, const FD& fd,
                       const std::vector<int>& key_attrs,
                       const std::vector<bool>& key_by_tostring);
-  void BuildGramJoin(const std::vector<Pattern>& patterns);
+  // Buckets patterns by anchor length (primary_ holds the anchor data)
+  // and builds each bucket's inverted gram index.
+  void BuildGramJoin();
   bool SecondaryPrune(int i, int j) const;
-  // Charges `bytes` of index structure against memory_ (when set),
-  // recording exhaustion in memory_exhausted_.
-  void ChargeIndexBytes(uint64_t bytes);
+  // The join strategy for one input: exact keys, gram anchor and
+  // secondary filters, and whether any of them is expected to prune.
+  struct JoinPlan;
+  static JoinPlan MakePlan(const std::vector<Pattern>& patterns,
+                           const Table& table, const FD& fd,
+                           const DistanceModel& model, const FTOptions& opts);
+  BlockIndex(const std::vector<Pattern>& patterns, const Table& table,
+             const FD& fd, const FTOptions& opts, const JoinPlan& plan);
 
   int n_ = 0;
   int num_key_attrs_ = 0;
   int gram_primary_ = -1;
-  const MemoryBudget* memory_ = nullptr;  // not owned; from FTOptions
-  bool memory_exhausted_ = false;
+  // Not owned; from FTOptions. The index structures charge it
+  // (MemPhase::kIndex); exhaustion latches there, and the graph build
+  // sees it and truncates.
+  const MemoryBudget* memory_ = nullptr;
 
   // Exact join: pattern -> bucket, buckets hold ascending member ids.
   std::vector<int> bucket_of_;

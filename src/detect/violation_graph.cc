@@ -15,18 +15,6 @@
 
 namespace ftrepair {
 
-const char* DetectIndexModeName(DetectIndexMode mode) {
-  switch (mode) {
-    case DetectIndexMode::kAuto:
-      return "auto";
-    case DetectIndexMode::kAllPairs:
-      return "allpairs";
-    case DetectIndexMode::kBlocked:
-      return "blocked";
-  }
-  return "?";
-}
-
 namespace {
 
 // True when |Δlen| / max_len lower-bounds CellDistance on a string
@@ -231,23 +219,15 @@ ViolationGraph ViolationGraph::Build(std::vector<Pattern> patterns,
         distinct.size() * 4 <= static_cast<size_t>(n);
   }
 
-  DetectIndexMode mode = opts.index;
-  if (mode == DetectIndexMode::kAuto) {
-    mode = BlockIndex::Choose(g.patterns_, table, fd, model, opts);
-  }
-  g.index_mode_ = mode;
-  std::unique_ptr<BlockIndex> index;
-  if (mode == DetectIndexMode::kBlocked) {
-    FTR_TRACE_SPAN("detect.block_index",
-                   {{"fd", fd.name()}, {"patterns", std::to_string(n)}});
-    index = std::make_unique<BlockIndex>(g.patterns_, table, fd, model, opts);
-  }
+  std::unique_ptr<BlockIndex> index =
+      BlockIndex::ForBuild(g.patterns_, table, fd, model, opts);
 
   // Both joins run the identical per-candidate sequence — budget
   // charge, identical-projection skip, length lower bound, cutoff
   // kernel — and candidates arrive in ascending j within ascending i,
   // so the surviving edges (and their doubles) are bit-identical
-  // across modes; only how many candidates were *generated* differs.
+  // whichever join runs; only how many candidates were *generated*
+  // differs.
   auto verify_candidate = [&](ShardResult& r, int i, int j,
                               PairDistanceMemo& memo) {
     if (!BudgetCharge(budget)) {
@@ -368,13 +348,6 @@ ViolationGraph ViolationGraph::Build(std::vector<Pattern> patterns,
     // their footprint so resident occupancy tracks the merged graph.
     opts.memory->Release(shard_scratch_bytes);
   }
-  g.total_min_edge_cost_ = 0;
-  for (int i = 0; i < n; ++i) {
-    if (g.min_edge_cost_[static_cast<size_t>(i)] != kInfinity) {
-      g.total_min_edge_cost_ += g.pattern(i).count() *
-                                g.min_edge_cost_[static_cast<size_t>(i)];
-    }
-  }
   // Similarity-join accounting, once per build (not per pair): the
   // pair-filter effectiveness is the first thing to look at when
   // detection dominates a trace.
@@ -449,12 +422,6 @@ ViolationGraph ViolationGraph::InducedSubgraph(
       g.min_edge_cost_[i] = std::min(g.min_edge_cost_[i], e.unit_cost);
     }
   }
-  for (size_t i = 0; i < vertices.size(); ++i) {
-    if (g.min_edge_cost_[i] != kInfinity) {
-      g.total_min_edge_cost_ +=
-          g.patterns_[i].count() * g.min_edge_cost_[i];
-    }
-  }
   // Build provenance carries over: a component cut out of a
   // budget-truncated graph may itself be missing edges, and its solver
   // must not believe detection was complete.
@@ -463,7 +430,6 @@ ViolationGraph ViolationGraph::InducedSubgraph(
   g.candidates_generated_ = candidates_generated_;
   g.candidates_verified_ = candidates_verified_;
   g.candidates_filtered_ = candidates_filtered_;
-  g.index_mode_ = index_mode_;
   return g;
 }
 

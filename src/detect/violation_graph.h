@@ -13,23 +13,6 @@
 
 namespace ftrepair {
 
-/// How the graph build generates candidate pattern pairs.
-enum class DetectIndexMode {
-  /// Pick per build: the blocking index when the table is large enough
-  /// and at least one attribute supports a sound filter, the all-pairs
-  /// join otherwise.
-  kAuto,
-  /// Enumerate every i < j pattern pair (the historical join).
-  kAllPairs,
-  /// Generate candidates through a BlockIndex (detect/block_index.h):
-  /// an exact-match bucket join at tau = 0, a length-bucketed inverted
-  /// q-gram index at tau > 0. Every filter is sound, so the resulting
-  /// graph is bit-identical to the all-pairs build.
-  kBlocked,
-};
-
-const char* DetectIndexModeName(DetectIndexMode mode);
-
 /// Parameters of the fault-tolerant violation semantics (§2.1).
 struct FTOptions {
   /// Weight of the LHS attribute distances in Eq. 2.
@@ -44,11 +27,6 @@ struct FTOptions {
   /// Every setting produces a bit-identical graph — same edge order,
   /// same stats — so this is purely a speed knob.
   int threads = 1;
-  /// Candidate-generation strategy for the pair join. The blocked and
-  /// all-pairs joins emit bit-identical edges (same order, same
-  /// proj/unit values); only the candidate-accounting stats differ, as
-  /// documented on the accessors below.
-  DetectIndexMode index = DetectIndexMode::kAuto;
   /// Optional memory governance (not owned). Edge buffers, shard
   /// scratch, and block-index postings charge against it
   /// (MemPhase::kGraph / kIndex); on exhaustion the build truncates
@@ -92,6 +70,13 @@ class ViolationGraph {
   /// graph is marked truncated() — a valid graph missing some edges,
   /// i.e. some violations go undetected (the detect-only degradation).
   ///
+  /// The build alone decides how candidate pairs are generated: it
+  /// joins through a BlockIndex (detect/block_index.h) when
+  /// BlockIndex::ForBuild finds one worth building for this input, and
+  /// enumerates every i < j pair otherwise. Both joins emit the same
+  /// edges in the same order with the same doubles; only the candidate
+  /// counts below differ.
+  ///
   /// The pair join runs on `opts.threads` threads (see FTOptions); the
   /// result is bit-identical for every thread count. Under a budget
   /// that exhausts mid-build, *which* pairs were evaluated is only
@@ -122,32 +107,21 @@ class ViolationGraph {
     return min_edge_cost_[static_cast<size_t>(i)];
   }
 
-  /// Sum over all patterns of count * MinEdgeCost (isolated vertices
-  /// contribute 0) — used by LB computations.
-  double TotalMinEdgeCost() const { return total_min_edge_cost_; }
-
   /// Number of candidate pairs skipped by the cheap length filter
   /// before any edit-distance evaluation (similarity-join stat).
   size_t pairs_length_filtered() const { return pairs_length_filtered_; }
 
-  /// Candidate accounting, identical in meaning across both join
-  /// strategies: `generated` pairs were emitted by the candidate
-  /// source (every budget-charged i < j pair for the all-pairs join,
-  /// every index hit for the blocked join), of which `filtered` were
-  /// skipped by the cheap pre-kernel checks (identical projections or
-  /// the length lower bound) and `verified` reached the exact distance
-  /// kernel. Invariants: generated = filtered + verified, and
-  /// generated <= n * (n - 1) / 2. A blocked build generates fewer
-  /// candidates than an all-pairs build of the same input — that
-  /// reduction is the index's whole point — while the edge list stays
-  /// bit-identical.
+  /// Candidate accounting: `generated` pairs were emitted by the
+  /// candidate source (every budget-charged i < j pair when the build
+  /// enumerates all pairs, every index hit when it joins through a
+  /// BlockIndex), of which `filtered` were skipped by the cheap
+  /// pre-kernel checks (identical projections or the length lower
+  /// bound) and `verified` reached the exact distance kernel.
+  /// Invariants: generated = filtered + verified, and generated <=
+  /// n * (n - 1) / 2, strictly less when the index pruned.
   uint64_t candidates_generated() const { return candidates_generated_; }
   uint64_t candidates_verified() const { return candidates_verified_; }
   uint64_t candidates_filtered() const { return candidates_filtered_; }
-
-  /// The join strategy this graph was actually built with (kAuto
-  /// resolved to one of the concrete modes).
-  DetectIndexMode index_mode() const { return index_mode_; }
 
   /// True when the build's budget ran out and some candidate pairs
   /// were never evaluated (the graph may be missing edges).
@@ -184,13 +158,11 @@ class ViolationGraph {
   std::vector<Pattern> patterns_;
   std::vector<std::vector<Edge>> adj_;
   std::vector<double> min_edge_cost_;
-  double total_min_edge_cost_ = 0;
   size_t num_edges_ = 0;
   size_t pairs_length_filtered_ = 0;
   uint64_t candidates_generated_ = 0;
   uint64_t candidates_verified_ = 0;
   uint64_t candidates_filtered_ = 0;
-  DetectIndexMode index_mode_ = DetectIndexMode::kAllPairs;
   bool truncated_ = false;
 };
 

@@ -168,14 +168,22 @@ TEST_F(CliTest, ParseDeadlineAndBadRowPolicy) {
   EXPECT_EQ(strict.value().csv.bad_rows, BadRowPolicy::kStrict);
 }
 
-TEST_F(CliTest, ParseColumnarFlag) {
-  // The flag is gone with the value-keyed detect path: detection always
-  // runs on dictionary codes.
-  auto off = ParseCliArgs({"--input", "x", "--fds", "f", "--columnar", "off"});
-  ASSERT_FALSE(off.ok());
-  EXPECT_NE(off.status().message().find("unknown flag '--columnar'"),
-            std::string::npos)
-      << off.status().ToString();
+TEST_F(CliTest, RemovedFlagsRejected) {
+  // Flags whose only job was to switch between implementations with
+  // identical outputs are gone: detection always runs on dictionary
+  // codes (--columnar), and the graph build picks its own candidate
+  // join (--detect-index).
+  const std::vector<std::vector<std::string>> removed = {
+      {"--columnar", "off"}, {"--detect-index", "allpairs"}};
+  for (const std::vector<std::string>& flag : removed) {
+    auto parsed =
+        ParseCliArgs({"--input", "x", "--fds", "f", flag[0], flag[1]});
+    ASSERT_FALSE(parsed.ok()) << flag[0];
+    EXPECT_NE(parsed.status().message().find("unknown flag '" + flag[0] +
+                                             "'"),
+              std::string::npos)
+        << parsed.status().ToString();
+  }
 }
 
 TEST_F(CliTest, UnknownTauFdNameRejected) {

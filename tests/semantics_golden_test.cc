@@ -1,13 +1,13 @@
 // Golden end-to-end regression suite for the default (ft-cost) repair
 // semantics.
 //
-// Every (corpus, algorithm) instance is repaired at {threads 1,2,4,8}
-// and under {detect index all-pairs/blocked}, the whole RepairResult is
-// fingerprinted byte for byte (repaired table, change list, cost, stats
-// counters), and the fingerprint hash is compared against a committed
-// golden. The committed goldens predate the repair-semantics layer
-// (core/semantics.h), the single dictionary-coded detect path and the
-// single distance kernel, so a passing run proves the current pipeline
+// Every (corpus, algorithm) instance is repaired at {threads 1,2,4,8},
+// the whole RepairResult is fingerprinted byte for byte (repaired
+// table, change list, cost, stats counters), and the fingerprint hash
+// is compared against a committed golden. The committed goldens
+// predate the repair-semantics layer (core/semantics.h), the single
+// dictionary-coded detect path, the single distance kernel and the
+// build-owned join choice, so a passing run proves the current pipeline
 // is bit-identical to the original one — future refactors diff against
 // these files instead of recomputing oracles.
 //
@@ -167,9 +167,8 @@ bool UpdateMode() {
 }
 
 // The full matrix evaluation: every corpus x algorithm pinned to ONE
-// digest across {threads} and {index} — one golden per
-// (corpus, algorithm), because none of those knobs may change a single
-// output byte.
+// digest across {threads} — one golden per (corpus, algorithm), because
+// the thread count may not change a single output byte.
 void ComputeDigests(std::map<std::string, std::string>* digests) {
   for (const Corpus& corpus : GoldenCorpora()) {
     for (RepairAlgorithm algorithm :
@@ -178,7 +177,6 @@ void ComputeDigests(std::map<std::string, std::string>* digests) {
       const std::string key =
           corpus.name + "/" + AlgorithmKey(algorithm);
       std::string reference;
-      // Axis 1: threads (index at its default).
       for (int threads : {1, 2, 4, 8}) {
         RepairOptions options = BaseOptions(corpus, algorithm);
         options.threads = threads;
@@ -191,18 +189,6 @@ void ComputeDigests(std::map<std::string, std::string>* digests) {
           ASSERT_EQ(FingerprintDigest(fp), FingerprintDigest(reference))
               << key << " diverged at threads=" << threads;
         }
-      }
-      // Axis 2: detect index (threads=2) — same digest again.
-      for (DetectIndexMode index :
-           {DetectIndexMode::kAllPairs, DetectIndexMode::kBlocked}) {
-        RepairOptions options = BaseOptions(corpus, algorithm);
-        options.threads = 2;
-        options.detect_index = index;
-        auto result = Repairer(options).Repair(corpus.table, corpus.fds);
-        ASSERT_TRUE(result.ok()) << result.status().ToString();
-        ASSERT_EQ(FingerprintDigest(Fingerprint(result.value())),
-                  FingerprintDigest(reference))
-            << key << " diverged at index=" << DetectIndexModeName(index);
       }
       (*digests)[key] = FingerprintDigest(reference);
     }
@@ -221,7 +207,7 @@ TEST(SemanticsGoldenTest, FtCostMatrixMatchesCommittedGoldens) {
     out << "# Pre-refactor ft-cost RepairResult fingerprint digests\n"
         << "# (FNV-1a 64 of the full fingerprint, ':', byte length).\n"
         << "# One digest per corpus/algorithm: every {threads 1,2,4,8}\n"
-        << "# and {detect index} run must reproduce it byte for byte.\n"
+        << "# run must reproduce it byte for byte.\n"
         << "# Regenerate: FTREPAIR_UPDATE_GOLDENS=1 "
            "./semantics_golden_test\n";
     for (const auto& [key, digest] : digests) {

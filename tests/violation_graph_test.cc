@@ -130,8 +130,6 @@ TEST(ViolationGraphTest, GroupedWeightsUseMultiplicity) {
   ViolationGraph g = Phi1Graph(t, model);
   int bachelors3 = FindPattern(g, t, "Bachelors", 3);
   EXPECT_EQ(g.pattern(bachelors3).count(), 3);  // t1, t2, t3
-  // TotalMinEdgeCost weights by count.
-  EXPECT_GT(g.TotalMinEdgeCost(), 0.0);
 }
 
 TEST(ViolationGraphTest, ConnectedComponentsAndSubgraph) {
