@@ -1,6 +1,8 @@
 // Ablation: target search engines (§5). Compares, per multi-FD target
 // query, the eager target tree, the lazy-materialization search, and a
 // linear scan over materialized targets, on the HOSP measure component.
+// Every engine reads its distances from a DistanceTable over its own
+// domains; the table's fill time is reported on its own row.
 
 #include <iostream>
 
@@ -47,28 +49,43 @@ int main() {
 
   Report report("Ablation: target search engines (HOSP measure component)");
   report.SetHeader({"engine", "build t(s)", "query t(s) total", "targets"});
+  std::vector<size_t> ids(context.sigma_patterns.size());
+  for (size_t i = 0; i < ids.size(); ++i) ids[i] = i;
+  // Lays out and fills the table over `domains`, adding a report row.
+  auto fill = [&](const char* engine,
+                  std::vector<std::vector<uint32_t>> domains) {
+    Timer timer;
+    DistanceTable table(std::move(domains), context.sigma_patterns, ids);
+    table.Fill(dirty, context.component_cols, model, 1, nullptr, nullptr);
+    report.AddRow({std::string(engine) + " distance table",
+                   Cell(timer.Seconds(), 4), "-",
+                   std::to_string(table.entries()) + " entries"});
+    return table;
+  };
 
   // Eager tree.
   {
     Timer build;
-    auto tree =
-        TargetTree::Build(inputs, context.component_cols, dirty, 2'000'000);
+    auto tree = TargetTree::Build(inputs, context.component_cols, 2'000'000);
     double build_time = build.Seconds();
     if (tree.ok()) {
+      DistanceTable table = fill("eager tree", tree.value().domains());
       Timer queries;
-      for (const Pattern& sigma : context.sigma_patterns) {
-        tree.value().FindBest(sigma.codes, model, nullptr);
+      for (size_t q = 0; q < ids.size(); ++q) {
+        tree.value().FindBest(table.Rows(q), nullptr);
       }
       report.AddRow({"eager tree", Cell(build_time, 4),
                      Cell(queries.Seconds(), 4),
                      std::to_string(tree.value().num_targets())});
-      // Linear scan over the same targets.
-      auto targets = tree.value().EnumerateTargets();
-      ProjectionDecoder decoder(dirty, context.component_cols);
+      // Linear scan over the same targets (and the same table).
+      std::vector<std::vector<uint32_t>> targets;
+      for (const auto& target : tree.value().EnumerateTargets()) {
+        targets.push_back(DomainIndices(tree.value().domains(), target));
+      }
       Timer linear;
-      for (const Pattern& sigma : context.sigma_patterns) {
+      for (size_t q = 0; q < ids.size(); ++q) {
         double cost = 0;
-        FindBestTargetLinear(targets, sigma.codes, decoder, model, &cost);
+        FindBestTargetLinear(targets, table.Rows(q), &cost);
       }
       report.AddRow({"linear scan", "-", Cell(linear.Seconds(), 4),
                      std::to_string(targets.size())});
@@ -79,13 +96,13 @@ int main() {
   // Lazy search.
   {
     Timer build;
-    auto lazy =
-        LazyTargetSearch::Build(inputs, context.component_cols, dirty);
+    auto lazy = LazyTargetSearch::Build(inputs, context.component_cols);
     double build_time = build.Seconds();
     if (lazy.ok()) {
+      DistanceTable table = fill("lazy search", lazy.value().domains());
       Timer queries;
-      for (const Pattern& sigma : context.sigma_patterns) {
-        lazy.value().FindBest(sigma.codes, model, 200000, nullptr);
+      for (size_t q = 0; q < ids.size(); ++q) {
+        lazy.value().FindBest(table.Rows(q), 200000, nullptr);
       }
       report.AddRow({"lazy search", Cell(build_time, 4),
                      Cell(queries.Seconds(), 4), "-"});

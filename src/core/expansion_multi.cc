@@ -80,31 +80,39 @@ struct CombinationSearch {
         inputs[k].elements.push_back(context->graphs[k].pattern(j).codes);
       }
     }
-    auto tree_result = TargetTree::Build(
-        std::move(inputs), context->component_cols, *context->table,
-        options->max_tree_nodes, options->memory);
+    auto tree_result =
+        TargetTree::Build(std::move(inputs), context->component_cols,
+                          options->max_tree_nodes, options->memory);
     if (!tree_result.ok()) {
       if (tree_result.status().IsNotFound()) return Status::OK();  // no join
       return tree_result.status();
     }
     TargetTree tree = std::move(tree_result).value();
 
-    double cost = 0;
+    std::vector<size_t> dirty;
     for (size_t i = 0; i < context->sigma_patterns.size(); ++i) {
       bool all_member = true;
       for (size_t k = 0; k < num_fds && all_member; ++k) {
         all_member =
             member[k][static_cast<size_t>(context->phi_of_sigma[k][i])];
       }
-      if (all_member) continue;
+      if (!all_member) dirty.push_back(i);
+    }
+    DistanceTable table(tree.domains(), context->sigma_patterns, dirty);
+    if (!table.Fill(*context->table, context->component_cols, *model,
+                    options->threads, options->budget, options->memory)) {
+      return ResourceCheck(options->budget, options->memory,
+                           "combination search");
+    }
+    double cost = 0;
+    for (size_t d = 0; d < dirty.size(); ++d) {
       TargetTree::SearchStats search_stats;
-      TargetQuery query = tree.FindBest(context->sigma_patterns[i].codes,
-                                        *model, &search_stats);
+      TargetQuery query = tree.FindBest(table.Rows(d), &search_stats);
       if (stats != nullptr) {
         stats->target_nodes_visited += search_stats.nodes_visited;
         stats->target_nodes_pruned += search_stats.nodes_pruned;
       }
-      cost += context->sigma_patterns[i].count() * query.cost;
+      cost += context->sigma_patterns[dirty[d]].count() * query.cost;
       if (cost >= best_cost) return Status::OK();  // early abort
     }
     if (cost < best_cost) {

@@ -27,7 +27,7 @@ std::vector<uint32_t> CodesAt(const std::vector<uint32_t>& elem,
 
 Result<LazyTargetSearch> LazyTargetSearch::Build(
     std::vector<TargetTree::LevelInput> inputs,
-    std::vector<int> component_cols, const Table& table) {
+    std::vector<int> component_cols) {
   FTR_TRACE_SPAN("targets.lazy_build");
   if (inputs.empty()) {
     return Status::InvalidArgument("lazy target search needs >= 1 set");
@@ -40,7 +40,6 @@ Result<LazyTargetSearch> LazyTargetSearch::Build(
 
   LazyTargetSearch search;
   search.component_cols_ = std::move(component_cols);
-  search.decoder_ = ProjectionDecoder(table, search.component_cols_);
   int width = static_cast<int>(search.component_cols_.size());
   std::unordered_map<int, int> col_to_pos;
   for (int p = 0; p < width; ++p) {
@@ -138,6 +137,18 @@ Result<LazyTargetSearch> LazyTargetSearch::Build(
                        distinct.end());
       }
     }
+    for (const std::vector<uint32_t>& elem : level.elements) {
+      for (int pos : level.fixed_pos) {
+        size_t a = static_cast<size_t>(
+            std::find(level.attr_pos.begin(), level.attr_pos.end(), pos) -
+            level.attr_pos.begin());
+        const std::vector<uint32_t>& domain =
+            search.position_codes_[static_cast<size_t>(pos)];
+        level.fixed_index.push_back(static_cast<uint32_t>(
+            std::lower_bound(domain.begin(), domain.end(), elem[a]) -
+            domain.begin()));
+      }
+    }
     // Index elements by their back-shared projection.
     for (size_t e = 0; e < level.elements.size(); ++e) {
       level.index[CodesAt(level.elements[e], level.back_attr)].push_back(
@@ -162,8 +173,8 @@ Result<LazyTargetSearch> LazyTargetSearch::Build(
 }
 
 TargetQuery LazyTargetSearch::FindBest(
-    const std::vector<uint32_t>& tuple_proj, const DistanceModel& model,
-    uint64_t max_visits, TargetTree::SearchStats* stats,
+    const DistanceRows& rows, uint64_t max_visits,
+    TargetTree::SearchStats* stats,
     const Budget* budget, const MemoryBudget* memory) const {
   TargetQuery result;
   size_t num_levels = levels_.size();
@@ -173,8 +184,8 @@ TargetQuery LazyTargetSearch::FindBest(
   std::vector<double> pos_lb(static_cast<size_t>(width), 0);
   for (size_t p = 0; p < static_cast<size_t>(width); ++p) {
     double best = 1.0;
-    for (uint32_t code : position_codes_[p]) {
-      best = std::min(best, decoder_.Distance(model, p, tuple_proj[p], code));
+    for (size_t i = 0; i < position_codes_[p].size(); ++i) {
+      best = std::min(best, rows[p][i]);
       if (best == 0) break;
     }
     pos_lb[p] = best;
@@ -262,20 +273,15 @@ TargetQuery LazyTargetSearch::FindBest(
     }
     auto it = level.index.find(back_key);
     if (it == level.index.end()) continue;  // dead end
+    size_t num_fixed = level.fixed_pos.size();
     for (int e : it->second) {
-      const std::vector<uint32_t>& elem =
-          level.elements[static_cast<size_t>(e)];
+      // Only positions first fixed here contribute (back-shared ones
+      // were already priced by the fixing level).
+      const uint32_t* index =
+          level.fixed_index.data() + static_cast<size_t>(e) * num_fixed;
       double rdist = top.rdist;
-      for (size_t a = 0; a < level.attr_pos.size(); ++a) {
-        int pos = level.attr_pos[a];
-        // Only positions first fixed here contribute (back-shared ones
-        // were already priced by the fixing level).
-        bool first_fixed = std::find(level.fixed_pos.begin(),
-                                     level.fixed_pos.end(),
-                                     pos) != level.fixed_pos.end();
-        if (!first_fixed) continue;
-        size_t p = static_cast<size_t>(pos);
-        rdist += decoder_.Distance(model, p, tuple_proj[p], elem[a]);
+      for (size_t j = 0; j < num_fixed; ++j) {
+        rdist += rows[static_cast<size_t>(level.fixed_pos[j])][index[j]];
       }
       double f = rdist +
                  edist_suffix[static_cast<size_t>(next_level) + 1];

@@ -28,8 +28,8 @@ namespace ftrepair {
 ///     subtree sets — a weaker but still admissible lower bound that
 ///     needs no materialized tree.
 ///
-/// Like the eager tree it holds dictionary codes of one table and
-/// decodes a code pair only to price it.
+/// Like the eager tree it holds dictionary codes of one table and reads
+/// every distance from a DistanceTable over domains().
 ///
 /// A per-query visit budget bounds pathological searches; when it is
 /// exhausted the best leaf found so far (if any) is returned with
@@ -39,21 +39,24 @@ class LazyTargetSearch {
   /// Validates the inputs and builds the per-level indices. Fails with
   /// NotFound when the pairwise-consistency relaxation proves the join
   /// empty.
-  /// Element and query codes are codes of `table`, which must outlive
-  /// the search.
   static Result<LazyTargetSearch> Build(
       std::vector<TargetTree::LevelInput> inputs,
-      std::vector<int> component_cols, const Table& table);
+      std::vector<int> component_cols);
 
-  /// Best-first search for the cheapest target for `tuple_proj`
-  /// (codes over component_cols order). `budget` (optional, not
+  /// domains()[p]: the distinct codes the elements fixing position p
+  /// hold there, ascending (the global EDIST bound's value sets).
+  const std::vector<std::vector<uint32_t>>& domains() const {
+    return position_codes_;
+  }
+
+  /// Best-first search for the cheapest target for the query whose
+  /// DistanceTable rows over domains() are `rows`. `budget` (optional, not
   /// owned) is charged one unit per visit and truncates the search
   /// exactly like the visit cap when it runs out; `memory` (optional,
   /// not owned) is charged per arena node pushed and truncates the
   /// same way. An untruncated search returns an empty target only when
   /// the join is empty (the build-time relaxation can miss that).
-  TargetQuery FindBest(const std::vector<uint32_t>& tuple_proj,
-                       const DistanceModel& model, uint64_t max_visits,
+  TargetQuery FindBest(const DistanceRows& rows, uint64_t max_visits,
                        TargetTree::SearchStats* stats,
                        const Budget* budget = nullptr,
                        const MemoryBudget* memory = nullptr) const;
@@ -68,8 +71,12 @@ class LazyTargetSearch {
     std::vector<std::vector<uint32_t>> elements;
     /// Component position of each of the FD's attrs.
     std::vector<int> attr_pos;
-    /// Positions first fixed at this level (subset of attr_pos).
+    /// Positions first fixed at this level (subset of attr_pos, in
+    /// attr order).
     std::vector<int> fixed_pos;
+    /// fixed_index[e * |fixed_pos| + j]: domain index of element e's
+    /// code at fixed_pos[j].
+    std::vector<uint32_t> fixed_index;
     /// attr indices (into attr_pos) already fixed by earlier levels.
     std::vector<int> back_attr;
     /// Index: codes of an element on back_attr -> element ids,
@@ -80,8 +87,6 @@ class LazyTargetSearch {
   };
 
   std::vector<int> component_cols_;
-  /// Decodes component position p's codes through the build table.
-  ProjectionDecoder decoder_;
   std::vector<Level> levels_;
   /// Distinct codes per component position (from the first-fixing
   /// level's elements), for the global EDIST bound.

@@ -80,15 +80,13 @@ ComponentContext BuildComponentContext(const Table& table,
 }
 
 size_t FindBestTargetLinear(const std::vector<std::vector<uint32_t>>& targets,
-                            const std::vector<uint32_t>& tuple_proj,
-                            const ProjectionDecoder& decoder,
-                            const DistanceModel& model, double* cost) {
+                            const DistanceRows& rows, double* cost) {
   double best = ViolationGraph::kInfinity;
   size_t best_idx = 0;
   for (size_t t = 0; t < targets.size(); ++t) {
     double c = 0;
-    for (size_t p = 0; p < decoder.cols().size() && c < best; ++p) {
-      c += decoder.Distance(model, p, tuple_proj[p], targets[t][p]);
+    for (size_t p = 0; p < rows.size() && c < best; ++p) {
+      c += rows[p][targets[t][p]];
     }
     if (c < best) {
       best = c;
@@ -205,15 +203,14 @@ Result<MultiFDSolution> AssignTargets(
   std::optional<TargetTree> tree;
   std::optional<LazyTargetSearch> lazy;
   Status built;
-  auto tree_result =
-      TargetTree::Build(inputs, context.component_cols, *context.table,
-                        options.max_tree_nodes, options.memory);
+  auto tree_result = TargetTree::Build(inputs, context.component_cols,
+                                      options.max_tree_nodes, options.memory);
   if (tree_result.ok()) {
     tree = std::move(tree_result).value();
   } else if (tree_result.status().IsResourceExhausted() &&
              options.use_target_tree && !MemExhausted(options.memory)) {
-    auto lazy_result = LazyTargetSearch::Build(
-        std::move(inputs), context.component_cols, *context.table);
+    auto lazy_result =
+        LazyTargetSearch::Build(std::move(inputs), context.component_cols);
     if (lazy_result.ok()) {
       lazy = std::move(lazy_result).value();
     } else {
@@ -228,29 +225,42 @@ Result<MultiFDSolution> AssignTargets(
     return solution;
   }
   FTR_RETURN_NOT_OK(built);
+  // The linear scan reads the targets as indices into the tree's
+  // domains, which are exactly the codes its targets hold.
   std::vector<std::vector<uint32_t>> linear_targets;
-  const ProjectionDecoder linear_decoder(*context.table,
-                                         context.component_cols);
+  std::vector<std::vector<uint32_t>> linear_indices;
   if (!options.use_target_tree) {
     linear_targets = tree->EnumerateTargets();
     if (stats != nullptr) {
       stats->targets_materialized += linear_targets.size();
     }
+    for (const std::vector<uint32_t>& target : linear_targets) {
+      linear_indices.push_back(DomainIndices(tree->domains(), target));
+    }
   }
-  auto query = [&](size_t i,
+
+  // Every distance the queries read, computed once. With the budget or
+  // memory already out, no query would run: skip the fill.
+  DistanceTable table(lazy.has_value() ? lazy->domains() : tree->domains(),
+                      context.sigma_patterns, dirty);
+  if (!table.Fill(*context.table, context.component_cols, model,
+                  options.threads, options.budget, options.memory)) {
+    solution.truncated = true;  // every dirty pattern stays unrepaired
+    return solution;
+  }
+  auto query = [&](size_t d,
                    TargetTree::SearchStats* search_stats) -> TargetQuery {
-    const std::vector<uint32_t>& proj = context.sigma_patterns[i].codes;
+    const DistanceRows rows = table.Rows(d);
     if (lazy.has_value()) {
-      return lazy->FindBest(proj, model, options.max_target_visits,
-                            search_stats, options.budget, options.memory);
+      return lazy->FindBest(rows, options.max_target_visits, search_stats,
+                            options.budget, options.memory);
     }
     if (options.use_target_tree) {
-      return tree->FindBest(proj, model, search_stats, options.budget,
+      return tree->FindBest(rows, search_stats, options.budget,
                             options.memory);
     }
     TargetQuery result;
-    size_t t = FindBestTargetLinear(linear_targets, proj, linear_decoder,
-                                    model, &result.cost);
+    size_t t = FindBestTargetLinear(linear_indices, rows, &result.cost);
     result.target = linear_targets[t];
     return result;
   };
@@ -276,8 +286,7 @@ Result<MultiFDSolution> AssignTargets(
           return;
         }
         Shard& shard = shards[static_cast<size_t>(d)];
-        shard.query = query(dirty[static_cast<size_t>(d)],
-                            &shard.search_stats);
+        shard.query = query(static_cast<size_t>(d), &shard.search_stats);
         shard.ran = true;
       },
       options.budget);

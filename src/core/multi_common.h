@@ -5,6 +5,7 @@
 
 #include "common/status.h"
 #include "constraint/fd.h"
+#include "core/distance_table.h"
 #include "core/repair_types.h"
 #include "core/target_tree.h"
 #include "data/table.h"
@@ -60,13 +61,16 @@ ComponentContext BuildComponentContext(const Table& table,
 ///     budget still holds;
 ///   * with `options.use_target_tree` false, the tree's materialized
 ///     targets and FindBestTargetLinear (no lazy fallback).
-/// Any other build failure is returned. The queries run under
-/// ParallelFor at `options.threads` and merge in dirty order, so the
+/// Any other build failure is returned. One DistanceTable over the
+/// search's domains and the dirty patterns then holds every distance
+/// the queries read. The fill and the queries run under ParallelFor at
+/// `options.threads` and the queries merge in dirty order, so the
 /// result is the same at every thread count (budget truncation aside).
 ///
 /// An empty join (NotFound from either build) sets `stats->join_empty`
 /// and leaves every tuple unrepaired. When the budget or the memory
-/// budget runs out, the remaining patterns stay unrepaired and the
+/// budget runs out — before the table fill (which is then skipped) or
+/// during the queries — the remaining patterns stay unrepaired and the
 /// solution is `truncated`. A query that returns no target leaves its
 /// pattern unrepaired: it sets `truncated` if the search was cut short
 /// and `stats->join_empty` otherwise (the lazy build's relaxation can
@@ -78,12 +82,12 @@ Result<MultiFDSolution> AssignTargets(const ComponentContext& context,
                                       RepairStats* stats);
 
 /// Linear-scan counterpart of TargetTree::FindBest over materialized
-/// targets; returns the index of the cheapest target. Targets and
-/// `tuple_proj` are codes over `decoder.cols()`.
+/// targets; returns the index of the first cheapest target. Each
+/// target holds, per position p, an index into the domain `rows[p]`
+/// was laid out over (DomainIndices); `rows` are the query's
+/// DistanceTable rows.
 size_t FindBestTargetLinear(const std::vector<std::vector<uint32_t>>& targets,
-                            const std::vector<uint32_t>& tuple_proj,
-                            const ProjectionDecoder& decoder,
-                            const DistanceModel& model, double* cost);
+                            const DistanceRows& rows, double* cost);
 
 }  // namespace ftrepair
 

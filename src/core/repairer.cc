@@ -171,6 +171,19 @@ void ExportMemoryMetrics(const MemoryBudget& memory) {
   }
 }
 
+// Observes how far past its deadline a repair returned, once per
+// Repairer::Repair that returns under an exhausted limited budget
+// (clamped at 0: a cancelled or fault-tripped run may return early).
+void ObserveBudgetOvershoot(const Budget* budget) {
+  if (budget == nullptr || !budget->limited() || !budget->Exhausted()) {
+    return;
+  }
+  static Histogram* overshoot =
+      Metrics().GetHistogram("ftrepair.budget.overshoot_ms");
+  overshoot->Observe(
+      std::max(0.0, budget->ElapsedMs() - budget->deadline_ms()));
+}
+
 // "+"-joined FD names of a component (the FD's own name for a
 // singleton).
 std::string ComponentName(const std::vector<FD>& named,
@@ -838,7 +851,10 @@ Result<RepairResult> Repairer::Repair(const Table& table,
   FTR_ASSIGN_OR_RETURN(SemanticsId semantics,
                        ParseSemantics(options_.semantics));
   FTR_RETURN_NOT_OK(ValidateSemantics(semantics, options_, fds));
-  return RunRepairPipeline(table, fds, options_, semantics);
+  Result<RepairResult> result =
+      RunRepairPipeline(table, fds, options_, semantics);
+  ObserveBudgetOvershoot(options_.budget);
+  return result;
 }
 
 Result<RepairResult> Repairer::RepairAppended(

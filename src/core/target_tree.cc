@@ -5,15 +5,15 @@
 #include <unordered_map>
 
 #include "common/logging.h"
+#include "common/metrics.h"
 #include "common/trace.h"
-#include "detect/pattern.h"
 #include "detect/violation_graph.h"
 
 namespace ftrepair {
 
 Result<TargetTree> TargetTree::Build(std::vector<LevelInput> inputs,
                                      std::vector<int> component_cols,
-                                     const Table& table, size_t max_nodes,
+                                     size_t max_nodes,
                                      const MemoryBudget* memory) {
   FTR_TRACE_SPAN("targets.tree_build");
   if (inputs.empty()) {
@@ -27,7 +27,6 @@ Result<TargetTree> TargetTree::Build(std::vector<LevelInput> inputs,
 
   TargetTree tree;
   tree.component_cols_ = std::move(component_cols);
-  tree.decoder_ = ProjectionDecoder(table, tree.component_cols_);
   tree.num_levels_ = static_cast<int>(inputs.size());
   int width = static_cast<int>(tree.component_cols_.size());
 
@@ -76,139 +75,205 @@ Result<TargetTree> TargetTree::Build(std::vector<LevelInput> inputs,
               tree.future_positions_[static_cast<size_t>(l)].end());
   }
 
-  // Level-by-level construction.
-  tree.nodes_.clear();
-  Node root;
-  root.level = -1;
-  root.assign.assign(static_cast<size_t>(width), ColumnDictionary::kNullCode);
-  tree.nodes_.push_back(std::move(root));
-  std::vector<int> current_leaves = {0};
+  // back_attr[l]: indices of level l's attrs fixed at an earlier level
+  // (the agreement checks); fixed_attr[l][j]: the attr index of
+  // fixed_positions_[l][j].
+  std::vector<std::vector<size_t>> back_attr(
+      static_cast<size_t>(tree.num_levels_));
+  std::vector<std::vector<size_t>> fixed_attr(
+      static_cast<size_t>(tree.num_levels_));
+  for (size_t l = 0; l < attr_pos.size(); ++l) {
+    const std::vector<int>& fixed_here = tree.fixed_positions_[l];
+    for (size_t k = 0; k < attr_pos[l].size(); ++k) {
+      auto it = std::find(fixed_here.begin(), fixed_here.end(),
+                          attr_pos[l][k]);
+      if (it == fixed_here.end()) back_attr[l].push_back(k);
+    }
+    for (int fp : fixed_here) {
+      fixed_attr[l].push_back(static_cast<size_t>(
+          std::find(attr_pos[l].begin(), attr_pos[l].end(), fp) -
+          attr_pos[l].begin()));
+    }
+  }
 
+  // Level-by-level construction. Only the frontier's partial
+  // assignments (width codes per node) are kept; child ranges are set
+  // by the compaction below.
+  std::vector<Node> nodes(1);  // the root
+  std::vector<int> frontier = {0};
+  std::vector<uint32_t> frontier_assign(static_cast<size_t>(width),
+                                        ColumnDictionary::kNullCode);
   for (int l = 0; l < tree.num_levels_; ++l) {
     const LevelInput& input = inputs[static_cast<size_t>(l)];
-    std::vector<int> next_leaves;
-    for (int node_id : current_leaves) {
+    const std::vector<int>& pos = attr_pos[static_cast<size_t>(l)];
+    std::vector<int> next;
+    std::vector<uint32_t> next_assign;
+    for (size_t f = 0; f < frontier.size(); ++f) {
+      const uint32_t* assign =
+          frontier_assign.data() + f * static_cast<size_t>(width);
+      int parent = frontier[f];
       for (size_t e = 0; e < input.elements.size(); ++e) {
         const std::vector<uint32_t>& elem = input.elements[e];
         // Agreement on already-fixed shared positions.
         bool agrees = true;
-        const Node& parent = tree.nodes_[static_cast<size_t>(node_id)];
-        for (size_t k = 0; k < attr_pos[static_cast<size_t>(l)].size(); ++k) {
-          int pos = attr_pos[static_cast<size_t>(l)][k];
-          bool fixed_earlier = true;
-          // pos is fixed at this level iff it appears in
-          // fixed_positions_[l]; linear scan is fine (few attrs).
-          for (int fp : tree.fixed_positions_[static_cast<size_t>(l)]) {
-            if (fp == pos) {
-              fixed_earlier = false;
-              break;
-            }
-          }
-          if (fixed_earlier &&
-              parent.assign[static_cast<size_t>(pos)] != elem[k]) {
+        for (size_t k : back_attr[static_cast<size_t>(l)]) {
+          if (assign[pos[k]] != elem[k]) {
             agrees = false;
             break;
           }
         }
         if (!agrees) continue;
-        if (tree.nodes_.size() >= max_nodes) {
+        if (nodes.size() >= max_nodes) {
           return Status::ResourceExhausted(
               "target tree exceeded " + std::to_string(max_nodes) +
               " nodes");
         }
-        // Priced at sizeof(Value) per position although `assign` holds
-        // codes: this formula sets the memory-budget trip points the
-        // ladder golden pins (mem-bytes:*), so re-pricing it is a
-        // change that moves goldens.
         if (!MemCharge(memory,
-                       sizeof(Node) + static_cast<uint64_t>(width) *
-                                          sizeof(Value),
+                       kNodeChargeBytes +
+                           static_cast<uint64_t>(width) * sizeof(Value),
                        MemPhase::kTargets)) {
           return memory->Check("target tree build");
         }
         Node child;
         child.level = l;
-        child.parent = node_id;
-        child.assign = parent.assign;
-        for (size_t k = 0; k < attr_pos[static_cast<size_t>(l)].size(); ++k) {
-          child.assign[static_cast<size_t>(
-              attr_pos[static_cast<size_t>(l)][k])] = elem[k];
+        child.parent = parent;
+        child.elem = static_cast<int>(e);
+        next.push_back(static_cast<int>(nodes.size()));
+        nodes.push_back(child);
+        size_t at = next_assign.size();
+        next_assign.insert(next_assign.end(), assign, assign + width);
+        for (size_t k = 0; k < pos.size(); ++k) {
+          next_assign[at + static_cast<size_t>(pos[k])] = elem[k];
         }
-        int child_id = static_cast<int>(tree.nodes_.size());
-        tree.nodes_.push_back(std::move(child));
-        tree.nodes_[static_cast<size_t>(node_id)].children.push_back(
-            child_id);
-        next_leaves.push_back(child_id);
       }
     }
-    if (next_leaves.empty()) {
+    if (next.empty()) {
       return Status::NotFound("target join is empty");
     }
-    current_leaves = std::move(next_leaves);
+    frontier = std::move(next);
+    frontier_assign = std::move(next_assign);
   }
+  tree.num_targets_ = frontier.size();
 
-  // Mark alive = on a complete path; leaves of the last level are alive.
-  for (int leaf : current_leaves) {
-    int cur = leaf;
-    while (cur >= 0 && !tree.nodes_[static_cast<size_t>(cur)].alive) {
-      tree.nodes_[static_cast<size_t>(cur)].alive = true;
-      cur = tree.nodes_[static_cast<size_t>(cur)].parent;
+  // Alive = on a complete path; the last level's nodes are the leaves.
+  std::vector<bool> alive(nodes.size(), false);
+  for (int leaf : frontier) {
+    for (int cur = leaf; cur >= 0 && !alive[static_cast<size_t>(cur)];
+         cur = nodes[static_cast<size_t>(cur)].parent) {
+      alive[static_cast<size_t>(cur)] = true;
     }
   }
-  tree.num_targets_ = current_leaves.size();
 
-  // `below` code sets, bottom-up (node ids are topological: parent <
-  // child). EDIST takes a min over each set, so its order is free.
-  for (int id = static_cast<int>(tree.nodes_.size()) - 1; id >= 0; --id) {
-    Node& node = tree.nodes_[static_cast<size_t>(id)];
-    if (!node.alive) continue;
-    const std::vector<int>& future =
-        tree.future_positions_[static_cast<size_t>(node.level + 1)];
-    node.below.assign(future.size(), {});
-    for (int child_id : node.children) {
-      const Node& child = tree.nodes_[static_cast<size_t>(child_id)];
-      if (!child.alive) continue;
-      const std::vector<int>& child_future =
-          tree.future_positions_[static_cast<size_t>(child.level + 1)];
-      for (size_t fi = 0; fi < future.size(); ++fi) {
-        int pos = future[fi];
-        bool in_child_future =
-            std::binary_search(child_future.begin(), child_future.end(), pos);
-        if (in_child_future) {
-          // Deeper levels fix it: merge the child's below-set.
-          size_t ci = static_cast<size_t>(
-              std::lower_bound(child_future.begin(), child_future.end(),
-                               pos) -
-              child_future.begin());
-          node.below[fi].insert(node.below[fi].end(),
-                                child.below[ci].begin(),
-                                child.below[ci].end());
-        } else {
-          // The child itself fixed it.
-          node.below[fi].push_back(child.assign[static_cast<size_t>(pos)]);
-        }
+  // Domains: the distinct codes of each position over the targets.
+  tree.domains_.resize(static_cast<size_t>(width));
+  for (size_t p = 0; p < static_cast<size_t>(width); ++p) {
+    std::vector<uint32_t>& domain = tree.domains_[p];
+    for (size_t f = 0; f < frontier.size(); ++f) {
+      domain.push_back(frontier_assign[f * static_cast<size_t>(width) + p]);
+    }
+    std::sort(domain.begin(), domain.end());
+    domain.erase(std::unique(domain.begin(), domain.end()), domain.end());
+  }
+  tree.fixed_index_.resize(static_cast<size_t>(tree.num_levels_));
+  for (size_t l = 0; l < inputs.size(); ++l) {
+    std::vector<uint32_t>& index = tree.fixed_index_[l];
+    for (const std::vector<uint32_t>& elem : inputs[l].elements) {
+      for (size_t j = 0; j < fixed_attr[l].size(); ++j) {
+        const std::vector<uint32_t>& domain = tree.domains_[static_cast<size_t>(
+            tree.fixed_positions_[l][j])];
+        uint32_t code = elem[fixed_attr[l][j]];
+        auto it = std::lower_bound(domain.begin(), domain.end(), code);
+        index.push_back(it != domain.end() && *it == code
+                            ? static_cast<uint32_t>(it - domain.begin())
+                            : UINT32_MAX);  // on no complete path
       }
     }
-    for (std::vector<uint32_t>& codes : node.below) {
-      std::sort(codes.begin(), codes.end());
-      codes.erase(std::unique(codes.begin(), codes.end()), codes.end());
+  }
+
+  // Compaction: keep the live nodes in id order. The build created each
+  // node's children one after another, so its live children get a
+  // contiguous id range in their old order and searches push the same
+  // sequence.
+  std::vector<int> new_id(nodes.size(), -1);
+  for (size_t old = 0; old < nodes.size(); ++old) {
+    if (!alive[old]) continue;
+    Node node = nodes[old];
+    new_id[old] = static_cast<int>(tree.nodes_.size());
+    node.parent = old == 0 ? -1 : new_id[static_cast<size_t>(node.parent)];
+    if (node.parent >= 0) {
+      Node& parent = tree.nodes_[static_cast<size_t>(node.parent)];
+      if (parent.num_children++ == 0) {
+        parent.first_child = static_cast<int>(tree.nodes_.size());
+      }
+    }
+    tree.nodes_.push_back(node);
+  }
+  static Counter* built =
+      Metrics().GetCounter("ftrepair.targets.tree_nodes");
+  static Counter* live =
+      Metrics().GetCounter("ftrepair.targets.tree_live_nodes");
+  built->Increment(nodes.size());
+  live->Increment(tree.nodes_.size());
+
+  // Below-sets, bottom-up (ids are topological: parent < child). EDIST
+  // takes a min over each set, so its order is free.
+  for (size_t id = tree.nodes_.size(); id-- > 0;) {
+    Node& node = tree.nodes_[id];
+    const std::vector<int>& future =
+        tree.future_positions_[static_cast<size_t>(node.level + 1)];
+    node.below = static_cast<int>(tree.below_bounds_.size());
+    tree.below_bounds_.push_back(static_cast<uint32_t>(tree.below_.size()));
+    for (int pos : future) {
+      size_t start = tree.below_.size();
+      for (int c = node.first_child; c < node.first_child + node.num_children;
+           ++c) {
+        const Node& child = tree.nodes_[static_cast<size_t>(c)];
+        const std::vector<int>& child_future =
+            tree.future_positions_[static_cast<size_t>(child.level + 1)];
+        auto in_child = std::lower_bound(child_future.begin(),
+                                         child_future.end(), pos);
+        if (in_child != child_future.end() && *in_child == pos) {
+          // Deeper levels fix it: merge the child's below-set.
+          size_t ci = static_cast<size_t>(child.below) +
+                      static_cast<size_t>(in_child - child_future.begin());
+          for (uint32_t k = tree.below_bounds_[ci];
+               k < tree.below_bounds_[ci + 1]; ++k) {
+            uint32_t index = tree.below_[k];
+            tree.below_.push_back(index);
+          }
+        } else {
+          // The child itself fixed it.
+          const std::vector<int>& fixed =
+              tree.fixed_positions_[static_cast<size_t>(child.level)];
+          tree.below_.push_back(tree.FixedIndex(
+              child, static_cast<size_t>(
+                         std::find(fixed.begin(), fixed.end(), pos) -
+                         fixed.begin())));
+        }
+      }
+      std::sort(tree.below_.begin() + static_cast<std::ptrdiff_t>(start),
+                tree.below_.end());
+      tree.below_.erase(
+          std::unique(tree.below_.begin() + static_cast<std::ptrdiff_t>(start),
+                      tree.below_.end()),
+          tree.below_.end());
+      tree.below_bounds_.push_back(static_cast<uint32_t>(tree.below_.size()));
     }
   }
   return tree;
 }
 
-double TargetTree::Edist(const Node& node,
-                         const std::vector<uint32_t>& tuple_proj,
-                         const DistanceModel& model) const {
+double TargetTree::Edist(const Node& node, const DistanceRows& rows) const {
   const std::vector<int>& future =
       future_positions_[static_cast<size_t>(node.level + 1)];
   double sum = 0;
   for (size_t fi = 0; fi < future.size(); ++fi) {
-    size_t pos = static_cast<size_t>(future[fi]);
+    const double* row = rows[static_cast<size_t>(future[fi])];
+    size_t bound = static_cast<size_t>(node.below) + fi;
     double best = 1.0;
-    for (uint32_t code : node.below[fi]) {
-      best = std::min(best,
-                      decoder_.Distance(model, pos, tuple_proj[pos], code));
+    for (uint32_t k = below_bounds_[bound]; k < below_bounds_[bound + 1];
+         ++k) {
+      best = std::min(best, row[below_[k]]);
       if (best == 0) break;
     }
     sum += best;
@@ -216,9 +281,23 @@ double TargetTree::Edist(const Node& node,
   return sum;
 }
 
-TargetQuery TargetTree::FindBest(const std::vector<uint32_t>& tuple_proj,
-                                 const DistanceModel& model,
-                                 SearchStats* stats, const Budget* budget,
+std::vector<uint32_t> TargetTree::Assignment(int node) const {
+  std::vector<uint32_t> assign(component_cols_.size(),
+                               ColumnDictionary::kNullCode);
+  for (int cur = node; cur > 0; cur = nodes_[static_cast<size_t>(cur)].parent) {
+    const Node& n = nodes_[static_cast<size_t>(cur)];
+    const std::vector<int>& fixed =
+        fixed_positions_[static_cast<size_t>(n.level)];
+    for (size_t j = 0; j < fixed.size(); ++j) {
+      size_t p = static_cast<size_t>(fixed[j]);
+      assign[p] = domains_[p][FixedIndex(n, j)];
+    }
+  }
+  return assign;
+}
+
+TargetQuery TargetTree::FindBest(const DistanceRows& rows, SearchStats* stats,
+                                 const Budget* budget,
                                  const MemoryBudget* memory) const {
   struct QueueEntry {
     double f;
@@ -229,7 +308,7 @@ TargetQuery TargetTree::FindBest(const std::vector<uint32_t>& tuple_proj,
   std::priority_queue<QueueEntry, std::vector<QueueEntry>,
                       std::greater<QueueEntry>>
       queue;
-  queue.push(QueueEntry{Edist(nodes_[0], tuple_proj, model), 0, 0.0});
+  queue.push(QueueEntry{Edist(nodes_[0], rows), 0, 0.0});
 
   TargetQuery result;
   double c_min = ViolationGraph::kInfinity;
@@ -254,18 +333,18 @@ TargetQuery TargetTree::FindBest(const std::vector<uint32_t>& tuple_proj,
       best_leaf = top.node;
       continue;
     }
-    for (int child_id : node.children) {
-      const Node& child = nodes_[static_cast<size_t>(child_id)];
-      if (!child.alive) continue;
+    for (int c = node.first_child; c < node.first_child + node.num_children;
+         ++c) {
+      const Node& child = nodes_[static_cast<size_t>(c)];
+      const std::vector<int>& fixed =
+          fixed_positions_[static_cast<size_t>(child.level)];
       double rdist = top.rdist;
-      for (int p : fixed_positions_[static_cast<size_t>(child.level)]) {
-        size_t pos = static_cast<size_t>(p);
-        rdist += decoder_.Distance(model, pos, tuple_proj[pos],
-                                   child.assign[pos]);
+      for (size_t j = 0; j < fixed.size(); ++j) {
+        rdist += rows[static_cast<size_t>(fixed[j])][FixedIndex(child, j)];
       }
-      double f = rdist + Edist(child, tuple_proj, model);
+      double f = rdist + Edist(child, rows);
       if (f < c_min) {
-        queue.push(QueueEntry{f, child_id, rdist});
+        queue.push(QueueEntry{f, c, rdist});
       } else if (stats != nullptr) {
         ++stats->nodes_pruned;
       }
@@ -277,7 +356,7 @@ TargetQuery TargetTree::FindBest(const std::vector<uint32_t>& tuple_proj,
     FTR_DCHECK(result.truncated);
     return result;
   }
-  result.target = nodes_[static_cast<size_t>(best_leaf)].assign;
+  result.target = Assignment(best_leaf);
   result.cost = c_min;
   return result;
 }
@@ -289,12 +368,14 @@ std::vector<std::vector<uint32_t>> TargetTree::EnumerateTargets() const {
     int id = stack.back();
     stack.pop_back();
     const Node& node = nodes_[static_cast<size_t>(id)];
-    if (!node.alive) continue;
     if (node.level == num_levels_ - 1) {
-      out.push_back(node.assign);
+      out.push_back(Assignment(id));
       continue;
     }
-    for (int child : node.children) stack.push_back(child);
+    for (int c = node.first_child; c < node.first_child + node.num_children;
+         ++c) {
+      stack.push_back(c);
+    }
   }
   return out;
 }

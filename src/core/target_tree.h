@@ -8,9 +8,7 @@
 #include "common/resource.h"
 #include "common/status.h"
 #include "constraint/fd.h"
-#include "data/table.h"
-#include "detect/pattern.h"
-#include "metric/projection.h"
+#include "core/distance_table.h"
 
 namespace ftrepair {
 
@@ -40,9 +38,13 @@ struct TargetQuery {
 /// appearing in its subtree for the not-yet-fixed columns, enabling the
 /// EDIST lower bound of the best-first search (§5.2, Algorithm 5).
 ///
-/// Values are held as dictionary codes of one table throughout (node
-/// assignments, below-sets, queries and results); the search decodes a
-/// code pair only to price it (ProjectionDecoder::Distance).
+/// The tree is flat and live-only: nodes off every complete path are
+/// dropped after the build, each node names its level element (whose
+/// codes it fixes) and a contiguous range of children, and a node's
+/// partial assignment is rebuilt by walking parents. Targets are
+/// dictionary codes of one table; below-sets and the elements' fixed
+/// codes are held as indices into domains(), the columns of the
+/// DistanceTable a search reads its distances from.
 class TargetTree {
  public:
   /// One per-FD independent set: `elements[i]` holds the codes of one
@@ -58,15 +60,13 @@ class TargetTree {
   };
 
   /// Builds the tree over `component_cols` (sorted union of the FDs'
-  /// attributes); element codes and later query codes are codes of
-  /// `table`, which must outlive the tree. Fails with NotFound when the
-  /// join is empty and with ResourceExhausted when more than
-  /// `max_nodes` trie nodes would be created — or when `memory`
-  /// (optional, not owned; charged per trie node, MemPhase::kTargets)
-  /// runs out first.
+  /// attributes). Fails with NotFound when the join is empty and with
+  /// ResourceExhausted when more than `max_nodes` trie nodes would be
+  /// created — or when `memory` (optional, not owned; charged per trie
+  /// node, MemPhase::kTargets) runs out first.
   static Result<TargetTree> Build(std::vector<LevelInput> inputs,
                                   std::vector<int> component_cols,
-                                  const Table& table, size_t max_nodes,
+                                  size_t max_nodes,
                                   const MemoryBudget* memory = nullptr);
 
   /// Number of targets (root-to-leaf paths).
@@ -74,8 +74,15 @@ class TargetTree {
 
   const std::vector<int>& component_cols() const { return component_cols_; }
 
+  /// domains()[p]: the distinct codes position p takes over the
+  /// targets, ascending (the root's below-set).
+  const std::vector<std::vector<uint32_t>>& domains() const {
+    return domains_;
+  }
+
   /// Best-first search (Algorithm 5) for the target minimizing the
-  /// repair cost of `tuple_proj` (codes over component_cols order).
+  /// repair cost of the query whose DistanceTable rows over domains()
+  /// are `rows`.
   ///
   /// `budget` (optional, not owned) is charged one unit per node
   /// popped; on exhaustion the search stops with `truncated` set and
@@ -83,8 +90,7 @@ class TargetTree {
   /// empty target when no leaf was reached yet. `memory` (optional, not
   /// owned) is charged per queue entry and truncates the search the
   /// same way. An untruncated search always finds a target.
-  TargetQuery FindBest(const std::vector<uint32_t>& tuple_proj,
-                       const DistanceModel& model, SearchStats* stats,
+  TargetQuery FindBest(const DistanceRows& rows, SearchStats* stats,
                        const Budget* budget = nullptr,
                        const MemoryBudget* memory = nullptr) const;
 
@@ -93,31 +99,53 @@ class TargetTree {
   std::vector<std::vector<uint32_t>> EnumerateTargets() const;
 
  private:
+  /// Memory charged per trie node created (MemPhase::kTargets), plus
+  /// `width * sizeof(Value)`: the size of the node the tree stored
+  /// before it was flattened (two ints, three vectors and a bool on
+  /// LP64). It sets the memory-budget trip points the ladder golden
+  /// pins (mem-bytes:*), so it stays fixed while Node shrinks.
+  static constexpr uint64_t kNodeChargeBytes = 88;
+
   struct Node {
-    int level = -1;  // -1 for the virtual root
+    int level = -1;  // -1 for the root
     int parent = -1;
-    std::vector<int> children;
-    /// Partial assignment (codes) over component positions; positions
-    /// fixed at levels <= `level` are meaningful.
-    std::vector<uint32_t> assign;
-    /// For each future position (see future_positions_[level + 1]):
-    /// distinct codes in this node's subtree, ascending.
-    std::vector<std::vector<uint32_t>> below;
-    bool alive = false;
+    /// Index of the level element this node fixes (-1 for the root).
+    int elem = -1;
+    /// Children are nodes [first_child, first_child + num_children).
+    int first_child = 0;
+    int num_children = 0;
+    /// below_bounds_[below + fi] .. [below + fi + 1]: this node's
+    /// below-set for future_positions_[level + 1][fi] — the domain
+    /// indices in its subtree, ascending — as a range of below_.
+    int below = 0;
   };
 
-  double Edist(const Node& node, const std::vector<uint32_t>& tuple_proj,
-               const DistanceModel& model) const;
+  double Edist(const Node& node, const DistanceRows& rows) const;
+  /// Domain index of node's element at fixed_positions_[level][j].
+  uint32_t FixedIndex(const Node& node, size_t j) const {
+    const std::vector<int>& fixed =
+        fixed_positions_[static_cast<size_t>(node.level)];
+    return fixed_index_[static_cast<size_t>(node.level)]
+                       [static_cast<size_t>(node.elem) * fixed.size() + j];
+  }
+  /// The codes `node`'s path fixes; positions fixed deeper stay
+  /// kNullCode.
+  std::vector<uint32_t> Assignment(int node) const;
 
   std::vector<int> component_cols_;
-  /// Decodes component position p's codes through the build table.
-  ProjectionDecoder decoder_;
+  std::vector<std::vector<uint32_t>> domains_;
   /// fixed_positions_[l]: component positions first fixed at level l.
   std::vector<std::vector<int>> fixed_positions_;
+  /// fixed_index_[l][e * |fixed_positions_[l]| + j]: domain index of
+  /// level l's element e at fixed_positions_[l][j] (elements on no
+  /// complete path are never read).
+  std::vector<std::vector<uint32_t>> fixed_index_;
   /// future_positions_[l]: positions fixed at level >= l (so a node at
   /// level l-1 stores `below` for future_positions_[l]).
   std::vector<std::vector<int>> future_positions_;
   std::vector<Node> nodes_;
+  std::vector<uint32_t> below_bounds_;
+  std::vector<uint32_t> below_;
   int num_levels_ = 0;
   size_t num_targets_ = 0;
 };

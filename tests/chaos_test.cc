@@ -18,9 +18,11 @@
 #include "common/metrics.h"
 #include "common/resource.h"
 #include "constraint/fd_parser.h"
+#include "core/provenance.h"
 #include "core/repairer.h"
 #include "data/csv.h"
 #include "detect/violation_graph.h"
+#include "eval/explain_verify.h"
 #include "gen/dataset.h"
 #include "gen/error_injector.h"
 #include "gen/hosp_gen.h"
@@ -366,6 +368,84 @@ TEST(MemoryChaosIndexTest, GramJoinIndexUnderFaultSweepStaysClean) {
   options.w_r = 0.3;
   options.default_tau = 0.2;
   SweepIndexFaults(dirty, {ds.fds[2]}, options);
+}
+
+// --- Target-phase memory sweep ----------------------------------------
+//
+// A HOSP slice with multi-FD components, so target assignment runs and
+// charges MemPhase::kTargets for the eager tree's nodes and for the
+// distance table. Sweeping the trip point across the whole run must
+// land faults inside the target phase, and every tripped run must stay
+// a well-formed partial repair that replay-verifies.
+
+TEST(MemoryChaosTargetsTest, TargetPhaseFaultSweepStaysVerifiable) {
+  HospOptions hosp;
+  hosp.num_rows = 1500;
+  hosp.seed = 7;
+  Dataset ds = std::move(GenerateHosp(hosp)).ValueOrDie();
+  NoiseOptions noise;
+  noise.error_rate = 0.04;
+  noise.seed = 42;
+  Table dirty = std::move(InjectErrors(ds.clean, ds.fds, noise)).ValueOrDie();
+  RepairOptions options;
+  options.algorithm = RepairAlgorithm::kGreedy;
+  options.w_l = ds.recommended_w_l;
+  options.w_r = ds.recommended_w_r;
+  options.tau_by_fd = ds.recommended_tau;
+  options.provenance = true;
+
+  uint64_t total_bytes = 0;
+  {
+    MemoryBudget memory(uint64_t{1} << 40);
+    options.memory = &memory;
+    auto result = Repairer(options).Repair(dirty, ds.fds);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_GT(memory.charged_bytes(MemPhase::kTargets), 0u);
+    total_bytes = memory.charged_total_bytes();
+  }
+  int tripped_in_targets = 0;
+  for (int threads : {1, 4}) {
+    options.threads = threads;
+    for (uint64_t step = 1; step < 16; ++step) {
+      uint64_t fault_bytes = total_bytes * step / 16;
+      ScopedEnv fault("FTREPAIR_FAULT_MEM_BYTES", std::to_string(fault_bytes));
+      MemoryBudget memory(uint64_t{1} << 40);
+      options.memory = &memory;
+      auto result = Repairer(options).Repair(dirty, ds.fds);
+      if (!memory.Exhausted()) continue;
+      tripped_in_targets += memory.charged_bytes(MemPhase::kTargets) > 0;
+      std::string where = "fault at " + std::to_string(fault_bytes) +
+                          " bytes, threads " + std::to_string(threads);
+      ASSERT_TRUE(result.ok()) << where << ": " << result.status().ToString();
+      const RepairResult& repair = result.value();
+      bool memory_degraded = false;
+      for (const DegradationEvent& event : repair.stats.degradations) {
+        memory_degraded |= event.cause == DegradationCause::kMemoryHard;
+      }
+      EXPECT_TRUE(memory_degraded) << where << " recorded no degradation";
+      // A multi-FD decision writes its whole target into every row.
+      for (const RepairDecision& decision : repair.provenance.decisions) {
+        if (decision.fd >= 0) continue;
+        for (int row : decision.rows) {
+          for (size_t k = 0; k < decision.cols.size(); ++k) {
+            EXPECT_EQ(repair.repaired.cell(row, decision.cols[k]),
+                      decision.target_values[k])
+                << where << ": row " << row << " holds half a target";
+          }
+        }
+      }
+      auto verified =
+          VerifyExplainReport(dirty, ExplainReportJson(dirty, repair));
+      ASSERT_TRUE(verified.ok()) << where << ": "
+                                 << verified.status().ToString();
+      EXPECT_TRUE(verified.value().ok())
+          << where << ": "
+          << (verified.value().errors.empty() ? std::string("truncated")
+                                              : verified.value().errors[0]);
+    }
+  }
+  EXPECT_GT(tripped_in_targets, 0)
+      << "no fault point landed once the target phase had charged";
 }
 
 // --- Ladder completeness under both pressure kinds --------------------

@@ -11,6 +11,7 @@ namespace {
 using testing_util::CitizensDirty;
 using testing_util::CitizensFDs;
 using testing_util::CodeBook;
+using testing_util::QueryTable;
 
 // Example 13's independent sets (see target_tree_test.cc), interned
 // into `book`.
@@ -42,19 +43,22 @@ struct Example13 {
 
 TEST(LazyTargetsTest, MatchesEagerTreeCosts) {
   Example13 ex;
-  TargetTree tree = std::move(TargetTree::Build(ex.inputs, ex.cols,
-                                                ex.book.table(), 100000))
-                        .ValueOrDie();
+  TargetTree tree =
+      std::move(TargetTree::Build(ex.inputs, ex.cols, 100000)).ValueOrDie();
   LazyTargetSearch lazy =
-      std::move(LazyTargetSearch::Build(ex.inputs, ex.cols, ex.book.table()))
-          .ValueOrDie();
+      std::move(LazyTargetSearch::Build(ex.inputs, ex.cols)).ValueOrDie();
   DistanceModel model(ex.table);
   for (int r = 0; r < ex.table.num_rows(); ++r) {
     std::vector<Value> values;
     for (int c : ex.cols) values.push_back(ex.table.cell(r, c));
     std::vector<uint32_t> proj = ex.book.Codes(ex.cols, values);
-    TargetQuery eager_result = tree.FindBest(proj, model, nullptr);
-    TargetQuery lazy_result = lazy.FindBest(proj, model, 100000, nullptr);
+    DistanceTable eager_table =
+        QueryTable(tree.domains(), proj, ex.book.table(), ex.cols, model);
+    DistanceTable lazy_table =
+        QueryTable(lazy.domains(), proj, ex.book.table(), ex.cols, model);
+    TargetQuery eager_result = tree.FindBest(eager_table.Rows(0), nullptr);
+    TargetQuery lazy_result =
+        lazy.FindBest(lazy_table.Rows(0), 100000, nullptr);
     ASSERT_FALSE(lazy_result.target.empty());
     EXPECT_FALSE(lazy_result.truncated);
     EXPECT_NEAR(lazy_result.cost, eager_result.cost, 1e-12) << "row " << r;
@@ -99,17 +103,19 @@ TEST(LazyTargetsTest, MatchesEagerOnRandomInstances) {
           book.Codes(f3.attrs(), {rnd("c"), rnd("d")}));
     }
     std::vector<int> cols = {0, 1, 2, 3};
-    auto eager = TargetTree::Build(inputs, cols, book.table(), 1000000);
-    auto lazy = LazyTargetSearch::Build(inputs, cols, book.table());
+    auto eager = TargetTree::Build(inputs, cols, 1000000);
+    auto lazy = LazyTargetSearch::Build(inputs, cols);
     if (!eager.ok()) {
       // Empty joins must agree (the lazy prefilter is a relaxation, so
       // it may only fail to *prove* emptiness, not invent targets).
       ASSERT_TRUE(eager.status().IsNotFound());
       if (lazy.ok()) {
-        TargetQuery q = lazy.value().FindBest(
+        DistanceTable table = QueryTable(
+            lazy.value().domains(),
             book.Codes(cols,
                        {Value("a0"), Value("b0"), Value("c0"), Value("d0")}),
-            model, 100000, nullptr);
+            book.table(), cols, model);
+        TargetQuery q = lazy.value().FindBest(table.Rows(0), 100000, nullptr);
         EXPECT_TRUE(q.target.empty());
       }
       continue;
@@ -117,8 +123,12 @@ TEST(LazyTargetsTest, MatchesEagerOnRandomInstances) {
     ASSERT_TRUE(lazy.ok()) << lazy.status().ToString();
     std::vector<uint32_t> probe =
         book.Codes(cols, {rnd("a"), rnd("b"), rnd("c"), rnd("d")});
-    TargetQuery eager_q = eager.value().FindBest(probe, model, nullptr);
-    TargetQuery q = lazy.value().FindBest(probe, model, 100000, nullptr);
+    DistanceTable eager_table =
+        QueryTable(eager.value().domains(), probe, book.table(), cols, model);
+    DistanceTable lazy_table =
+        QueryTable(lazy.value().domains(), probe, book.table(), cols, model);
+    TargetQuery eager_q = eager.value().FindBest(eager_table.Rows(0), nullptr);
+    TargetQuery q = lazy.value().FindBest(lazy_table.Rows(0), 100000, nullptr);
     ASSERT_FALSE(q.target.empty());
     EXPECT_NEAR(q.cost, eager_q.cost, 1e-12) << "iter " << iter;
   }
@@ -131,7 +141,7 @@ TEST(LazyTargetsTest, PairwisePrefilterDetectsEmptyJoin) {
   ex.inputs[1].elements = ex.book.Elements(
       ex.fds[2].attrs(),
       {{Value("Boston"), Value("Main"), Value("Financial")}});
-  auto result = LazyTargetSearch::Build(ex.inputs, ex.cols, ex.book.table());
+  auto result = LazyTargetSearch::Build(ex.inputs, ex.cols);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsNotFound());
 }
@@ -139,20 +149,21 @@ TEST(LazyTargetsTest, PairwisePrefilterDetectsEmptyJoin) {
 TEST(LazyTargetsTest, VisitBudgetTruncates) {
   Example13 ex;
   LazyTargetSearch lazy =
-      std::move(LazyTargetSearch::Build(ex.inputs, ex.cols, ex.book.table()))
-          .ValueOrDie();
+      std::move(LazyTargetSearch::Build(ex.inputs, ex.cols)).ValueOrDie();
   DistanceModel model(ex.table);
   std::vector<uint32_t> proj = ex.book.Codes(
       ex.cols,
       {Value("Boston"), Value("Main"), Value("Manhattan"), Value("NY")});
-  TargetQuery q = lazy.FindBest(proj, model, 1, nullptr);
+  DistanceTable table =
+      QueryTable(lazy.domains(), proj, ex.book.table(), ex.cols, model);
+  TargetQuery q = lazy.FindBest(table.Rows(0), 1, nullptr);
   EXPECT_TRUE(q.truncated || !q.target.empty());
 }
 
 TEST(LazyTargetsTest, UncoveredColumnIsError) {
   Example13 ex;
   std::vector<TargetTree::LevelInput> inputs = {ex.inputs[0]};
-  auto result = LazyTargetSearch::Build(inputs, {3, 4, 6}, ex.book.table());
+  auto result = LazyTargetSearch::Build(inputs, {3, 4, 6});
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsInvalidArgument());
 }

@@ -7,12 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include "common/budget.h"
 #include "common/trace.h"
+#include "core/repairer.h"
 #include "test_util.h"
 
 namespace ftrepair {
 namespace {
 
+using testing_util::CitizensDirty;
+using testing_util::CitizensFDs;
 using testing_util::IsValidJson;
 
 TEST(MetricsTest, CounterStartsAtZeroAndIncrements) {
@@ -131,6 +135,45 @@ TEST(MetricsTest, ResetZeroesValuesButKeepsRegistrations) {
   c->Increment();
   EXPECT_EQ(c->value(), 1u);
   EXPECT_EQ(Metrics().GetCounter("test.reset.counter"), c);
+}
+
+// Repairs the paper's running example (phi2 + phi3 form a multi-FD
+// component, so target assignment runs) under `budget`.
+void RepairCitizens(const Budget* budget) {
+  Table dirty = CitizensDirty();
+  RepairOptions options;
+  options.default_tau = 0.3;
+  options.budget = budget;
+  ASSERT_TRUE(Repairer(options).Repair(dirty, CitizensFDs(dirty.schema()))
+                  .ok());
+}
+
+TEST(MetricsTest, BudgetOvershootObservedOncePerExhaustedRepair) {
+  Histogram* overshoot = Metrics().GetHistogram("ftrepair.budget.overshoot_ms");
+  uint64_t before = overshoot->count();
+  Budget zero(0);  // a 0 ms deadline: exhausted from the start
+  RepairCitizens(&zero);
+  EXPECT_EQ(overshoot->count(), before + 1);
+  EXPECT_GE(overshoot->sum(), 0.0);
+
+  // Neither an unlimited budget nor one that never ran out observes.
+  Budget unlimited;
+  RepairCitizens(&unlimited);
+  Budget far(1e9);
+  RepairCitizens(&far);
+  RepairCitizens(nullptr);
+  EXPECT_EQ(overshoot->count(), before + 1);
+}
+
+TEST(MetricsTest, TargetSearchCountsDistanceTableWork) {
+  Counter* evals = Metrics().GetCounter("ftrepair.targets.distance_evals");
+  Counter* bytes = Metrics().GetCounter("ftrepair.targets.table_bytes");
+  uint64_t evals_before = evals->value();
+  uint64_t bytes_before = bytes->value();
+  RepairCitizens(nullptr);
+  uint64_t filled = evals->value() - evals_before;
+  EXPECT_GT(filled, 0u);
+  EXPECT_EQ(bytes->value() - bytes_before, filled * sizeof(double));
 }
 
 TEST(MetricsTest, JsonEscapeHandlesSpecials) {

@@ -13,6 +13,7 @@ namespace {
 using testing_util::CitizensDirty;
 using testing_util::CitizensFDs;
 using testing_util::CodeBook;
+using testing_util::QueryTable;
 
 // The paper's Example 13 setup: independent sets for phi2 (City ->
 // State) and phi3 (City, Street -> District) over Table 1. The sets'
@@ -44,7 +45,7 @@ struct Example13 {
   }
 
   Result<TargetTree> Build(size_t max_nodes) {
-    return TargetTree::Build(inputs, cols, book.table(), max_nodes);
+    return TargetTree::Build(inputs, cols, max_nodes);
   }
   // A projection over `cols`, as codes / as values.
   std::vector<uint32_t> Proj(const std::vector<Value>& values) {
@@ -52,6 +53,12 @@ struct Example13 {
   }
   std::vector<Value> Values(const std::vector<uint32_t>& codes) const {
     return book.Values(cols, codes);
+  }
+  // The distance table of one query `proj` over `tree`'s domains.
+  DistanceTable DistancesOf(const TargetTree& tree,
+                      const std::vector<uint32_t>& proj,
+                      const DistanceModel& model) const {
+    return QueryTable(tree.domains(), proj, book.table(), cols, model);
   }
 };
 
@@ -82,7 +89,8 @@ TEST(TargetTreeTest, Example14SearchRepairsT4) {
   std::vector<uint32_t> t4_proj =
       ex.Proj(Target("New York", "Western", "Queens", "MA"));
   TargetTree::SearchStats stats;
-  TargetQuery best = tree.FindBest(t4_proj, model, &stats);
+  TargetQuery best = tree.FindBest(ex.DistancesOf(tree, t4_proj, model).Rows(0),
+                                   &stats);
   EXPECT_EQ(ex.Values(best.target),
             Target("New York", "Western", "Queens", "NY"));
   EXPECT_DOUBLE_EQ(best.cost, 1.0);  // dist("MA", "NY") = 1
@@ -99,7 +107,8 @@ TEST(TargetTreeTest, Example3SearchRepairsT5) {
   std::vector<uint32_t> t5_proj =
       ex.Proj(Target("Boston", "Main", "Manhattan", "NY"));
   TargetTree::SearchStats stats;
-  TargetQuery best = tree.FindBest(t5_proj, model, &stats);
+  TargetQuery best = tree.FindBest(ex.DistancesOf(tree, t5_proj, model).Rows(0),
+                                   &stats);
   EXPECT_EQ(ex.Values(best.target),
             Target("New York", "Main", "Manhattan", "NY"));
 }
@@ -108,17 +117,19 @@ TEST(TargetTreeTest, SearchMatchesLinearScan) {
   Example13 ex;
   TargetTree tree = std::move(ex.Build(100000)).ValueOrDie();
   DistanceModel model(ex.table);
-  std::vector<std::vector<uint32_t>> targets = tree.EnumerateTargets();
+  std::vector<std::vector<uint32_t>> targets;
+  for (const auto& target : tree.EnumerateTargets()) {
+    targets.push_back(DomainIndices(tree.domains(), target));
+  }
   // Probe with every tuple of the table.
   for (int r = 0; r < ex.table.num_rows(); ++r) {
     std::vector<Value> values;
     for (int c : ex.cols) values.push_back(ex.table.cell(r, c));
-    std::vector<uint32_t> proj = ex.Proj(values);
+    DistanceTable table = ex.DistancesOf(tree, ex.Proj(values), model);
     double linear_cost = 0;
-    FindBestTargetLinear(targets, proj,
-                         ProjectionDecoder(ex.book.table(), ex.cols), model,
-                         &linear_cost);
-    EXPECT_NEAR(tree.FindBest(proj, model, nullptr).cost, linear_cost, 1e-12)
+    FindBestTargetLinear(targets, table.Rows(0), &linear_cost);
+    EXPECT_NEAR(tree.FindBest(table.Rows(0), nullptr).cost, linear_cost,
+                1e-12)
         << "row " << r;
   }
 }
@@ -129,9 +140,9 @@ TEST(TargetTreeTest, ExhaustedBudgetTruncatesSearch) {
   DistanceModel model(ex.table);
   Budget budget;
   budget.Cancel();
-  TargetQuery query =
-      tree.FindBest(ex.Proj(Target("New York", "Western", "Queens", "MA")),
-                    model, nullptr, &budget);
+  DistanceTable table = ex.DistancesOf(
+      tree, ex.Proj(Target("New York", "Western", "Queens", "MA")), model);
+  TargetQuery query = tree.FindBest(table.Rows(0), nullptr, &budget);
   EXPECT_TRUE(query.truncated);
   EXPECT_TRUE(query.target.empty());
 }
@@ -161,13 +172,15 @@ TEST(TargetTreeTest, SingleLevelTree) {
   Example13 ex;
   std::vector<TargetTree::LevelInput> inputs = {ex.inputs[0]};
   std::vector<int> cols = {3, 6};  // City, State
-  TargetTree tree = std::move(TargetTree::Build(inputs, cols,
-                                                ex.book.table(), 1000))
-                        .ValueOrDie();
+  TargetTree tree =
+      std::move(TargetTree::Build(inputs, cols, 1000)).ValueOrDie();
   EXPECT_EQ(tree.num_targets(), 2u);
   DistanceModel model(ex.table);
-  TargetQuery best = tree.FindBest(
-      ex.book.Codes(cols, {Value("Boton"), Value("MA")}), model, nullptr);
+  DistanceTable table =
+      QueryTable(tree.domains(),
+                 ex.book.Codes(cols, {Value("Boton"), Value("MA")}),
+                 ex.book.table(), cols, model);
+  TargetQuery best = tree.FindBest(table.Rows(0), nullptr);
   EXPECT_EQ(ex.book.Values(cols, best.target),
             (std::vector<Value>{Value("Boston"), Value("MA")}));
   EXPECT_NEAR(best.cost, 1.0 / 6.0, 1e-12);  // edit(Boton, Boston) = 1/6
@@ -177,14 +190,13 @@ TEST(TargetTreeTest, UncoveredColumnIsError) {
   Example13 ex;
   std::vector<TargetTree::LevelInput> inputs = {ex.inputs[0]};
   // Street (4) is covered by no FD here.
-  auto result = TargetTree::Build(inputs, {3, 4, 6}, ex.book.table(), 1000);
+  auto result = TargetTree::Build(inputs, {3, 4, 6}, 1000);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsInvalidArgument());
 }
 
 TEST(TargetTreeTest, NoInputsIsError) {
-  Table table(Schema({{"a", ValueType::kString}}));
-  auto result = TargetTree::Build({}, {0}, table, 10);
+  auto result = TargetTree::Build({}, {0}, 10);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsInvalidArgument());
 }

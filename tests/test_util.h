@@ -13,6 +13,7 @@
 #include "common/rng.h"
 #include "constraint/fd.h"
 #include "constraint/fd_parser.h"
+#include "core/target_tree.h"
 #include "data/table.h"
 #include "detect/block_index.h"
 #include "detect/pattern.h"
@@ -327,6 +328,108 @@ class CodeBook {
  private:
   Table table_;
 };
+
+/// A filled DistanceTable with the one query `proj` (codes of `table`
+/// over `cols`) over `domains`: its Rows(0) drive one search.
+inline DistanceTable QueryTable(
+    const std::vector<std::vector<uint32_t>>& domains,
+    const std::vector<uint32_t>& proj, const Table& table,
+    const std::vector<int>& cols, const DistanceModel& model) {
+  Pattern query;
+  query.codes = proj;
+  DistanceTable distances(domains, {query}, {0});
+  distances.Fill(table, cols, model, 1, nullptr, nullptr);
+  return distances;
+}
+
+/// The order in which TargetTree and LazyTargetSearch sum a target's
+/// cell distances: levels by independent-set size ascending (stable),
+/// and within a level the positions its FD fixes first, in attribute
+/// order. A search's cost is bit-identical to PriceTarget in this
+/// order; the linear scan sums in position order.
+inline std::vector<int> SearchSumOrder(
+    std::vector<TargetTree::LevelInput> inputs, const std::vector<int>& cols) {
+  std::stable_sort(inputs.begin(), inputs.end(),
+                   [](const TargetTree::LevelInput& a,
+                      const TargetTree::LevelInput& b) {
+                     return a.elements.size() < b.elements.size();
+                   });
+  std::vector<int> order;
+  for (const TargetTree::LevelInput& input : inputs) {
+    for (int col : input.fd->attrs()) {
+      int pos = static_cast<int>(
+          std::find(cols.begin(), cols.end(), col) - cols.begin());
+      if (std::find(order.begin(), order.end(), pos) == order.end()) {
+        order.push_back(pos);
+      }
+    }
+  }
+  return order;
+}
+
+/// Prices `target` for `query` (codes of `table` over `cols`) with
+/// ProjectionDecoder::Distance, summing positions in `order`.
+inline double PriceTarget(const std::vector<uint32_t>& target,
+                          const std::vector<uint32_t>& query,
+                          const Table& table, const std::vector<int>& cols,
+                          const DistanceModel& model,
+                          const std::vector<int>& order) {
+  const ProjectionDecoder decoder(table, cols);
+  double cost = 0;
+  for (int p : order) {
+    size_t k = static_cast<size_t>(p);
+    cost += decoder.Distance(model, k, query[k], target[k]);
+  }
+  return cost;
+}
+
+/// Brute-force reference for the target searches, the way OracleEdges
+/// serves detection: every joinable target of `inputs` (one element
+/// per level, agreeing wherever two FDs share an attribute), as codes
+/// over `cols`, in no particular order.
+inline std::vector<std::vector<uint32_t>> OracleTargets(
+    const std::vector<TargetTree::LevelInput>& inputs,
+    const std::vector<int>& cols) {
+  constexpr uint32_t kUnset = UINT32_MAX;
+  std::vector<std::vector<uint32_t>> targets;
+  std::vector<uint32_t> partial(cols.size(), kUnset);
+  auto join = [&](auto&& self, size_t level) -> void {
+    if (level == inputs.size()) {
+      targets.push_back(partial);
+      return;
+    }
+    const std::vector<int>& attrs = inputs[level].fd->attrs();
+    for (const std::vector<uint32_t>& elem : inputs[level].elements) {
+      std::vector<uint32_t> saved = partial;
+      bool agrees = true;
+      for (size_t a = 0; a < attrs.size() && agrees; ++a) {
+        size_t pos = static_cast<size_t>(
+            std::find(cols.begin(), cols.end(), attrs[a]) - cols.begin());
+        agrees = partial[pos] == kUnset || partial[pos] == elem[a];
+        partial[pos] = elem[a];
+      }
+      if (agrees) self(self, level + 1);
+      partial = std::move(saved);
+    }
+  };
+  join(join, 0);
+  return targets;
+}
+
+/// The reference minimum: PriceTarget (in `order`) over every one of
+/// `targets`; kInfinity when there are none.
+inline double OracleTargetCost(
+    const std::vector<std::vector<uint32_t>>& targets,
+    const std::vector<uint32_t>& query, const Table& table,
+    const std::vector<int>& cols, const DistanceModel& model,
+    const std::vector<int>& order) {
+  double best = ViolationGraph::kInfinity;
+  for (const std::vector<uint32_t>& target : targets) {
+    best = std::min(best,
+                    PriceTarget(target, query, table, cols, model, order));
+  }
+  return best;
+}
 
 namespace json_detail {
 

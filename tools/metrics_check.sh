@@ -39,6 +39,7 @@ EOF
 
 metrics_json="${work_dir}/metrics.json"
 trace_json="${work_dir}/trace.json"
+deadline_json="${work_dir}/deadline_metrics.json"
 
 "${build_dir}/tools/ftrepair" \
   --input "${work_dir}/dirty.csv" \
@@ -48,18 +49,27 @@ trace_json="${work_dir}/trace.json"
   --metrics-json="${metrics_json}" \
   --trace-json="${trace_json}" >/dev/null
 
-for f in "${metrics_json}" "${trace_json}"; do
+# A 1 us deadline is past by the time the repair returns, so the run
+# must observe the budget overshoot histogram.
+"${build_dir}/tools/ftrepair" \
+  --input "${work_dir}/dirty.csv" \
+  --fds "${work_dir}/fds.txt" \
+  --tau-fd phi1=0.30 --tau-fd phi2=0.5 --tau-fd phi3=0.5 \
+  --wl 0.5 --wr 0.5 --deadline-ms 0.001 \
+  --metrics-json="${deadline_json}" >/dev/null
+
+for f in "${metrics_json}" "${trace_json}" "${deadline_json}"; do
   if [[ ! -s "${f}" ]]; then
     echo "FAIL: ${f} missing or empty" >&2
     exit 1
   fi
 done
 
-python3 - "${metrics_json}" "${trace_json}" <<'EOF'
+python3 - "${metrics_json}" "${trace_json}" "${deadline_json}" <<'EOF'
 import json
 import sys
 
-metrics_path, trace_path = sys.argv[1], sys.argv[2]
+metrics_path, trace_path, deadline_path = sys.argv[1:4]
 
 with open(metrics_path) as f:
     metrics = json.load(f)  # raises on invalid JSON
@@ -77,6 +87,8 @@ missing = [
         "ftrepair.phase.stats_us",
         "ftrepair.repair.runs",
         "ftrepair.ingest.rows_read",
+        "ftrepair.targets.distance_evals",
+        "ftrepair.targets.table_bytes",
     )
     if key not in counters
 ]
@@ -88,6 +100,15 @@ if "ftrepair.repair.total_ms" not in histograms:
     sys.exit("FAIL: metrics snapshot lacks ftrepair.repair.total_ms")
 if metrics["counters"]["ftrepair.repair.runs"] < 1:
     sys.exit("FAIL: ftrepair.repair.runs counter never incremented")
+if metrics["counters"]["ftrepair.targets.distance_evals"] < 1:
+    sys.exit("FAIL: target assignment filled no distance table")
+
+with open(deadline_path) as f:
+    deadline = json.load(f)
+overshoot = deadline.get("histograms", {}).get("ftrepair.budget.overshoot_ms")
+if not overshoot or overshoot["count"] != 1:
+    sys.exit("FAIL: an exhausted deadline run must observe "
+             f"ftrepair.budget.overshoot_ms once (got {overshoot})")
 
 with open(trace_path) as f:
     trace = json.load(f)
@@ -101,6 +122,7 @@ for needed in (
     "repair.detect",
     "detect.graph_build",
     "targets.assign",
+    "targets.distance_table",
     "repair.total",
 ):
     if needed not in names:
