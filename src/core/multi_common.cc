@@ -14,7 +14,8 @@ namespace ftrepair {
 ComponentContext BuildComponentContext(const Table& table,
                                        const std::vector<const FD*>& fds,
                                        const DistanceModel& model,
-                                       const RepairOptions& options) {
+                                       const RepairOptions& options,
+                                       std::vector<Detection>* detections) {
   ComponentContext ctx;
   ctx.table = &table;
   ctx.fds = fds;
@@ -72,9 +73,13 @@ ComponentContext BuildComponentContext(const Table& table,
         phi_patterns[static_cast<size_t>(phi_id)].rows.push_back(row);
       }
     }
-    ctx.graphs.push_back(ViolationGraph::Build(std::move(phi_patterns), table,
-                                               fd, model, ctx.ft[k],
-                                               options.budget));
+    Detection detection =
+        detections != nullptr
+            ? std::move((*detections)[k])
+            : ViolationGraph::Detect(phi_patterns, table, fd, model,
+                                     ctx.ft[k], options.budget);
+    ctx.graphs.push_back(ViolationGraph::Index(
+        std::move(phi_patterns), std::move(detection), ctx.ft[k].memory));
   }
   return ctx;
 }

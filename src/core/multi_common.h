@@ -43,10 +43,17 @@ struct ComponentContext {
 };
 
 /// Builds the context for `fds` over `table` (which must outlive it).
-ComponentContext BuildComponentContext(const Table& table,
-                                       const std::vector<const FD*>& fds,
-                                       const DistanceModel& model,
-                                       const RepairOptions& options);
+///
+/// Each FD's phi-patterns come out with the code vectors of
+/// BuildPatterns(table, fd.attrs()), in the same first-occurrence
+/// order. So `detections`, when given, may hold one detection per FD
+/// of `fds` over those patterns (the repair pipeline's statistics
+/// pass): the graphs index them (moved from) instead of detecting
+/// again. Without it every FD is detected here.
+ComponentContext BuildComponentContext(
+    const Table& table, const std::vector<const FD*>& fds,
+    const DistanceModel& model, const RepairOptions& options,
+    std::vector<Detection>* detections = nullptr);
 
 /// \brief Joins one chosen independent set per FD into targets and
 /// assigns every Sigma-pattern its cheapest repair (§4.2/§4.3 final

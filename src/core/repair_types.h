@@ -221,9 +221,13 @@ struct DegradationEvent {
 /// than total_ms. At threads 1 they are disjoint and total_ms
 /// additionally covers the small glue between them.
 struct PhaseTimings {
-  /// FT-violation counting before the repair (compute_violation_stats).
+  /// FT-violation counting before the repair (compute_violation_stats):
+  /// one detection per FD, kept for the solve.
   double detect_ms = 0;
-  /// Violation-graph / component-context construction.
+  /// Component contexts plus indexing the kept detections into CSR
+  /// graphs; a component that detects for itself (statistics off, the
+  /// single-FD row-pattern ablation, or a truncated statistics pass)
+  /// adds that detection here.
   double graph_ms = 0;
   /// Expansion/greedy/appro solving (minus nested target assignment).
   double solve_ms = 0;

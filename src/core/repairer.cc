@@ -1,6 +1,7 @@
 #include "core/repairer.h"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_set>
 #include <utility>
 
@@ -555,11 +556,15 @@ void SolveMulti(const LadderUnit& unit, const ComponentContext& context,
 // components: everything it writes lands in `out`, and the shared
 // inputs (`table`, `named`, `model`, `opts`, the budget behind
 // opts.budget) are either immutable for the duration of the solve
-// phase or internally synchronized.
+// phase or internally synchronized. `kept` holds the statistics pass's
+// detection per FD of `named` where that pass kept one; the component
+// moves its own FDs' entries out (components own disjoint FDs) and
+// indexes them, and detects for itself when none was kept.
 void SolveComponent(const Table& table, const std::vector<FD>& named,
                     const std::vector<int>& component,
                     const DistanceModel& model, const RepairOptions& opts_in,
                     SemanticsId semantics, const Timer& repair_clock,
+                    std::vector<std::optional<Detection>>* kept,
                     ComponentOutcome* out) {
   std::string name = ComponentName(named, component);
   FTR_TRACE_SPAN("repair.solve_component", {{"component", name}});
@@ -571,10 +576,19 @@ void SolveComponent(const Table& table, const std::vector<FD>& named,
     const FD& fd = named[static_cast<size_t>(component[0])];
     out->fd = &fd;
     Timer graph_timer;
-    out->graph = ViolationGraph::Build(
-        opts.group_tuples ? BuildPatterns(table, fd.attrs())
-                          : BuildRowPatterns(table, fd.attrs()),
-        table, fd, model, opts.FTFor(fd), opts.budget);
+    std::optional<Detection>& detection =
+        (*kept)[static_cast<size_t>(component[0])];
+    std::vector<Pattern> patterns = opts.group_tuples
+                                        ? BuildPatterns(table, fd.attrs())
+                                        : BuildRowPatterns(table, fd.attrs());
+    out->graph = detection.has_value()
+                     ? ViolationGraph::Index(std::move(patterns),
+                                             std::move(*detection),
+                                             opts.memory)
+                     : ViolationGraph::Build(std::move(patterns), table, fd,
+                                             model, opts.FTFor(fd),
+                                             opts.budget);
+    detection.reset();
     out->stats.phases.graph_ms += graph_timer.Millis();
     out->apply_single =
         unit.GraphChecked(out->graph.truncated(), "graph") &&
@@ -582,13 +596,21 @@ void SolveComponent(const Table& table, const std::vector<FD>& named,
     return;
   }
   std::vector<const FD*> component_fds;
+  std::vector<Detection> detections;
   component_fds.reserve(component.size());
   for (int idx : component) {
     component_fds.push_back(&named[static_cast<size_t>(idx)]);
+    std::optional<Detection>& detection = (*kept)[static_cast<size_t>(idx)];
+    if (detection.has_value()) {
+      detections.push_back(std::move(*detection));
+      detection.reset();
+    }
   }
   Timer graph_timer;
-  ComponentContext context =
-      BuildComponentContext(table, component_fds, model, opts);
+  // The statistics pass keeps every FD of a multi-FD component or none.
+  ComponentContext context = BuildComponentContext(
+      table, component_fds, model, opts,
+      detections.empty() ? nullptr : &detections);
   out->stats.phases.graph_ms += graph_timer.Millis();
   bool graphs_truncated = false;
   for (const ViolationGraph& graph : context.graphs) {
@@ -641,21 +663,43 @@ void FinishRepair(const Table& table, const DistanceModel& model,
   if (opts.memory != nullptr) ExportMemoryMetrics(*opts.memory);
 }
 
-// The violation-stats count of `table` over `named`. A count the
-// budget truncated is a lower bound, recorded as a "violation-stats"
-// degradation; `verb` and `field` name the pass in its reason.
+// The violation-stats count of `table` over `named`: one detection per
+// FD, summed. A count the budget truncated is a lower bound, recorded
+// as a "violation-stats" degradation; `verb` and `field` name the pass
+// in its reason. With `kept` non-null, FD k's detection is kept in
+// (*kept)[k] for the solve where `keep[k]` — until a detection
+// truncates: then every kept detection is dropped and no more are
+// kept, because after a truncated pass every component skips. A
+// detection that is not kept is released once it is summed.
 uint64_t CountViolationStats(const Table& table, const std::vector<FD>& named,
                              const DistanceModel& model,
                              const RepairOptions& opts, const Timer& clock,
                              const char* verb, const char* field,
-                             RepairStats* stats) {
+                             RepairStats* stats,
+                             std::vector<std::optional<Detection>>* kept =
+                                 nullptr,
+                             const std::vector<bool>& keep = {}) {
   uint64_t count = 0;
   bool truncated = false;
-  for (const FD& fd : named) {
-    bool fd_truncated = false;
-    count += CountFTViolations(table, fd, model, opts.FTFor(fd), opts.budget,
-                               &fd_truncated);
-    truncated = truncated || fd_truncated;
+  for (size_t k = 0; k < named.size(); ++k) {
+    const FD& fd = named[k];
+    std::vector<Pattern> patterns = BuildPatterns(table, fd.attrs());
+    Detection detection = ViolationGraph::Detect(
+        patterns, table, fd, model, opts.FTFor(fd), opts.budget);
+    count += detection.TuplePairs(patterns);
+    if (detection.truncated && kept != nullptr) {
+      for (std::optional<Detection>& dropped : *kept) {
+        if (dropped.has_value()) dropped->Release(opts.memory);
+        dropped.reset();
+      }
+      kept = nullptr;
+    }
+    truncated = truncated || detection.truncated;
+    if (kept != nullptr && keep[k]) {
+      (*kept)[k] = std::move(detection);
+    } else {
+      detection.Release(opts.memory);
+    }
   }
   if (truncated) {
     RecordDegradation(stats, clock, "violation-stats", "partial-graph",
@@ -712,16 +756,26 @@ Result<RepairResult> RunRepairPipeline(const Table& table,
   RepairResult result;
   result.repaired = table;
 
+  FDGraph fd_graph(named);
+  const std::vector<std::vector<int>>& components = fd_graph.Components();
+
+  // The before-count's detections become the solve's graphs: a multi-FD
+  // component indexes them over its phi-patterns, a single-FD one over
+  // BuildPatterns. The row-pattern ablation (group_tuples off) of a
+  // single-FD component has other vertices and detects for itself.
+  std::vector<std::optional<Detection>> kept(named.size());
   if (opts.compute_violation_stats) {
+    std::vector<bool> keep(named.size(), opts.group_tuples);
+    for (const std::vector<int>& component : components) {
+      if (component.size() < 2) continue;
+      for (int idx : component) keep[static_cast<size_t>(idx)] = true;
+    }
     FTR_TRACE_SPAN("repair.detect");
     PhaseTimer phase(&result.stats.phases.detect_ms);
     result.stats.ft_violations_before = CountViolationStats(
         table, named, model, opts, repair_clock, "counting",
-        "ft_violations_before", &result.stats);
+        "ft_violations_before", &result.stats, &kept, keep);
   }
-
-  FDGraph fd_graph(named);
-  const std::vector<std::vector<int>>& components = fd_graph.Components();
 
   if (opts.provenance) {
     RepairProvenance& prov = result.provenance;
@@ -757,9 +811,13 @@ Result<RepairResult> RunRepairPipeline(const Table& table,
     ParallelFor(
         static_cast<int>(components.size()), solve_parallelism, [&](int c) {
           SolveComponent(table, named, components[static_cast<size_t>(c)],
-                         model, opts, semantics, repair_clock,
+                         model, opts, semantics, repair_clock, &kept,
                          &outcomes[static_cast<size_t>(c)]);
         });
+  }
+  // Components that skipped never took their detections.
+  for (std::optional<Detection>& detection : kept) {
+    if (detection.has_value()) detection->Release(opts.memory);
   }
 
   // Replay merge, strictly in component order: degradations are

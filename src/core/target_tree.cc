@@ -208,6 +208,13 @@ Result<TargetTree> TargetTree::Build(std::vector<LevelInput> inputs,
     }
     tree.nodes_.push_back(node);
   }
+  // Only the live nodes stay resident: return the dead nodes' charge
+  // (the root was never charged, and it is live).
+  if (memory != nullptr) {
+    memory->Release(static_cast<uint64_t>(nodes.size() - tree.nodes_.size()) *
+                    (kNodeChargeBytes +
+                     static_cast<uint64_t>(width) * sizeof(Value)));
+  }
   static Counter* built =
       Metrics().GetCounter("ftrepair.targets.tree_nodes");
   static Counter* live =

@@ -63,7 +63,8 @@ class TargetTree {
   /// attributes). Fails with NotFound when the join is empty and with
   /// ResourceExhausted when more than `max_nodes` trie nodes would be
   /// created — or when `memory` (optional, not owned; charged per trie
-  /// node, MemPhase::kTargets) runs out first.
+  /// node created, MemPhase::kTargets) runs out first. The charge of
+  /// the nodes compaction drops is released once the tree is built.
   static Result<TargetTree> Build(std::vector<LevelInput> inputs,
                                   std::vector<int> component_cols,
                                   size_t max_nodes,

@@ -252,8 +252,7 @@ void BlockIndex::BuildExactJoin(const std::vector<Pattern>& patterns,
     members.push_back(i);
   }
   // bucket_of_ + rank_in_bucket_ + one member id per pattern.
-  MemCharge(memory_, static_cast<uint64_t>(n_) * 3 * sizeof(int),
-            MemPhase::kIndex);
+  Charge(static_cast<uint64_t>(n_) * 3 * sizeof(int));
 }
 
 void BlockIndex::BuildGramJoin() {
@@ -286,7 +285,15 @@ void BlockIndex::BuildGramJoin() {
       }
     }
   }
-  MemCharge(memory_, posting_bytes, MemPhase::kIndex);
+  Charge(posting_bytes);
+}
+
+BlockIndex::~BlockIndex() {
+  if (memory_ != nullptr) memory_->Release(charged_bytes_);
+}
+
+void BlockIndex::Charge(uint64_t bytes) {
+  if (MemCharge(memory_, bytes, MemPhase::kIndex)) charged_bytes_ += bytes;
 }
 
 std::unique_ptr<BlockIndex> BlockIndex::ForBuild(
@@ -343,7 +350,7 @@ BlockIndex::BlockIndex(const std::vector<Pattern>& patterns,
     for (const std::vector<GramRun>& runs : f.grams) {
       filter_bytes += sizeof(runs) + runs.size() * sizeof(GramRun);
     }
-    MemCharge(memory_, filter_bytes, MemPhase::kIndex);
+    Charge(filter_bytes);
     return f;
   };
 

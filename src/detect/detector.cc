@@ -48,17 +48,12 @@ uint64_t CountFTViolations(const Table& table, const FD& fd,
                            const DistanceModel& model, const FTOptions& opts,
                            const Budget* budget, bool* truncated) {
   FTR_TRACE_SPAN("detect.count_ft", {{"fd", fd.name()}});
-  ViolationGraph graph = ViolationGraph::Build(
-      BuildPatterns(table, fd.attrs()), table, fd, model, opts, budget);
-  if (truncated != nullptr) *truncated = graph.truncated();
-  uint64_t total = 0;
-  for (int i = 0; i < graph.num_patterns(); ++i) {
-    for (const ViolationGraph::Edge& e : graph.Neighbors(i)) {
-      if (e.to < i) continue;
-      total += static_cast<uint64_t>(graph.pattern(i).count()) *
-               static_cast<uint64_t>(graph.pattern(e.to).count());
-    }
-  }
+  std::vector<Pattern> patterns = BuildPatterns(table, fd.attrs());
+  Detection detection =
+      ViolationGraph::Detect(patterns, table, fd, model, opts, budget);
+  if (truncated != nullptr) *truncated = detection.truncated;
+  uint64_t total = detection.TuplePairs(patterns);
+  detection.Release(opts.memory);
   return total;
 }
 

@@ -16,11 +16,13 @@ namespace ftrepair {
 uint64_t CountExactViolations(const Table& table, const FD& fd);
 
 /// Number of FT-violating tuple pairs: the sum over the grouped
-/// graph's edges (u, v) of count(u) * count(v). Tuples with identical
-/// projections share a pattern and never count (an FT-violation needs
-/// differing projections). With a `budget` that runs out mid-build the
-/// graph is truncated and the count is a lower bound (`truncated`
-/// reports that, when non-null).
+/// violations (u, v) of count(u) * count(v), read off one detection
+/// (ViolationGraph::Detect) without building an adjacency. Tuples with
+/// identical projections share a pattern and never count (an
+/// FT-violation needs differing projections). With a `budget` that
+/// runs out mid-detection the count is a lower bound (`truncated`
+/// reports that, when non-null). The detection's memory charge is
+/// returned before the call returns.
 uint64_t CountFTViolations(const Table& table, const FD& fd,
                            const DistanceModel& model, const FTOptions& opts,
                            const Budget* budget = nullptr,

@@ -126,24 +126,6 @@ double UnitCostMemo(const Pattern& a, const Pattern& b,
   return sum;
 }
 
-// An edge discovered by one shard, recorded in (i, then j) order so the
-// merge can replay the exact serial adjacency push order.
-struct ShardEdge {
-  int i;
-  int j;
-  double proj;
-  double unit;
-};
-
-struct ShardResult {
-  std::vector<ShardEdge> edges;
-  size_t pairs_length_filtered = 0;
-  uint64_t candidates_generated = 0;
-  uint64_t candidates_verified = 0;
-  uint64_t candidates_filtered = 0;
-  bool truncated = false;
-};
-
 }  // namespace
 
 double ViolationGraph::ProjDistance(const std::vector<Value>& a,
@@ -173,23 +155,34 @@ double ViolationGraph::UnitCost(const std::vector<Value>& a,
   return sum;
 }
 
-ViolationGraph ViolationGraph::Build(std::vector<Pattern> patterns,
-                                     const Table& table, const FD& fd,
-                                     const DistanceModel& model,
-                                     const FTOptions& opts,
-                                     const Budget* budget) {
+uint64_t Detection::TuplePairs(const std::vector<Pattern>& patterns) const {
+  uint64_t total = 0;
+  for (const DetectedEdge& e : edges) {
+    total += static_cast<uint64_t>(patterns[static_cast<size_t>(e.i)].count()) *
+             static_cast<uint64_t>(patterns[static_cast<size_t>(e.j)].count());
+  }
+  return total;
+}
+
+void Detection::Release(const MemoryBudget* memory) {
+  if (memory != nullptr) memory->Release(charged_bytes());
+  std::vector<DetectedEdge>().swap(edges);  // frees the buffer too
+}
+
+Detection ViolationGraph::Detect(const std::vector<Pattern>& patterns,
+                                 const Table& table, const FD& fd,
+                                 const DistanceModel& model,
+                                 const FTOptions& opts, const Budget* budget) {
   int threads = ResolveThreads(opts.threads);
   FTR_TRACE_SPAN("detect.graph_build",
                  {{"fd", fd.name()}, {"threads", std::to_string(threads)}});
   Timer build_timer;
-  ViolationGraph g;
-  g.patterns_ = std::move(patterns);
-  int n = g.num_patterns();
-  g.adj_.assign(static_cast<size_t>(n), {});
-  g.min_edge_cost_.assign(static_cast<size_t>(n), kInfinity);
+  int n = static_cast<int>(patterns.size());
 
+  // One detection per shard: its edges in (i, j) order and its share
+  // of the candidate accounting.
   int num_shards = (n + kShardRows - 1) / kShardRows;
-  std::vector<ShardResult> shards(static_cast<size_t>(num_shards));
+  std::vector<Detection> shards(static_cast<size_t>(num_shards));
   static Histogram* shard_ms =
       Metrics().GetHistogram("ftrepair.detect.shard_ms");
 
@@ -209,7 +202,7 @@ ViolationGraph ViolationGraph::Build(std::vector<Pattern> patterns,
   for (int p = 0; p < fd.num_attrs(); ++p) {
     distinct.clear();
     distinct.reserve(static_cast<size_t>(n));
-    for (const Pattern& pat : g.patterns_) {
+    for (const Pattern& pat : patterns) {
       distinct.push_back(pat.codes[static_cast<size_t>(p)]);
     }
     std::sort(distinct.begin(), distinct.end());
@@ -220,7 +213,7 @@ ViolationGraph ViolationGraph::Build(std::vector<Pattern> patterns,
   }
 
   std::unique_ptr<BlockIndex> index =
-      BlockIndex::ForBuild(g.patterns_, table, fd, model, opts);
+      BlockIndex::ForBuild(patterns, table, fd, model, opts);
 
   // Both joins run the identical per-candidate sequence — budget
   // charge, identical-projection skip, length lower bound, cutoff
@@ -228,15 +221,15 @@ ViolationGraph ViolationGraph::Build(std::vector<Pattern> patterns,
   // so the surviving edges (and their doubles) are bit-identical
   // whichever join runs; only how many candidates were *generated*
   // differs.
-  auto verify_candidate = [&](ShardResult& r, int i, int j,
+  auto verify_candidate = [&](Detection& r, int i, int j,
                               PairDistanceMemo& memo) {
     if (!BudgetCharge(budget)) {
       r.truncated = true;
       return false;
     }
     ++r.candidates_generated;
-    const Pattern& pi = g.patterns_[static_cast<size_t>(i)];
-    const Pattern& pj = g.patterns_[static_cast<size_t>(j)];
+    const Pattern& pi = patterns[static_cast<size_t>(i)];
+    const Pattern& pj = patterns[static_cast<size_t>(j)];
     // Identical projections: codes are a bijection onto the referenced
     // values, so the code-vector compare answers exactly the value one.
     if (pi.codes == pj.codes) {
@@ -253,22 +246,22 @@ ViolationGraph ViolationGraph::Build(std::vector<Pattern> patterns,
     double proj = ProjDistanceCutoffMemo(pi, pj, decoder, fd, model,
                                          opts.w_l, opts.w_r, opts.tau, &memo);
     if (proj > opts.tau) return true;
-    if (!MemCharge(opts.memory, sizeof(ShardEdge), MemPhase::kGraph)) {
-      r.truncated = true;  // per-shard edge scratch out of memory
+    if (!MemCharge(opts.memory, sizeof(DetectedEdge), MemPhase::kGraph)) {
+      r.truncated = true;  // the edge list is out of memory
       return false;
     }
     double unit = UnitCostMemo(pi, pj, decoder, fd, model, &memo);
-    r.edges.push_back(ShardEdge{i, j, proj, unit});
+    r.edges.push_back(DetectedEdge{i, j, proj, unit});
     return true;
   };
 
   auto run_shard = [&](int s) {
-    ShardResult& r = shards[static_cast<size_t>(s)];
+    Detection& r = shards[static_cast<size_t>(s)];
     int row_lo = s * kShardRows;
     int row_hi = std::min(n, row_lo + kShardRows);
     // A budget that already ran out (possibly in another shard)
     // truncates this shard before it charges anything — the parallel
-    // analogue of the serial build breaking out of the outer loop.
+    // analogue of the serial loop breaking out of the outer loop.
     // A shard whose only row is the last pattern has no pairs and
     // cannot be truncated, matching the serial loop bounds. An
     // exhausted memory budget (possibly latched by the block-index
@@ -312,43 +305,23 @@ ViolationGraph ViolationGraph::Build(std::vector<Pattern> patterns,
   ParallelFor(num_shards, threads, run_shard);
 
   // Deterministic merge: shards cover disjoint ascending i-ranges and
-  // record edges in (i, j) order, so replaying them in shard order
-  // reproduces the serial build's exact adjacency push order — the
-  // graph is bit-identical for every thread count.
-  uint64_t shard_scratch_bytes = 0;
-  bool merge_exhausted = false;
-  for (const ShardResult& r : shards) {
-    g.pairs_length_filtered_ += r.pairs_length_filtered;
-    g.candidates_generated_ += r.candidates_generated;
-    g.candidates_verified_ += r.candidates_verified;
-    g.candidates_filtered_ += r.candidates_filtered;
-    if (r.truncated) g.truncated_ = true;
-    shard_scratch_bytes += r.edges.size() * sizeof(ShardEdge);
-    for (const ShardEdge& e : r.edges) {
-      // The adjacency lists hold two directed copies of each edge; a
-      // failed charge keeps the (deterministic) prefix merged so far
-      // and surfaces truncation, never a half-pushed edge pair.
-      if (merge_exhausted ||
-          !MemCharge(opts.memory, 2 * sizeof(Edge), MemPhase::kGraph)) {
-        merge_exhausted = true;
-        g.truncated_ = true;
-        break;
-      }
-      g.adj_[static_cast<size_t>(e.i)].push_back(Edge{e.j, e.proj, e.unit});
-      g.adj_[static_cast<size_t>(e.j)].push_back(Edge{e.i, e.proj, e.unit});
-      ++g.num_edges_;
-      g.min_edge_cost_[static_cast<size_t>(e.i)] =
-          std::min(g.min_edge_cost_[static_cast<size_t>(e.i)], e.unit);
-      g.min_edge_cost_[static_cast<size_t>(e.j)] =
-          std::min(g.min_edge_cost_[static_cast<size_t>(e.j)], e.unit);
-    }
+  // record edges in (i, j) order, so concatenating them in shard order
+  // gives the serial detection's exact edge order at every thread
+  // count. The shard lists' charges carry over to the merged list.
+  Detection d;
+  size_t num_edges = 0;
+  for (const Detection& r : shards) num_edges += r.edges.size();
+  d.edges.reserve(num_edges);
+  for (Detection& r : shards) {
+    d.pairs_length_filtered += r.pairs_length_filtered;
+    d.candidates_generated += r.candidates_generated;
+    d.candidates_verified += r.candidates_verified;
+    d.candidates_filtered += r.candidates_filtered;
+    d.truncated = d.truncated || r.truncated;
+    d.edges.insert(d.edges.end(), r.edges.begin(), r.edges.end());
+    std::vector<DetectedEdge>().swap(r.edges);
   }
-  if (opts.memory != nullptr) {
-    // The per-shard scratch buffers die with this function; return
-    // their footprint so resident occupancy tracks the merged graph.
-    opts.memory->Release(shard_scratch_bytes);
-  }
-  // Similarity-join accounting, once per build (not per pair): the
+  // Similarity-join accounting, once per detection (not per pair): the
   // pair-filter effectiveness is the first thing to look at when
   // detection dominates a trace.
   static Counter* pairs_filtered =
@@ -367,14 +340,65 @@ ViolationGraph ViolationGraph::Build(std::vector<Pattern> patterns,
   static Gauge* detect_threads =
       Metrics().GetGauge("ftrepair.detect.threads");
   detect_threads->Set(threads);
-  pairs_filtered->Increment(g.pairs_length_filtered_);
-  cand_generated->Increment(g.candidates_generated_);
-  cand_verified->Increment(g.candidates_verified_);
-  cand_filtered->Increment(g.candidates_filtered_);
-  edges->Increment(g.num_edges_);
-  if (g.truncated_) truncated_builds->Increment();
+  pairs_filtered->Increment(d.pairs_length_filtered);
+  cand_generated->Increment(d.candidates_generated);
+  cand_verified->Increment(d.candidates_verified);
+  cand_filtered->Increment(d.candidates_filtered);
+  edges->Increment(d.edges.size());
+  if (d.truncated) truncated_builds->Increment();
   build_ms->Observe(build_timer.Millis());
+  return d;
+}
+
+ViolationGraph ViolationGraph::Index(std::vector<Pattern> patterns,
+                                     Detection detection,
+                                     const MemoryBudget* memory) {
+  ViolationGraph g;
+  g.patterns_ = std::move(patterns);
+  size_t n = g.patterns_.size();
+  g.offsets_.assign(n + 1, 0);
+  g.min_edge_cost_.assign(n, kInfinity);
+  size_t m = detection.edges.size();
+  if (!MemCharge(memory, (n + 1) * sizeof(size_t) + 2 * m * sizeof(Edge),
+                 MemPhase::kGraph)) {
+    // Out of memory: a graph with no edges, marked like any other
+    // detection that missed violations.
+    detection.truncated = true;
+    m = 0;
+  }
+  for (size_t k = 0; k < m; ++k) {
+    const DetectedEdge& e = detection.edges[k];
+    ++g.offsets_[static_cast<size_t>(e.i) + 1];
+    ++g.offsets_[static_cast<size_t>(e.j) + 1];
+  }
+  for (size_t v = 0; v < n; ++v) g.offsets_[v + 1] += g.offsets_[v];
+  // Replaying the edges in (i, j) order appends each vertex's lower
+  // neighbours before its higher ones, both ascending, so every
+  // neighbour list is ascending by `to`.
+  g.edges_.resize(2 * m);
+  std::vector<size_t> next(g.offsets_.begin(), g.offsets_.end() - 1);
+  for (size_t k = 0; k < m; ++k) {
+    const DetectedEdge& e = detection.edges[k];
+    size_t i = static_cast<size_t>(e.i);
+    size_t j = static_cast<size_t>(e.j);
+    g.edges_[next[i]++] = Edge{e.j, e.proj_dist, e.unit_cost};
+    g.edges_[next[j]++] = Edge{e.i, e.proj_dist, e.unit_cost};
+    g.min_edge_cost_[i] = std::min(g.min_edge_cost_[i], e.unit_cost);
+    g.min_edge_cost_[j] = std::min(g.min_edge_cost_[j], e.unit_cost);
+  }
+  g.num_edges_ = m;
+  detection.Release(memory);
+  g.detection_ = std::move(detection);
   return g;
+}
+
+ViolationGraph ViolationGraph::Build(std::vector<Pattern> patterns,
+                                     const Table& table, const FD& fd,
+                                     const DistanceModel& model,
+                                     const FTOptions& opts,
+                                     const Budget* budget) {
+  Detection detection = Detect(patterns, table, fd, model, opts, budget);
+  return Index(std::move(patterns), std::move(detection), opts.memory);
 }
 
 std::vector<std::vector<int>> ViolationGraph::ConnectedComponents() const {
@@ -411,25 +435,22 @@ ViolationGraph ViolationGraph::InducedSubgraph(
     local[static_cast<size_t>(vertices[i])] = static_cast<int>(i);
     g.patterns_.push_back(patterns_[static_cast<size_t>(vertices[i])]);
   }
-  g.adj_.resize(vertices.size());
+  g.offsets_.assign(vertices.size() + 1, 0);
   g.min_edge_cost_.assign(vertices.size(), kInfinity);
   for (size_t i = 0; i < vertices.size(); ++i) {
     for (const Edge& e : Neighbors(vertices[i])) {
       int to = local[static_cast<size_t>(e.to)];
       if (to < 0) continue;
-      g.adj_[i].push_back(Edge{to, e.proj_dist, e.unit_cost});
+      g.edges_.push_back(Edge{to, e.proj_dist, e.unit_cost});
       if (vertices[i] < e.to) ++g.num_edges_;
       g.min_edge_cost_[i] = std::min(g.min_edge_cost_[i], e.unit_cost);
     }
+    g.offsets_[i + 1] = g.edges_.size();
   }
   // Build provenance carries over: a component cut out of a
   // budget-truncated graph may itself be missing edges, and its solver
   // must not believe detection was complete.
-  g.truncated_ = truncated_;
-  g.pairs_length_filtered_ = pairs_length_filtered_;
-  g.candidates_generated_ = candidates_generated_;
-  g.candidates_verified_ = candidates_verified_;
-  g.candidates_filtered_ = candidates_filtered_;
+  g.detection_ = detection_;
   return g;
 }
 

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/resource.h"
 #include "core/multi_common.h"
 #include "core/target_tree.h"
 #include "test_util.h"
@@ -159,6 +160,24 @@ TEST(TargetTreeTest, DisagreeingSetsYieldEmptyJoin) {
   auto result = ex.Build(100000);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsNotFound());
+}
+
+TEST(TargetTreeTest, DeadNodesReturnTheirMemoryCharge) {
+  Example13 ex;
+  // A phi2 element no phi3 element agrees with on City: its node is
+  // created, then dropped by compaction.
+  ex.inputs[0].elements.push_back(
+      ex.book.Elements(ex.fds[1].attrs(), {{Value("Chicago"), Value("IL")}})
+          .front());
+  MemoryBudget memory;
+  auto tree = TargetTree::Build(ex.inputs, ex.cols, 100000, &memory);
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  EXPECT_EQ(tree.value().num_targets(), 4u);
+  // 3 + 4 nodes are created and charged alike (the root is not);
+  // only the 2 + 4 live ones stay charged.
+  const uint64_t charged = memory.charged_total_bytes();
+  ASSERT_EQ(charged % 7, 0u);
+  EXPECT_EQ(memory.resident_bytes(), charged / 7 * 6);
 }
 
 TEST(TargetTreeTest, NodeCapReturnsResourceExhausted) {

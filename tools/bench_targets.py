@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Target-search benchmark: base commit vs working tree.
+"""Phase-breakdown benchmark: base commit vs working tree.
 
 Builds tools/bench_targets/harness.cc against the library sources of a
 base commit (exported with `git archive`) and of this checkout, then
@@ -8,7 +8,10 @@ repetitions per side, each run in a fresh process (VmHWM is per
 process). Sides alternate within each repetition. Writes medians and
 the raw runs to BENCH_targets.json.
 
-Per run it records targets_ms (PhaseTimings), the tree's node count
+Per run it records every PhaseTimings field (detect_ms, graph_ms,
+solve_ms, targets_ms, apply_ms, stats_ms, total_ms) and their
+detect_graph_ms sum, the number of violation-graph detections
+(samples of ftrepair.detect.graph_build_ms), the tree's node count
 before and after compaction, the distance-table entries and bytes (the
 ftrepair.targets.* counters, null where the base lacks them), the
 process VmHWM and the cells changed.
@@ -19,6 +22,7 @@ refuses to record when the 1-minute load average exceeds the CPU count,
 or when the build is not optimized, and writes the reason instead.
 
     python3 tools/bench_targets.py [--base REF] [--out BENCH_targets.json]
+    python3 tools/bench_targets.py --base REF --out BENCH_detect_once.json
 """
 
 import argparse
@@ -37,6 +41,8 @@ REPS = 3
 RUNS = [("hosp", 10000, "greedy"), ("hosp", 10000, "appro"),
         ("hosp", 20000, "greedy"), ("hosp", 20000, "appro"),
         ("tax", 10000, "greedy"), ("tax", 10000, "appro")]
+PHASES = ("detect_ms", "graph_ms", "solve_ms", "targets_ms", "apply_ms",
+          "stats_ms", "total_ms")
 COUNTERS = {
     "tree_nodes": "ftrepair.targets.tree_nodes",
     "tree_live_nodes": "ftrepair.targets.tree_live_nodes",
@@ -68,8 +74,14 @@ def run_once(binary, dataset, algorithm, csv):
                          stdout=subprocess.PIPE, text=True, check=True)
     raw = json.loads(out.stdout.strip().splitlines()[-1])
     counters = raw["metrics"].get("counters", {})
-    run = {key: raw[key] for key in
-           ("targets_ms", "total_ms", "cells_changed", "vm_hwm_kib")}
+    histograms = raw["metrics"].get("histograms", {})
+    run = {key: raw.get(key) for key in PHASES}
+    run["detect_graph_ms"] = (None if raw.get("detect_ms") is None else
+                              raw["detect_ms"] + raw["graph_ms"])
+    run["cells_changed"] = raw["cells_changed"]
+    run["vm_hwm_kib"] = raw["vm_hwm_kib"]
+    run["graph_builds"] = histograms.get(
+        "ftrepair.detect.graph_build_ms", {}).get("count")
     for key, name in COUNTERS.items():
         run[key] = counters.get(name)
     return raw["build_type"], run
@@ -125,6 +137,8 @@ def main():
                     stamp["build_type"] = build_type
                     sides[side].append(run)
                     log(f"{name} {side} rep {rep}: "
+                        f"total {run['total_ms']:.1f} ms, "
+                        f"detect+graph {run['detect_graph_ms']:.1f} ms, "
                         f"targets {run['targets_ms']:.1f} ms, "
                         f"hwm {run['vm_hwm_kib']} KiB")
             entry = {"run": name}

@@ -1,11 +1,12 @@
-// One target-search benchmark run (see tools/bench_targets.py).
+// One phase-breakdown benchmark run (see tools/bench_targets.py).
 //
 //   bench_targets gen {hosp|tax} ROWS OUT.csv
 //       writes the dirty table (4% noise, seed 42) to OUT.csv;
 //   bench_targets run {hosp|tax} {greedy|appro} IN.csv
 //       reads IN.csv, repairs it at threads 1 with the dataset's
-//       recommended settings and prints one JSON line: the phase times,
-//       cells changed, the process's VmHWM and the metrics snapshot.
+//       recommended settings and prints one JSON line: every
+//       PhaseTimings field, cells changed, the process's VmHWM and the
+//       metrics snapshot (which holds the graph-build count).
 //
 // Only library calls that exist on both sides of a comparison are used,
 // so the same harness builds against the base and the changed sources.
@@ -98,10 +99,14 @@ int main(int argc, char** argv) {
     return 1;
   }
   const RepairStats& stats = result.value().stats;
+  const PhaseTimings& phases = stats.phases;
   std::printf(
-      "{\"build_type\":\"%s\",\"total_ms\":%.3f,\"targets_ms\":%.3f,"
-      "\"cells_changed\":%d,\"vm_hwm_kib\":%ld,\"metrics\":%s}\n",
-      BENCH_BUILD_TYPE, stats.phases.total_ms, stats.phases.targets_ms,
+      "{\"build_type\":\"%s\",\"detect_ms\":%.3f,\"graph_ms\":%.3f,"
+      "\"solve_ms\":%.3f,\"targets_ms\":%.3f,\"apply_ms\":%.3f,"
+      "\"stats_ms\":%.3f,\"total_ms\":%.3f,\"cells_changed\":%d,"
+      "\"vm_hwm_kib\":%ld,\"metrics\":%s}\n",
+      BENCH_BUILD_TYPE, phases.detect_ms, phases.graph_ms, phases.solve_ms,
+      phases.targets_ms, phases.apply_ms, phases.stats_ms, phases.total_ms,
       stats.cells_changed, VmHwmKib(), Metrics().SnapshotJson().c_str());
   return 0;
 }

@@ -51,7 +51,7 @@ if [[ "${mode}" == "thread" ]]; then
   # per-semantics pipelines (the cross-semantics property sweeps run
   # repairs at several thread counts).
   ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)" \
-    -R 'ThreadPool|Parallel|ViolationGraph|BlockIndex|Detector|Budget|Metrics|Trace|Repairer|Greedy|Expansion|Multi|TargetTree|LazyTargets|TargetSearch|Trusted|Chaos|Memory|Ladder|Provenance|ExplainReport|AuditLog|Columnar|StreamingIngest|DistanceKernel|Semantics|Cardinality|SoftFd'
+    -R 'ThreadPool|Parallel|ViolationGraph|BlockIndex|Detector|DetectOnce|Budget|Metrics|Trace|Repairer|Greedy|Expansion|Multi|TargetTree|LazyTargets|TargetSearch|Trusted|Chaos|Memory|Ladder|Provenance|ExplainReport|AuditLog|Columnar|StreamingIngest|DistanceKernel|Semantics|Cardinality|SoftFd'
 else
   export ASAN_OPTIONS="detect_leaks=1:abort_on_error=1"
   export UBSAN_OPTIONS="print_stacktrace=1"
