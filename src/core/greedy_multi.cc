@@ -1,11 +1,14 @@
 #include "core/greedy_multi.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <queue>
+#include <span>
 #include <unordered_map>
 #include <utility>
 
+#include "common/hash.h"
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/trace.h"
@@ -20,27 +23,85 @@ struct GreedyMultiState {
   const ComponentContext* ctx;
   const RepairOptions* options;
 
+  // At most this many underlying Sigma-patterns (resp. candidate
+  // targets) are cross-scored per neighbor — a bounded approximation
+  // that keeps Eq. 12 evaluation within the paper's O(Sigma * V^2).
+  static constexpr size_t kMaxCrossSigmas = 8;
+  static constexpr size_t kMaxCrossTargets = 3;
+
   size_t num_fds;
   // Per FD: chosen membership, conflict counts against the chosen set.
   std::vector<std::vector<bool>> chosen;
   std::vector<std::vector<int>> blocked;
   std::vector<std::vector<int>> chosen_list;
-  // Per FD: cheapest unit cost from each pattern to the chosen set.
-  std::vector<std::vector<double>> best_unit;
   size_t remaining = 0;  // candidates not yet chosen nor blocked
   // Patterns whose `blocked` count went 0 -> 1 during the latest Add.
   std::vector<int> newly_blocked;
+  uint64_t target_scores = 0;  // TargetScore evaluations
 
-  // Per FD: lookup from phi projection codes to phi-pattern id. Every
-  // FD's patterns carry codes from the one table's column dictionaries,
-  // so a code vector spliced from two FDs' patterns still identifies a
-  // projection exactly (equal code == equal value per column).
-  std::vector<std::unordered_map<std::vector<uint32_t>, int, CodeVectorHash>>
-      phi_index;
-  // Per FD: component position of each of its attrs.
-  std::vector<std::vector<int>> attr_pos;
-  // Per FD pair (k, j): shared component positions, empty if disjoint.
-  std::vector<std::vector<std::vector<int>>> shared_pos;
+  // Per FD, kMaxCrossTargets entries per pattern v: v's cheapest chosen
+  // neighbors by (unit_cost, id), ascending, each as its edge's position
+  // in Neighbors(v), padded with kNoEdge. Chosen sets only grow, so Add
+  // keeps them exact by insertion. The first entry is v's cheapest edge
+  // to the chosen set.
+  static constexpr uint32_t kNoEdge = UINT32_MAX;
+  std::vector<std::vector<uint32_t>> heads;
+
+  // What TargetScore reads about partner FD j of FD k (the two share a
+  // column) when it rewrites FD k's shared positions with the values of
+  // a target u. A phi-pattern of FD j splits into its shared tuple (the
+  // positions it shares with FD k) and its residual tuple (the rest);
+  // both are numbered densely. Every FD's patterns carry codes from the
+  // one table's column dictionaries, so equal ids mean equal values, and
+  // the rewritten projection (residual of y, shared of u) is an FD-j
+  // phi-pattern exactly when `slots` holds that pair.
+  struct CrossFd {
+    size_t j;
+    // Per FD-k pattern: its shared tuple's id in FD j's numbering, or
+    // -1 when no FD-j pattern has those values.
+    std::vector<int> shared_of_k;
+    // Open addressing on (residual, shared); an empty slot has y -1.
+    struct Slot {
+      int residual;
+      int shared;
+      int y;  // FD-j pattern id
+    };
+    std::vector<Slot> slots;
+    // Per FD-k pattern v, groups[group_begin[v] .. group_begin[v + 1]):
+    // the FD-j phi-patterns y that v's first kMaxCrossSigmas
+    // Sigma-patterns project onto, each once, with the tuples they
+    // stand for. Each y carries v's shared tuple, so a rewrite to a
+    // target with the same shared tuple changes nothing.
+    struct Group {
+      int y;
+      int residual;  // y's residual tuple
+      int tuples;
+    };
+    std::vector<uint32_t> group_begin;
+    std::vector<Group> groups;
+
+    static size_t Hash(int residual, int shared) {
+      return static_cast<size_t>(
+          HashMix64((static_cast<uint64_t>(static_cast<uint32_t>(residual))
+                     << 32) |
+                    static_cast<uint32_t>(shared)));
+    }
+
+    // The FD-j pattern with these tuple ids, or -1.
+    int Find(int residual, int shared) const {
+      const size_t mask = slots.size() - 1;
+      for (size_t i = Hash(residual, shared) & mask;; i = (i + 1) & mask) {
+        const Slot& slot = slots[i];
+        if (slot.y < 0 ||
+            (slot.residual == residual && slot.shared == shared)) {
+          return slot.y;
+        }
+      }
+    }
+  };
+  // Per FD k: its partner FDs in ascending order. Built only when
+  // cross_weight > 0; otherwise TargetScore reads no other FD.
+  std::vector<std::vector<CrossFd>> partners;
 
   void Init(const ComponentContext& context, const RepairOptions& opts) {
     ctx = &context;
@@ -49,39 +110,111 @@ struct GreedyMultiState {
     chosen.resize(num_fds);
     blocked.resize(num_fds);
     chosen_list.resize(num_fds);
-    best_unit.resize(num_fds);
-    phi_index.resize(num_fds);
-    attr_pos.resize(num_fds);
-    shared_pos.assign(num_fds, std::vector<std::vector<int>>(num_fds));
+    heads.resize(num_fds);
+    partners.resize(num_fds);
 
-    std::unordered_map<int, int> col_to_pos;
-    for (size_t p = 0; p < context.component_cols.size(); ++p) {
-      col_to_pos.emplace(context.component_cols[p], static_cast<int>(p));
-    }
     for (size_t k = 0; k < num_fds; ++k) {
-      int n = context.graphs[k].num_patterns();
-      chosen[k].assign(static_cast<size_t>(n), false);
-      blocked[k].assign(static_cast<size_t>(n), 0);
-      best_unit[k].assign(static_cast<size_t>(n), kInf);
-      remaining += static_cast<size_t>(n);
-      for (int j = 0; j < n; ++j) {
-        phi_index[k].emplace(context.graphs[k].pattern(j).codes, j);
-      }
-      for (int c : context.fds[k]->attrs()) {
-        attr_pos[k].push_back(col_to_pos.at(c));
-      }
+      const size_t n = static_cast<size_t>(context.graphs[k].num_patterns());
+      chosen[k].assign(n, false);
+      blocked[k].assign(n, 0);
+      heads[k].assign(n * kMaxCrossTargets, kNoEdge);
+      remaining += n;
     }
+    if (opts.cross_weight <= 0) return;
     for (size_t k = 0; k < num_fds; ++k) {
       for (size_t j = 0; j < num_fds; ++j) {
-        if (j == k) continue;
-        for (int pk : attr_pos[k]) {
-          if (std::find(attr_pos[j].begin(), attr_pos[j].end(), pk) !=
-              attr_pos[j].end()) {
-            shared_pos[k][j].push_back(pk);
-          }
+        CrossFd cross;
+        if (j != k && BuildCrossFd(k, j, &cross)) {
+          partners[k].push_back(std::move(cross));
         }
       }
     }
+  }
+
+  // Fills `cross` for FDs k and j; false when they share no column.
+  bool BuildCrossFd(size_t k, size_t j, CrossFd* cross) const {
+    const FD& fd_k = *ctx->fds[k];
+    const std::vector<int>& attrs_j = ctx->fds[j]->attrs();
+    // Positions within FD j's codes, and FD k's position of each shared
+    // one.
+    std::vector<size_t> shared_j, shared_k, residual_j;
+    for (size_t p = 0; p < attrs_j.size(); ++p) {
+      const int pk = fd_k.AttrPosition(attrs_j[p]);
+      if (pk < 0) {
+        residual_j.push_back(p);
+      } else {
+        shared_j.push_back(p);
+        shared_k.push_back(static_cast<size_t>(pk));
+      }
+    }
+    if (shared_j.empty()) return false;
+    cross->j = j;
+
+    std::unordered_map<std::vector<uint32_t>, int, CodeVectorHash> shared_ids,
+        residual_ids;
+    std::vector<uint32_t> key;
+    auto project = [&key](const std::vector<uint32_t>& codes,
+                          const std::vector<size_t>& positions)
+        -> const std::vector<uint32_t>& {
+      key.clear();
+      for (size_t p : positions) key.push_back(codes[p]);
+      return key;
+    };
+    const ViolationGraph& graph_j = ctx->graphs[j];
+    const size_t n_j = static_cast<size_t>(graph_j.num_patterns());
+    size_t capacity = 2;  // a power of two, at most 3/4 full
+    while (capacity * 3 < n_j * 4) capacity *= 2;
+    cross->slots.assign(capacity, {-1, -1, -1});
+    const size_t mask = capacity - 1;
+    std::vector<int> residual_of_j(n_j);
+    for (size_t y = 0; y < n_j; ++y) {
+      const std::vector<uint32_t>& codes =
+          graph_j.pattern(static_cast<int>(y)).codes;
+      const int shared = shared_ids
+                             .try_emplace(project(codes, shared_j),
+                                          static_cast<int>(shared_ids.size()))
+                             .first->second;
+      const int residual =
+          residual_ids
+              .try_emplace(project(codes, residual_j),
+                           static_cast<int>(residual_ids.size()))
+              .first->second;
+      residual_of_j[y] = residual;
+      size_t i = CrossFd::Hash(residual, shared) & mask;
+      while (cross->slots[i].y >= 0) i = (i + 1) & mask;
+      cross->slots[i] = {residual, shared, static_cast<int>(y)};
+    }
+
+    const ViolationGraph& graph_k = ctx->graphs[k];
+    const size_t n_k = static_cast<size_t>(graph_k.num_patterns());
+    cross->shared_of_k.resize(n_k);
+    cross->group_begin.reserve(n_k + 1);
+    cross->group_begin.push_back(0);
+    for (size_t v = 0; v < n_k; ++v) {
+      auto it = shared_ids.find(
+          project(graph_k.pattern(static_cast<int>(v)).codes, shared_k));
+      cross->shared_of_k[v] = it == shared_ids.end() ? -1 : it->second;
+      const std::vector<int>& sigmas = ctx->sigma_of_phi[k][v];
+      const size_t first = cross->groups.size();
+      for (size_t si = 0; si < std::min(sigmas.size(), kMaxCrossSigmas);
+           ++si) {
+        const size_t sigma = static_cast<size_t>(sigmas[si]);
+        const int y = ctx->phi_of_sigma[j][sigma];
+        const int tuples = ctx->sigma_patterns[sigma].count();
+        size_t g = first;
+        while (g < cross->groups.size() && cross->groups[g].y != y) ++g;
+        if (g == cross->groups.size()) {
+          cross->groups.push_back(
+              {y, residual_of_j[static_cast<size_t>(y)], tuples});
+        } else {
+          cross->groups[g].tuples += tuples;
+        }
+      }
+      cross->group_begin.push_back(
+          static_cast<uint32_t>(cross->groups.size()));
+    }
+    cross->groups.shrink_to_fit();
+    return true;
   }
 
   bool IsCandidate(size_t k, int v) const {
@@ -89,83 +222,54 @@ struct GreedyMultiState {
            blocked[k][static_cast<size_t>(v)] == 0;
   }
 
-  // At most this many underlying Sigma-patterns (resp. candidate
-  // targets) are cross-scored per neighbor — a bounded approximation
-  // that keeps Eq. 12 evaluation within the paper's O(Sigma * V^2).
-  static constexpr size_t kMaxCrossSigmas = 8;
-  static constexpr size_t kMaxCrossTargets = 3;
-
   // A still-unblocked FD-j phi-pattern that a score read through a
   // substituted projection: (j, phi id).
   using UnblockedRead = std::pair<size_t, int>;
 
-  // Conflict indicator of sigma-pattern s against FD j's chosen set,
-  // after hypothetically rewriting the shared positions with the values
-  // of phi-pattern `u` of FD k (u < 0 means "no rewrite"). When `reads`
-  // is given, a substituted projection whose `blocked` count is still 0
-  // is recorded there: it is the one input of the score that no static
-  // map predicts.
-  int ConflictAfter(size_t k, int u, size_t j, int sigma,
-                    std::vector<UnblockedRead>* reads) const {
-    int cur_phi = ctx->phi_of_sigma[j][static_cast<size_t>(sigma)];
-    if (u < 0 || shared_pos[k][j].empty()) {
-      return blocked[j][static_cast<size_t>(cur_phi)] > 0 ? 1 : 0;
-    }
-    const std::vector<uint32_t>& cur_codes =
-        ctx->graphs[j].pattern(cur_phi).codes;
-    const std::vector<uint32_t>& u_codes = ctx->graphs[k].pattern(u).codes;
-    // Check for a change before paying for a projection copy.
-    bool changed = false;
-    for (size_t a = 0; a < attr_pos[k].size() && !changed; ++a) {
-      int pos = attr_pos[k][a];
-      auto it = std::find(attr_pos[j].begin(), attr_pos[j].end(), pos);
-      if (it == attr_pos[j].end()) continue;
-      size_t jp = static_cast<size_t>(it - attr_pos[j].begin());
-      changed = cur_codes[jp] != u_codes[a];
-    }
-    if (!changed) {
-      return blocked[j][static_cast<size_t>(cur_phi)] > 0 ? 1 : 0;
-    }
-    std::vector<uint32_t> proj = cur_codes;
-    for (size_t a = 0; a < attr_pos[k].size(); ++a) {
-      int pos = attr_pos[k][a];
-      auto it = std::find(attr_pos[j].begin(), attr_pos[j].end(), pos);
-      if (it == attr_pos[j].end()) continue;
-      proj[static_cast<size_t>(it - attr_pos[j].begin())] = u_codes[a];
-    }
-    auto found = phi_index[j].find(proj);
-    // A projection that exists nowhere in the data would be *created*
-    // by this modification — count it as a triggered violation ("trigger
-    // less violations for phi_j", §4.4): the close-world model would
-    // have to invent the combination.
-    if (found == phi_index[j].end()) return 1;
-    if (blocked[j][static_cast<size_t>(found->second)] > 0) return 1;
-    if (reads != nullptr) reads->emplace_back(j, found->second);
-    return 0;
-  }
-
   // Synchronization-aware score of repairing neighbor v (of FD k) to
-  // target u, per underlying tuple (Eq. 12's inner choice).
+  // target u, per underlying tuple (Eq. 12's inner choice): the edge
+  // cost plus `cross_weight` per tuple-weighted conflict the rewrite
+  // triggers (minus per conflict it removes) against each partner FD's
+  // chosen set, as a share of v's first kMaxCrossSigmas Sigma-patterns'
+  // tuples. The sums are integers, so each delta is exact. A
+  // substituted projection that exists nowhere in the data would be
+  // *created* by this modification and counts as a triggered violation
+  // ("trigger less violations for phi_j", §4.4): the close-world model
+  // would have to invent the combination. One that exists and is still
+  // unblocked is recorded in `reads`: it is the one input of the score
+  // that no static map predicts.
   double TargetScore(size_t k, int v, int u, double edge_cost,
-                     std::vector<UnblockedRead>* reads) const {
+                     std::vector<UnblockedRead>* reads) {
+    ++target_scores;
     double score = edge_cost;
     double w = options->cross_weight;
     if (w <= 0) return score;
-    const std::vector<int>& sigmas =
-        ctx->sigma_of_phi[k][static_cast<size_t>(v)];
-    size_t limit = std::min(sigmas.size(), kMaxCrossSigmas);
-    for (size_t j = 0; j < num_fds; ++j) {
-      if (j == k || shared_pos[k][j].empty()) continue;
-      double delta = 0;
+    for (const CrossFd& cross : partners[k]) {
+      const int shared = cross.shared_of_k[static_cast<size_t>(u)];
+      // Same shared tuple as v: a delta of 0 adds nothing.
+      if (shared == cross.shared_of_k[static_cast<size_t>(v)]) continue;
+      const std::vector<int>& blocked_j = blocked[cross.j];
+      int before = 0;
+      int after = 0;
       int total = 0;
-      for (size_t si = 0; si < limit; ++si) {
-        int sigma = sigmas[si];
-        int cnt = ctx->sigma_patterns[static_cast<size_t>(sigma)].count();
-        delta += cnt * (ConflictAfter(k, u, j, sigma, reads) -
-                        ConflictAfter(k, -1, j, sigma, nullptr));
-        total += cnt;
+      for (uint32_t g = cross.group_begin[static_cast<size_t>(v)];
+           g < cross.group_begin[static_cast<size_t>(v) + 1]; ++g) {
+        const CrossFd::Group& group = cross.groups[g];
+        total += group.tuples;
+        if (blocked_j[static_cast<size_t>(group.y)] > 0) {
+          before += group.tuples;
+        }
+        const int found =
+            shared < 0 ? -1 : cross.Find(group.residual, shared);
+        if (found < 0 || blocked_j[static_cast<size_t>(found)] > 0) {
+          after += group.tuples;
+        } else {
+          reads->emplace_back(cross.j, found);
+        }
       }
-      if (total > 0) score += w * delta / total;
+      if (total > 0) {
+        score += w * static_cast<double>(after - before) / total;
+      }
     }
     return score;
   }
@@ -177,37 +281,33 @@ struct GreedyMultiState {
   // neighbors already covered by the chosen set contribute only their
   // improvement, and the candidate's own exclusion cost is netted out
   // (see greedy_single.cc for the rationale). `reads` as in
-  // ConflictAfter.
-  double CandidateCost(size_t k, int c,
-                       std::vector<UnblockedRead>* reads) const {
+  // TargetScore.
+  double CandidateCost(size_t k, int c, std::vector<UnblockedRead>* reads) {
     const ViolationGraph& graph = ctx->graphs[k];
     double cost = 0;
-    std::vector<std::pair<double, int>> eligible;
     for (const ViolationGraph::Edge& e : graph.Neighbors(c)) {
-      int v = e.to;
-      if (chosen[k][static_cast<size_t>(v)]) continue;  // cannot happen
-      // Eligible targets for v: the candidate itself plus realized
-      // members of the chosen set among v's neighbors.
-      eligible.clear();
-      for (const ViolationGraph::Edge& t : graph.Neighbors(v)) {
-        if (t.to == c || chosen[k][static_cast<size_t>(t.to)]) {
-          eligible.emplace_back(t.unit_cost, t.to);
+      const int v = e.to;
+      // Eligible targets for v: the candidate itself plus v's chosen
+      // neighbors, cheapest first by (unit_cost, id). That is c's edge
+      // merged into v's head, at position `at`.
+      const std::span<const ViolationGraph::Edge> adj = graph.Neighbors(v);
+      const uint32_t* head = Head(k, v);
+      const size_t at = HeadPosition(adj, head, e.unit_cost, c);
+      double best = kInf;
+      for (size_t t = 0; t < kMaxCrossTargets; ++t) {
+        double unit = e.unit_cost;
+        int to = c;
+        if (t != at) {
+          const uint32_t edge = head[t < at ? t : t - 1];
+          if (edge == kNoEdge) break;
+          unit = adj[edge].unit_cost;
+          to = adj[edge].to;
         }
+        best = std::min(best, TargetScore(k, v, to, unit, reads));
       }
-      double best;
-      if (eligible.empty()) {
-        best = e.unit_cost;  // v's only anchor is c itself
-      } else {
-        std::sort(eligible.begin(), eligible.end());
-        size_t limit = std::min(eligible.size(), kMaxCrossTargets);
-        best = kInf;
-        for (size_t t = 0; t < limit; ++t) {
-          best = std::min(best, TargetScore(k, v, eligible[t].second,
-                                            eligible[t].first, reads));
-        }
-      }
-      double covered = best_unit[k][static_cast<size_t>(v)];
-      double contribution =
+      const double covered =
+          head[0] == kNoEdge ? kInf : adj[head[0]].unit_cost;
+      const double contribution =
           covered == kInf ? best : std::min(best, covered) - covered;
       cost += graph.pattern(v).count() * contribution;
     }
@@ -223,13 +323,45 @@ struct GreedyMultiState {
     if (was_candidate) --remaining;
     newly_blocked.clear();
     for (const ViolationGraph::Edge& e : ctx->graphs[k].Neighbors(c)) {
-      best_unit[k][static_cast<size_t>(e.to)] = std::min(
-          best_unit[k][static_cast<size_t>(e.to)], e.unit_cost);
+      InsertHead(k, e.to, c);
       if (blocked[k][static_cast<size_t>(e.to)]++ == 0) {
         newly_blocked.push_back(e.to);
         if (!chosen[k][static_cast<size_t>(e.to)]) --remaining;
       }
     }
+  }
+
+  uint32_t* Head(size_t k, int v) {
+    return heads[k].data() + static_cast<size_t>(v) * kMaxCrossTargets;
+  }
+
+  // Number of entries of `head` (over edges `adj`) that precede
+  // (unit, to).
+  static size_t HeadPosition(std::span<const ViolationGraph::Edge> adj,
+                             const uint32_t* head, double unit, int to) {
+    size_t p = 0;
+    while (p < kMaxCrossTargets && head[p] != kNoEdge) {
+      const ViolationGraph::Edge& h = adj[head[p]];
+      if (!(h.unit_cost < unit || (h.unit_cost == unit && h.to < to))) break;
+      ++p;
+    }
+    return p;
+  }
+
+  // Offers chosen neighbor c to v's head.
+  void InsertHead(size_t k, int v, int c) {
+    const std::span<const ViolationGraph::Edge> adj =
+        ctx->graphs[k].Neighbors(v);
+    // Neighbors come out sorted by id (ViolationGraph::Index).
+    const auto it = std::lower_bound(
+        adj.begin(), adj.end(), c,
+        [](const ViolationGraph::Edge& e, int id) { return e.to < id; });
+    FTR_DCHECK(it != adj.end() && it->to == c);
+    uint32_t* head = Head(k, v);
+    const size_t p = HeadPosition(adj, head, it->unit_cost, c);
+    if (p == kMaxCrossTargets) return;
+    for (size_t q = kMaxCrossTargets - 1; q > p; --q) head[q] = head[q - 1];
+    head[p] = static_cast<uint32_t>(it - adj.begin());
   }
 };
 
@@ -255,13 +387,13 @@ struct GrowOutcome {
 //
 // After each Add(k, c), every slot whose score inputs may have changed
 // is rescored (a superset never changes the pick, a missed slot would):
-//  * within FD k, candidates within two hops of c: `chosen`, `best_unit`
-//    and the eligible targets change only there;
+//  * within FD k, candidates within two hops of c: `chosen` and the
+//    heads (so the eligible targets) change only there;
 //  * across FDs, for each phi-pattern x of FD k whose `blocked` count
 //    went 0 -> 1, every FD-j candidate adjacent to phi_of_sigma[j][s] for
 //    s in sigma_of_phi[k][x] (the unsubstituted conflict reads);
 //  * across FDs, the candidates watching x: a score that read `blocked`
-//    of a substituted projection (ConflictAfter's phi_index lookup)
+//    of a substituted projection (TargetScore's substitution probe)
 //    while it was 0 registers on that phi-pattern, and the registration
 //    fires once when it blocks. Counts only grow, so a read of an
 //    already-blocked phi-pattern needs no watch.
@@ -328,7 +460,9 @@ GrowOutcome GrowCover(GreedyMultiState* state, const RepairOptions& options) {
   while (state->remaining > 0) {
     // Each round appends one (fd, pattern) choice and refreshes the
     // per-pattern best-unit costs it invalidates.
-    if (!BudgetCharge(options.budget) ||
+    // A round can take milliseconds, so the deadline is read every
+    // round rather than every Budget::kCheckInterval charged units.
+    if (!BudgetCharge(options.budget) || BudgetExhausted(options.budget) ||
         !MemCharge(options.memory, sizeof(int) + sizeof(double),
                    MemPhase::kSolve)) {
       // Out of budget: stop growing. AssignTargets still runs (and
@@ -364,8 +498,8 @@ GrowOutcome GrowCover(GreedyMultiState* state, const RepairOptions& options) {
     for (int x : state->newly_blocked) {
       if (cross) {
         for (int sigma : context.sigma_of_phi[k][static_cast<size_t>(x)]) {
-          for (size_t j = 0; j < num_fds; ++j) {
-            if (j == k || state->shared_pos[k][j].empty()) continue;
+          for (const auto& partner : state->partners[k]) {
+            const size_t j = partner.j;
             const int y = context.phi_of_sigma[j][static_cast<size_t>(sigma)];
             // TargetScore reads only the first kMaxCrossSigmas of y.
             const std::vector<int>& read =
@@ -403,41 +537,51 @@ Result<MultiFDSolution> SolveGreedyMulti(const ComponentContext& context,
                                          const RepairOptions& options,
                                          RepairStats* stats) {
   FTR_TRACE_SPAN("greedy.solve_multi");
-  GreedyMultiState state;
-  state.Init(context, options);
+  std::vector<std::vector<int>> chosen_list;
+  GrowOutcome grown;
+  uint64_t target_scores = 0;
+  {
+    // The state, heads and substitution tables die with this scope, and
+    // the heap, scores and watchers with GrowCover's frame, before
+    // AssignTargets sets the solve's memory peak.
+    GreedyMultiState state;
+    state.Init(context, options);
 
-  // Trusted phi-patterns are pinned first (other tuples repair toward
-  // them), then isolated phi-patterns join unconditionally.
-  for (size_t k = 0; k < state.num_fds; ++k) {
-    if (options.trusted_rows.empty()) break;
-    std::vector<bool> forced = TrustedPatternMask(
-        context.graphs[k].patterns(), options.trusted_rows);
-    for (int v = 0; v < context.graphs[k].num_patterns(); ++v) {
-      if (!forced[static_cast<size_t>(v)]) continue;
-      if (state.blocked[k][static_cast<size_t>(v)] > 0 && stats != nullptr) {
-        ++stats->trusted_conflicts;
-      }
-      state.Add(k, v);
-    }
-  }
-  for (size_t k = 0; k < state.num_fds; ++k) {
-    for (int v = 0; v < context.graphs[k].num_patterns(); ++v) {
-      if (context.graphs[k].degree(v) == 0 &&
-          !state.chosen[k][static_cast<size_t>(v)]) {
+    // Trusted phi-patterns are pinned first (other tuples repair toward
+    // them), then isolated phi-patterns join unconditionally.
+    for (size_t k = 0; k < state.num_fds; ++k) {
+      if (options.trusted_rows.empty()) break;
+      std::vector<bool> forced = TrustedPatternMask(
+          context.graphs[k].patterns(), options.trusted_rows);
+      for (int v = 0; v < context.graphs[k].num_patterns(); ++v) {
+        if (!forced[static_cast<size_t>(v)]) continue;
+        if (state.blocked[k][static_cast<size_t>(v)] > 0 && stats != nullptr) {
+          ++stats->trusted_conflicts;
+        }
         state.Add(k, v);
       }
     }
+    for (size_t k = 0; k < state.num_fds; ++k) {
+      for (int v = 0; v < context.graphs[k].num_patterns(); ++v) {
+        if (context.graphs[k].degree(v) == 0 &&
+            !state.chosen[k][static_cast<size_t>(v)]) {
+          state.Add(k, v);
+        }
+      }
+    }
+    grown = GrowCover(&state, options);
+    target_scores = state.target_scores;
+    chosen_list = std::move(state.chosen_list);
   }
-
-  // The heap, scores and watchers die with GrowCover's frame, before
-  // AssignTargets sets the solve's memory peak.
-  const GrowOutcome grown = GrowCover(&state, options);
   static Counter* rounds =
       Metrics().GetCounter("ftrepair.solve.greedy_rounds");
   static Counter* rescored =
       Metrics().GetCounter("ftrepair.solve.candidates_rescored");
+  static Counter* scored =
+      Metrics().GetCounter("ftrepair.solve.target_scores");
   rounds->Increment(grown.rounds);
   rescored->Increment(grown.rescored);
+  scored->Increment(target_scores);
 
   if (grown.truncated && grown.rounds == 0) {
     // Exhausted before the first candidate was chosen: there is no
@@ -446,8 +590,7 @@ Result<MultiFDSolution> SolveGreedyMulti(const ComponentContext& context,
     // "partial" success.
     return ResourceCheck(options.budget, options.memory, "greedy cover");
   }
-  auto result = AssignTargets(context, state.chosen_list, model, options,
-                              stats);
+  auto result = AssignTargets(context, chosen_list, model, options, stats);
   if (result.ok()) {
     result.value().rung = SolverRung::kGreedy;
     if (grown.truncated) result.value().truncated = true;

@@ -20,9 +20,13 @@ namespace ftrepair {
 /// that exists nowhere counts as a triggered violation, since the
 /// close-world model would have to invent it. Rounds pop the cheapest
 /// candidate from a lazy-deletion heap and rescore only the slots the
-/// last choice invalidated, choosing exactly what a full rescan would.
-/// Terminates when every phi-pattern is chosen or blocked, then joins
-/// the sets into targets and repairs (lines 7-9).
+/// last choice invalidated, choosing exactly what a full rescan would;
+/// one rescore costs O(deg(c)) lookups into per-pattern heads of chosen
+/// targets and per-FD-pair substitution tables. Each round charges
+/// `options.budget` one unit and reads its deadline, so a deadline that
+/// passes mid-grow stops the grow within one round. Terminates when
+/// every phi-pattern is chosen or blocked, then joins the sets into
+/// targets and repairs (lines 7-9).
 Result<MultiFDSolution> SolveGreedyMulti(const ComponentContext& context,
                                          const DistanceModel& model,
                                          const RepairOptions& options,

@@ -3,8 +3,10 @@
 // point in the pipeline yields a well-formed partial repair — never a
 // crash, a hang, or an inconsistent table.
 
+#include <chrono>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <unordered_set>
 #include <vector>
@@ -12,6 +14,8 @@
 #include <gtest/gtest.h>
 
 #include "common/budget.h"
+#include "common/metrics.h"
+#include "core/greedy_multi.h"
 #include "core/repairer.h"
 #include "test_util.h"
 
@@ -275,6 +279,40 @@ TEST(LadderTest, WallClockDeadlineOnLargerInstanceTerminates) {
   // Generous wall-clock sanity bound (not a perf assertion): the run
   // must not have ignored the deadline entirely.
   EXPECT_LT(budget.ElapsedMs(), 30000.0);
+}
+
+// A Greedy-M round can take milliseconds, so the grow loop reads the
+// clock every round instead of every Budget::kCheckInterval charged
+// units: a deadline that passed before the first round stops it there,
+// with nothing chosen, and the component goes down the ladder.
+TEST(LadderTest, GreedyCoverReadsTheDeadlineEveryRound) {
+  Table dirty = CitizensDirty();
+  std::vector<FD> fds = CitizensFDs(dirty.schema());
+  RepairOptions options;
+  options.tau_by_fd = {{"phi2", 0.5}, {"phi3", 0.5}};
+  DistanceModel model(dirty);
+  // phi2 and phi3 share City: one multi-FD component, built unbudgeted.
+  ComponentContext context =
+      BuildComponentContext(dirty, {&fds[1], &fds[2]}, model, options);
+  Counter* rounds = Metrics().GetCounter("ftrepair.solve.greedy_rounds");
+
+  // Not vacuous: without a budget the grow loop runs rounds.
+  uint64_t before = rounds->value();
+  ASSERT_TRUE(SolveGreedyMulti(context, model, options, nullptr).ok());
+  ASSERT_GT(rounds->value(), before);
+
+  Budget budget(1.0);
+  while (budget.ElapsedMs() < 2.0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  options.budget = &budget;
+  before = rounds->value();
+  auto cut = SolveGreedyMulti(context, model, options, nullptr);
+  ASSERT_FALSE(cut.ok());
+  EXPECT_TRUE(cut.status().IsResourceExhausted()) << cut.status().ToString();
+  EXPECT_NE(cut.status().ToString().find("greedy cover"), std::string::npos)
+      << cut.status().ToString();
+  EXPECT_EQ(rounds->value(), before);
 }
 
 TEST(LadderTest, DegradationEventsCarryElapsedTimestamps) {

@@ -4,9 +4,13 @@
 // historical full-rescan solver it replaced, kept verbatim (its serial
 // scan) as a test-only oracle. The two must choose the same patterns in
 // the same order and produce bit-identical targets and costs. The
-// reference looks substituted projections up by value (ProjectionHash),
-// the production solver by dictionary code, so the suite also checks
-// the code-keyed phi index against its value-keyed original.
+// reference walks each neighbor's adjacency and sorts its eligible
+// targets, and looks substituted projections up by value
+// (ProjectionHash). The production solver merges the candidate into a
+// per-pattern head of chosen targets, and finds a substituted
+// projection by the dictionary-coded ids of its shared and residual
+// tuples in a per-FD-pair table. So the suite also checks the heads and
+// the substitution tables against that value-keyed, full-walk original.
 
 #include <algorithm>
 #include <cstdint>
@@ -427,9 +431,16 @@ Result<MultiFDSolution> SolveBoth(const ComponentContext& context,
 
 // Every variant the invalidation rules depend on: cross-FD scoring
 // on and off, trusted rows pinned first, and budget-truncated runs
-// whose chosen sets must be a prefix of the unbudgeted run.
-void CheckAllVariants(const Instance& in) {
+// whose chosen sets must be a prefix of the unbudgeted run. A `metric`
+// other than kAuto is set on every column.
+void CheckAllVariants(const Instance& in,
+                      ColumnMetric metric = ColumnMetric::kAuto) {
   DistanceModel model(in.table);
+  if (metric != ColumnMetric::kAuto) {
+    for (int col = 0; col < in.table.num_columns(); ++col) {
+      model.SetColumnMetric(col, metric);
+    }
+  }
   ComponentContext context =
       BuildComponentContext(in.table, AllFds(in), model, in.options);
   for (double cross_weight : {0.0, RepairOptions{}.cross_weight}) {
@@ -493,6 +504,108 @@ TEST(GreedyMultiOracleTest, RandomSharedAttributeTables) {
   for (uint64_t seed = 1; seed <= 12; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     CheckAllVariants(Random(seed));
+  }
+}
+
+// Under the discrete metric every cell distance is 0 or 1, so unit
+// costs tie across most of a pattern's neighbors: which chosen targets
+// a head keeps, and where the candidate merges into it, is decided by
+// the pattern-id tie-break alone. tau = 0.5 with w_l = w_r = 0.5 makes
+// every pair that differs in one cell an edge. Over two- and
+// three-attribute FDs a pattern then has at most kMaxCrossTargets
+// eligible targets, so the tie-break only orders them; the
+// five-attribute FD below, with two-cell edges (tau = 1.0), gives
+// patterns more tied targets than are scored, so the tie-break also
+// picks which ones. (Its two tables are ones where scoring a different
+// three changes the picks.)
+TEST(GreedyMultiOracleTest, TieHeavyDiscreteMetric) {
+  for (auto [keys, seed] : {std::pair<int, uint64_t>{24, 2}, {40, 4}}) {
+    SCOPED_TRACE("wide keys=" + std::to_string(keys) +
+                 " seed=" + std::to_string(seed));
+    Instance in{RandomFDTable(300, 6, keys, 300, seed), {}, {}};
+    in.fds.push_back(
+        std::move(FD::Make({0}, {1, 2, 3, 4}, "w1")).ValueOrDie());
+    in.fds.push_back(std::move(FD::Make({1}, {5}, "w2")).ValueOrDie());
+    in.fds.push_back(std::move(FD::Make({2, 5}, {3}, "w3")).ValueOrDie());
+    in.options.semantics = "ft-cost";
+    in.options.w_l = 0.5;
+    in.options.w_r = 0.5;
+    in.options.default_tau = 1.0;
+    CheckAllVariants(in, ColumnMetric::kDiscrete);
+  }
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    Instance in = Random(seed);
+    in.options.semantics = "ft-cost";
+    in.options.w_l = 0.5;
+    in.options.w_r = 0.5;
+    in.options.default_tau = 0.5;
+    if (seed == 1) {
+      // Not vacuous: some pattern has neighbors at equal unit cost.
+      DistanceModel model(in.table);
+      for (int col = 0; col < in.table.num_columns(); ++col) {
+        model.SetColumnMetric(col, ColumnMetric::kDiscrete);
+      }
+      ComponentContext context =
+          BuildComponentContext(in.table, AllFds(in), model, in.options);
+      size_t tied = 0;
+      for (const ViolationGraph& graph : context.graphs) {
+        for (int v = 0; v < graph.num_patterns(); ++v) {
+          auto edges = graph.Neighbors(v);
+          for (size_t i = 1; i < edges.size(); ++i) {
+            if (edges[i].unit_cost == edges[0].unit_cost) ++tied;
+          }
+        }
+      }
+      EXPECT_GT(tied, 100u);
+    }
+    CheckAllVariants(in, ColumnMetric::kDiscrete);
+  }
+  Instance hosp = Hosp2k();
+  hosp.options.semantics = "ft-cost";
+  CheckAllVariants(hosp, ColumnMetric::kDiscrete);
+}
+
+// Trusted patterns are pinned through Add before GrowCover scores
+// anything, so the first scores already read heads that those Adds
+// filled. Trusting every third or fifth row of small Tax tables pins
+// many patterns with neighbors; the check below makes sure some
+// candidate sees two or more pinned targets, so the heads' order is
+// exercised, not only their presence.
+TEST(GreedyMultiOracleTest, TrustedRowsSeedTheHeads) {
+  for (auto [seed, every] : {std::pair<uint64_t, int>{1, 3}, {1, 5}, {2, 3},
+                             {2, 5}}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed) +
+                 " every=" + std::to_string(every));
+    Instance in = Generated(/*hosp=*/false, 400, 100 + seed, 0.06, seed * 31);
+    DistanceModel model(in.table);
+    ComponentContext context =
+        BuildComponentContext(in.table, AllFds(in), model, in.options);
+    RepairOptions options = in.options;
+    for (int r = 0; r < in.table.num_rows(); r += every) {
+      options.trusted_rows.insert(r);
+    }
+    size_t multi_pinned = 0;  // patterns with >= 2 pinned neighbors
+    for (size_t k = 0; k < context.fds.size(); ++k) {
+      const ViolationGraph& graph = context.graphs[k];
+      std::vector<bool> pinned =
+          TrustedPatternMask(graph.patterns(), options.trusted_rows);
+      for (int v = 0; v < graph.num_patterns(); ++v) {
+        if (pinned[static_cast<size_t>(v)]) continue;
+        int seen = 0;
+        for (const ViolationGraph::Edge& e : graph.Neighbors(v)) {
+          seen += pinned[static_cast<size_t>(e.to)] ? 1 : 0;
+        }
+        if (seen >= 2) ++multi_pinned;
+      }
+    }
+    EXPECT_GT(multi_pinned, 0u);
+    for (double cross_weight : {0.0, RepairOptions{}.cross_weight}) {
+      SCOPED_TRACE("cross_weight=" + std::to_string(cross_weight));
+      options.cross_weight = cross_weight;
+      auto solved = SolveBoth(context, model, options);
+      ASSERT_TRUE(solved.ok()) << solved.status().ToString();
+    }
   }
 }
 

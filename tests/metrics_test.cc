@@ -10,6 +10,8 @@
 #include "common/budget.h"
 #include "common/trace.h"
 #include "core/repairer.h"
+#include "gen/error_injector.h"
+#include "gen/hosp_gen.h"
 #include "test_util.h"
 
 namespace ftrepair {
@@ -174,6 +176,48 @@ TEST(MetricsTest, TargetSearchCountsDistanceTableWork) {
   uint64_t filled = evals->value() - evals_before;
   EXPECT_GT(filled, 0u);
   EXPECT_EQ(bytes->value() - bytes_before, filled * sizeof(double));
+}
+
+// Greedy-M adds its work counters once per component solve, and a
+// component's solve does not depend on the thread count, so the counts
+// match at threads 1 and 4.
+TEST(MetricsTest, GreedyWorkCountersMatchAcrossThreadCounts) {
+  Dataset ds = std::move(GenerateHosp({.num_rows = 1000, .seed = 7}))
+                   .ValueOrDie();
+  NoiseOptions noise;
+  noise.error_rate = 0.04;
+  noise.seed = 42;
+  Table dirty = std::move(InjectErrors(ds.clean, ds.fds, noise, nullptr))
+                    .ValueOrDie();
+  const char* names[] = {"ftrepair.solve.greedy_rounds",
+                         "ftrepair.solve.candidates_rescored",
+                         "ftrepair.solve.target_scores"};
+  std::vector<std::vector<uint64_t>> counts;
+  for (int threads : {1, 4}) {
+    RepairOptions options;
+    options.algorithm = RepairAlgorithm::kGreedy;
+    options.w_l = ds.recommended_w_l;
+    options.w_r = ds.recommended_w_r;
+    options.tau_by_fd = ds.recommended_tau;
+    options.threads = threads;
+    std::vector<uint64_t> before;
+    for (const char* name : names) {
+      before.push_back(Metrics().GetCounter(name)->value());
+    }
+    ASSERT_TRUE(Repairer(options).Repair(dirty, ds.fds).ok());
+    counts.emplace_back();
+    for (size_t i = 0; i < before.size(); ++i) {
+      counts.back().push_back(Metrics().GetCounter(names[i])->value() -
+                              before[i]);
+    }
+  }
+  for (size_t i = 0; i < counts[0].size(); ++i) {
+    SCOPED_TRACE(names[i]);
+    EXPECT_GT(counts[0][i], 0u);
+    EXPECT_EQ(counts[0][i], counts[1][i]);
+  }
+  // Every rescore prices at least one neighbor's target.
+  EXPECT_GE(counts[0][2], counts[0][1]);
 }
 
 TEST(MetricsTest, JsonEscapeHandlesSpecials) {

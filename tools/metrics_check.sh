@@ -89,6 +89,9 @@ missing = [
         "ftrepair.ingest.rows_read",
         "ftrepair.targets.distance_evals",
         "ftrepair.targets.table_bytes",
+        "ftrepair.solve.greedy_rounds",
+        "ftrepair.solve.candidates_rescored",
+        "ftrepair.solve.target_scores",
     )
     if key not in counters
 ]
@@ -102,6 +105,8 @@ if metrics["counters"]["ftrepair.repair.runs"] < 1:
     sys.exit("FAIL: ftrepair.repair.runs counter never incremented")
 if metrics["counters"]["ftrepair.targets.distance_evals"] < 1:
     sys.exit("FAIL: target assignment filled no distance table")
+if metrics["counters"]["ftrepair.solve.target_scores"] < 1:
+    sys.exit("FAIL: the Greedy-M solve scored no target")
 
 with open(deadline_path) as f:
     deadline = json.load(f)
