@@ -1,5 +1,6 @@
 #include "core/multi_common.h"
 
+#include <algorithm>
 #include <optional>
 #include <unordered_map>
 
@@ -11,23 +12,66 @@
 
 namespace ftrepair {
 
+std::vector<Pattern> BuildVertices(const Table& table,
+                                   const std::vector<int>& cols,
+                                   bool group_tuples) {
+  return group_tuples ? BuildPatterns(table, cols)
+                      : BuildRowPatterns(table, cols);
+}
+
+std::vector<Detection> DetectFDs(const Table& table,
+                                 const std::vector<const FD*>& fds,
+                                 const DistanceModel& model,
+                                 const RepairOptions& options,
+                                 const std::vector<bool>& grouped, bool keep,
+                                 uint64_t* tuple_pairs) {
+  std::vector<Detection> detections(fds.size());
+  bool dropped = false;
+  for (size_t k = 0; k < fds.size(); ++k) {
+    const FD& fd = *fds[k];
+    std::vector<Pattern> vertices =
+        BuildVertices(table, fd.attrs(), grouped[k]);
+    Detection& detection = detections[k];
+    detection = ViolationGraph::Detect(vertices, table, fd, model,
+                                       options.FTFor(fd), options.budget);
+    if (tuple_pairs != nullptr) *tuple_pairs += detection.TuplePairs(vertices);
+    // Lists from `first` on stop being held: the first truncated one
+    // takes every list held before it along.
+    size_t first = k;
+    if (keep && detection.truncated) {
+      first = 0;
+      keep = false;
+      dropped = true;
+    }
+    if (keep) continue;
+    for (size_t d = first; d <= k; ++d) {
+      detections[d].Release(options.memory);
+      detections[d].truncated = detections[d].truncated || dropped;
+    }
+  }
+  return detections;
+}
+
 ComponentContext BuildComponentContext(const Table& table,
                                        const std::vector<const FD*>& fds,
                                        const DistanceModel& model,
+                                       const RepairOptions& options) {
+  return BuildComponentContext(
+      table, fds, options,
+      DetectFDs(table, fds, model, options,
+                std::vector<bool>(fds.size(), true), true, nullptr));
+}
+
+ComponentContext BuildComponentContext(const Table& table,
+                                       const std::vector<const FD*>& fds,
                                        const RepairOptions& options,
-                                       std::vector<Detection>* detections) {
+                                       std::vector<Detection> detections) {
   ComponentContext ctx;
   ctx.table = &table;
   ctx.fds = fds;
   ctx.component_cols = ComponentColumns(fds);
-  ctx.sigma_patterns = options.group_tuples
-                            ? BuildPatterns(table, ctx.component_cols)
-                            : BuildRowPatterns(table, ctx.component_cols);
-
-  std::unordered_map<int, int> col_to_pos;
-  for (size_t p = 0; p < ctx.component_cols.size(); ++p) {
-    col_to_pos.emplace(ctx.component_cols[p], static_cast<int>(p));
-  }
+  ctx.sigma_patterns =
+      BuildVertices(table, ctx.component_cols, options.group_tuples);
 
   size_t num_fds = fds.size();
   ctx.graphs.reserve(num_fds);
@@ -39,11 +83,13 @@ ComponentContext BuildComponentContext(const Table& table,
     ctx.ft.push_back(options.FTFor(fd));
     // Group Sigma-patterns by their phi-projection. The phi-projection
     // is a positional sub-projection, so its codes (the grouping key)
-    // are the matching sub-selection of the sigma codes.
+    // are the matching sub-selection of the sigma codes (the component
+    // columns are sorted).
+    const std::vector<int>& cols = ctx.component_cols;
     std::vector<size_t> pos;
-    pos.reserve(fd.attrs().size());
     for (int c : fd.attrs()) {
-      pos.push_back(static_cast<size_t>(col_to_pos.at(c)));
+      pos.push_back(static_cast<size_t>(
+          std::lower_bound(cols.begin(), cols.end(), c) - cols.begin()));
     }
     std::vector<Pattern> phi_patterns;
     std::unordered_map<std::vector<uint32_t>, int, CodeVectorHash> index;
@@ -53,33 +99,23 @@ ComponentContext BuildComponentContext(const Table& table,
       const Pattern& sigma = ctx.sigma_patterns[i];
       proj.clear();
       for (size_t p : pos) proj.push_back(sigma.codes[p]);
-      auto it = index.find(proj);
-      int phi_id;
-      if (it == index.end()) {
-        phi_id = static_cast<int>(phi_patterns.size());
-        index.emplace(proj, phi_id);
-        Pattern phi;
-        phi.codes = proj;
-        phi_patterns.push_back(std::move(phi));
+      auto [it, inserted] =
+          index.try_emplace(proj, static_cast<int>(phi_patterns.size()));
+      if (inserted) {
+        phi_patterns.emplace_back().codes = proj;
         ctx.sigma_of_phi[k].emplace_back();
-      } else {
-        phi_id = it->second;
       }
+      const int phi_id = it->second;
       ctx.phi_of_sigma[k][i] = phi_id;
       ctx.sigma_of_phi[k][static_cast<size_t>(phi_id)].push_back(
           static_cast<int>(i));
       // phi-pattern multiplicity = sum of underlying row counts.
-      for (int row : ctx.sigma_patterns[i].rows) {
-        phi_patterns[static_cast<size_t>(phi_id)].rows.push_back(row);
-      }
+      std::vector<int>& rows = phi_patterns[static_cast<size_t>(phi_id)].rows;
+      rows.insert(rows.end(), sigma.rows.begin(), sigma.rows.end());
     }
-    Detection detection =
-        detections != nullptr
-            ? std::move((*detections)[k])
-            : ViolationGraph::Detect(phi_patterns, table, fd, model,
-                                     ctx.ft[k], options.budget);
-    ctx.graphs.push_back(ViolationGraph::Index(
-        std::move(phi_patterns), std::move(detection), ctx.ft[k].memory));
+    ctx.graphs.push_back(ViolationGraph::Index(std::move(phi_patterns),
+                                               std::move(detections[k]),
+                                               ctx.ft[k].memory));
   }
   return ctx;
 }

@@ -42,18 +42,54 @@ struct ComponentContext {
   std::vector<FTOptions> ft;
 };
 
+/// The vertices of a violation graph over `cols` (§3 "Tuple
+/// grouping"): one pattern per distinct projection (BuildPatterns), or
+/// one per row (BuildRowPatterns) for the `group_tuples`-off ablation.
+std::vector<Pattern> BuildVertices(const Table& table,
+                                   const std::vector<int>& cols,
+                                   bool group_tuples);
+
+/// \brief The detection phase: G' is what detection produces and what
+/// every solver takes as input (§3).
+///
+/// Detects each FD of `fds` exactly once, in order, over
+/// BuildVertices(table, fd.attrs(), grouped[k]), and returns one
+/// Detection per FD. `tuple_pairs`, when non-null, receives the summed
+/// Detection::TuplePairs (the FT-violation count).
+///
+/// With `keep` the edge lists are returned for the solve, until a
+/// detection truncates: it releases every list held, and that FD and
+/// every later one get a Detection with no edges, marked truncated (the
+/// budget or memory exhaustion behind a truncation latches, so every
+/// component then skips). Without `keep` each list is released once
+/// summed, and only the counters and the truncation flags come back.
+std::vector<Detection> DetectFDs(const Table& table,
+                                 const std::vector<const FD*>& fds,
+                                 const DistanceModel& model,
+                                 const RepairOptions& options,
+                                 const std::vector<bool>& grouped, bool keep,
+                                 uint64_t* tuple_pairs);
+
 /// Builds the context for `fds` over `table` (which must outlive it).
 ///
 /// Each FD's phi-patterns come out with the code vectors of
 /// BuildPatterns(table, fd.attrs()), in the same first-occurrence
-/// order. So `detections`, when given, may hold one detection per FD
-/// of `fds` over those patterns (the repair pipeline's statistics
-/// pass): the graphs index them (moved from) instead of detecting
-/// again. Without it every FD is detected here.
-ComponentContext BuildComponentContext(
-    const Table& table, const std::vector<const FD*>& fds,
-    const DistanceModel& model, const RepairOptions& options,
-    std::vector<Detection>* detections = nullptr);
+/// order, whatever `options.group_tuples` says. `detections` holds one
+/// detection per FD of `fds` over those patterns (the detection
+/// phase's output, DetectFDs); the graphs index them.
+ComponentContext BuildComponentContext(const Table& table,
+                                       const std::vector<const FD*>& fds,
+                                       const RepairOptions& options,
+                                       std::vector<Detection> detections);
+
+/// DetectFDs over grouped patterns, then the context. The repair
+/// pipeline never calls this form; it is kept for callers that time or
+/// test a component on its own (the repairbench replay, the benches,
+/// the tests) until the replay calls the detection phase itself.
+ComponentContext BuildComponentContext(const Table& table,
+                                       const std::vector<const FD*>& fds,
+                                       const DistanceModel& model,
+                                       const RepairOptions& options);
 
 /// \brief Joins one chosen independent set per FD into targets and
 /// assigns every Sigma-pattern its cheapest repair (§4.2/§4.3 final

@@ -72,7 +72,9 @@ struct RepairOptions {
   /// targets are materialized and scanned linearly (ablation baseline).
   bool use_target_tree = true;
 
-  /// §3 "Tuple grouping". Disable only for ablation measurements.
+  /// §3 "Tuple grouping". Off (ablation measurements only), a
+  /// single-FD component is detected and solved over one vertex per
+  /// row; a multi-FD component still groups its phi-patterns.
   bool group_tuples = true;
 
   /// Expansion safety valves: the exact algorithms stop with
@@ -100,8 +102,9 @@ struct RepairOptions {
   /// connected FD when scoring candidate modifications (§4.4).
   double cross_weight = 0.5;
 
-  /// Count FT-violations before/after into RepairStats. Disable for
-  /// pure repair-time measurements (it re-runs detection).
+  /// Count FT-violations before/after into RepairStats. The detection
+  /// phase runs either way; off skips only summing its detections and
+  /// the after count (a second detection per FD).
   bool compute_violation_stats = true;
 
   /// Rows known to be correct (verified against master data, say).
@@ -221,13 +224,12 @@ struct DegradationEvent {
 /// than total_ms. At threads 1 they are disjoint and total_ms
 /// additionally covers the small glue between them.
 struct PhaseTimings {
-  /// FT-violation counting before the repair (compute_violation_stats):
-  /// one detection per FD, kept for the solve.
+  /// The detection phase: one detection per FD, every detection the
+  /// solve uses, with statistics on or off (with them on, also the
+  /// before count's sum).
   double detect_ms = 0;
-  /// Component contexts plus indexing the kept detections into CSR
-  /// graphs; a component that detects for itself (statistics off, the
-  /// single-FD row-pattern ablation, or a truncated statistics pass)
-  /// adds that detection here.
+  /// Component contexts plus indexing the phase's detections into CSR
+  /// graphs; never a detection.
   double graph_ms = 0;
   /// Expansion/greedy/appro solving (minus nested target assignment).
   double solve_ms = 0;

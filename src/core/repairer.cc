@@ -1,7 +1,6 @@
 #include "core/repairer.h"
 
 #include <algorithm>
-#include <optional>
 #include <unordered_set>
 #include <utility>
 
@@ -62,18 +61,6 @@ void EmitDegradation(const DegradationEvent& event) {
                                    {{"component", event.component},
                                     {"stage", event.stage},
                                     {"reason", event.reason}});
-}
-
-// Stage + emit in one step — for events recorded on the coordinating
-// thread outside the parallel solve phase (violation-stats counting).
-// Every event of a run shares `clock`, so elapsed_ms is monotonically
-// non-decreasing in record order.
-void RecordDegradation(RepairStats* stats, const Timer& clock,
-                       std::string component, std::string stage,
-                       DegradationCause cause, std::string reason) {
-  StageDegradation(stats, clock, std::move(component), std::move(stage),
-                   cause, std::move(reason));
-  EmitDegradation(stats->degradations.back());
 }
 
 // Overload response at the soft memory watermark: the component (or
@@ -556,15 +543,15 @@ void SolveMulti(const LadderUnit& unit, const ComponentContext& context,
 // components: everything it writes lands in `out`, and the shared
 // inputs (`table`, `named`, `model`, `opts`, the budget behind
 // opts.budget) are either immutable for the duration of the solve
-// phase or internally synchronized. `kept` holds the statistics pass's
-// detection per FD of `named` where that pass kept one; the component
-// moves its own FDs' entries out (components own disjoint FDs) and
-// indexes them, and detects for itself when none was kept.
+// phase or internally synchronized. `detections` is the detection
+// phase's output, one per FD of `named`: the component moves its own
+// FDs' entries out (components own disjoint FDs) and indexes them over
+// the vertices they were detected on. It never detects.
 void SolveComponent(const Table& table, const std::vector<FD>& named,
                     const std::vector<int>& component,
                     const DistanceModel& model, const RepairOptions& opts_in,
                     SemanticsId semantics, const Timer& repair_clock,
-                    std::vector<std::optional<Detection>>* kept,
+                    std::vector<Detection>* detections,
                     ComponentOutcome* out) {
   std::string name = ComponentName(named, component);
   FTR_TRACE_SPAN("repair.solve_component", {{"component", name}});
@@ -576,19 +563,10 @@ void SolveComponent(const Table& table, const std::vector<FD>& named,
     const FD& fd = named[static_cast<size_t>(component[0])];
     out->fd = &fd;
     Timer graph_timer;
-    std::optional<Detection>& detection =
-        (*kept)[static_cast<size_t>(component[0])];
-    std::vector<Pattern> patterns = opts.group_tuples
-                                        ? BuildPatterns(table, fd.attrs())
-                                        : BuildRowPatterns(table, fd.attrs());
-    out->graph = detection.has_value()
-                     ? ViolationGraph::Index(std::move(patterns),
-                                             std::move(*detection),
-                                             opts.memory)
-                     : ViolationGraph::Build(std::move(patterns), table, fd,
-                                             model, opts.FTFor(fd),
-                                             opts.budget);
-    detection.reset();
+    out->graph = ViolationGraph::Index(
+        BuildVertices(table, fd.attrs(), opts.group_tuples),
+        std::move((*detections)[static_cast<size_t>(component[0])]),
+        opts.memory);
     out->stats.phases.graph_ms += graph_timer.Millis();
     out->apply_single =
         unit.GraphChecked(out->graph.truncated(), "graph") &&
@@ -596,26 +574,19 @@ void SolveComponent(const Table& table, const std::vector<FD>& named,
     return;
   }
   std::vector<const FD*> component_fds;
-  std::vector<Detection> detections;
-  component_fds.reserve(component.size());
+  std::vector<Detection> component_detections;
   for (int idx : component) {
     component_fds.push_back(&named[static_cast<size_t>(idx)]);
-    std::optional<Detection>& detection = (*kept)[static_cast<size_t>(idx)];
-    if (detection.has_value()) {
-      detections.push_back(std::move(*detection));
-      detection.reset();
-    }
+    component_detections.push_back(
+        std::move((*detections)[static_cast<size_t>(idx)]));
   }
   Timer graph_timer;
-  // The statistics pass keeps every FD of a multi-FD component or none.
   ComponentContext context = BuildComponentContext(
-      table, component_fds, model, opts,
-      detections.empty() ? nullptr : &detections);
+      table, component_fds, opts, std::move(component_detections));
   out->stats.phases.graph_ms += graph_timer.Millis();
-  bool graphs_truncated = false;
-  for (const ViolationGraph& graph : context.graphs) {
-    graphs_truncated = graphs_truncated || graph.truncated();
-  }
+  bool graphs_truncated = std::any_of(
+      context.graphs.begin(), context.graphs.end(),
+      [](const ViolationGraph& graph) { return graph.truncated(); });
   if (!unit.GraphChecked(graphs_truncated, "graphs")) return;
   SolveMulti(unit, context, component_fds, model, semantics, out);
 }
@@ -663,51 +634,25 @@ void FinishRepair(const Table& table, const DistanceModel& model,
   if (opts.memory != nullptr) ExportMemoryMetrics(*opts.memory);
 }
 
-// The violation-stats count of `table` over `named`: one detection per
-// FD, summed. A count the budget truncated is a lower bound, recorded
-// as a "violation-stats" degradation; `verb` and `field` name the pass
-// in its reason. With `kept` non-null, FD k's detection is kept in
-// (*kept)[k] for the solve where `keep[k]` — until a detection
-// truncates: then every kept detection is dropped and no more are
-// kept, because after a truncated pass every component skips. A
-// detection that is not kept is released once it is summed.
-uint64_t CountViolationStats(const Table& table, const std::vector<FD>& named,
-                             const DistanceModel& model,
-                             const RepairOptions& opts, const Timer& clock,
-                             const char* verb, const char* field,
-                             RepairStats* stats,
-                             std::vector<std::optional<Detection>>* kept =
-                                 nullptr,
-                             const std::vector<bool>& keep = {}) {
-  uint64_t count = 0;
-  bool truncated = false;
-  for (size_t k = 0; k < named.size(); ++k) {
-    const FD& fd = named[k];
-    std::vector<Pattern> patterns = BuildPatterns(table, fd.attrs());
-    Detection detection = ViolationGraph::Detect(
-        patterns, table, fd, model, opts.FTFor(fd), opts.budget);
-    count += detection.TuplePairs(patterns);
-    if (detection.truncated && kept != nullptr) {
-      for (std::optional<Detection>& dropped : *kept) {
-        if (dropped.has_value()) dropped->Release(opts.memory);
-        dropped.reset();
-      }
-      kept = nullptr;
-    }
-    truncated = truncated || detection.truncated;
-    if (kept != nullptr && keep[k]) {
-      (*kept)[k] = std::move(detection);
-    } else {
-      detection.Release(opts.memory);
-    }
+// A violation-stats count (`field`) whose detections truncated is a
+// lower bound: records a "violation-stats" degradation, `verb` naming
+// the pass in its reason, and returns true. Staged and emitted at once
+// on the coordinating thread; every event of a run shares `clock`, so
+// elapsed_ms stays monotone in record order.
+bool CheckViolationStats(const std::vector<Detection>& detections,
+                         const RepairOptions& opts, const Timer& clock,
+                         const char* verb, const char* field,
+                         RepairStats* stats) {
+  for (const Detection& detection : detections) {
+    if (!detection.truncated) continue;
+    StageDegradation(stats, clock, "violation-stats", "partial-graph",
+                     ClassifyDegradationCause(opts.budget, opts.memory),
+                     std::string("resources exhausted while ") + verb +
+                         " FT-violations; " + field + " is a lower bound");
+    EmitDegradation(stats->degradations.back());
+    return true;
   }
-  if (truncated) {
-    RecordDegradation(stats, clock, "violation-stats", "partial-graph",
-                      ClassifyDegradationCause(opts.budget, opts.memory),
-                      std::string("resources exhausted while ") + verb +
-                          " FT-violations; " + field + " is a lower bound");
-  }
-  return count;
+  return false;
 }
 
 // The shared FD-repair pipeline behind every semantics: detect,
@@ -759,22 +704,33 @@ Result<RepairResult> RunRepairPipeline(const Table& table,
   FDGraph fd_graph(named);
   const std::vector<std::vector<int>>& components = fd_graph.Components();
 
-  // The before-count's detections become the solve's graphs: a multi-FD
-  // component indexes them over its phi-patterns, a single-FD one over
-  // BuildPatterns. The row-pattern ablation (group_tuples off) of a
-  // single-FD component has other vertices and detects for itself.
-  std::vector<std::optional<Detection>> kept(named.size());
-  if (opts.compute_violation_stats) {
-    std::vector<bool> keep(named.size(), opts.group_tuples);
-    for (const std::vector<int>& component : components) {
-      if (component.size() < 2) continue;
-      for (int idx : component) keep[static_cast<size_t>(idx)] = true;
+  // Detection phase: each FD once, over the vertices its graph will
+  // have. A multi-FD component's phi-patterns are grouped whatever
+  // group_tuples says; a single-FD component's are its rows in the
+  // ablation. The solve indexes these detections, and the before-count
+  // is their sum.
+  std::vector<const FD*> named_fds;
+  for (const FD& fd : named) named_fds.push_back(&fd);
+  std::vector<bool> grouped(named.size(), true);
+  for (const std::vector<int>& component : components) {
+    if (component.size() == 1) {
+      grouped[static_cast<size_t>(component[0])] = opts.group_tuples;
     }
+  }
+  std::vector<Detection> detections;
+  bool stats_exact = opts.compute_violation_stats;
+  {
     FTR_TRACE_SPAN("repair.detect");
     PhaseTimer phase(&result.stats.phases.detect_ms);
-    result.stats.ft_violations_before = CountViolationStats(
-        table, named, model, opts, repair_clock, "counting",
-        "ft_violations_before", &result.stats, &kept, keep);
+    detections = DetectFDs(table, named_fds, model, opts, grouped,
+                           /*keep=*/true,
+                           stats_exact ? &result.stats.ft_violations_before
+                                       : nullptr);
+    // Short-circuit: with statistics off nothing is checked.
+    stats_exact = stats_exact &&
+                  !CheckViolationStats(detections, opts, repair_clock,
+                                       "counting", "ft_violations_before",
+                                       &result.stats);
   }
 
   if (opts.provenance) {
@@ -811,14 +767,13 @@ Result<RepairResult> RunRepairPipeline(const Table& table,
     ParallelFor(
         static_cast<int>(components.size()), solve_parallelism, [&](int c) {
           SolveComponent(table, named, components[static_cast<size_t>(c)],
-                         model, opts, semantics, repair_clock, &kept,
+                         model, opts, semantics, repair_clock, &detections,
                          &outcomes[static_cast<size_t>(c)]);
         });
   }
-  // Components that skipped never took their detections.
-  for (std::optional<Detection>& detection : kept) {
-    if (detection.has_value()) detection->Release(opts.memory);
-  }
+  // Components that skipped never took their detections (the entries
+  // the others moved out are empty).
+  for (Detection& detection : detections) detection.Release(opts.memory);
 
   // Replay merge, strictly in component order: degradations are
   // emitted and appended in the order the serial loop would have
@@ -855,21 +810,15 @@ Result<RepairResult> RunRepairPipeline(const Table& table,
       // The "after" count runs under the same opts.budget as the rest
       // of the call, degraded or not: once that budget is spent the
       // recount truncates and ft_violations_after is a lower bound.
-      result.stats.ft_violations_after = CountViolationStats(
-          result.repaired, named, model, opts, repair_clock, "recounting",
-          "ft_violations_after", &result.stats);
+      stats_exact &= !CheckViolationStats(
+          DetectFDs(result.repaired, named_fds, model, opts, grouped,
+                    /*keep=*/false, &result.stats.ft_violations_after),
+          opts, repair_clock, "recounting", "ft_violations_after",
+          &result.stats);
     }
     result.stats.repair_cost = TableRepairCost(table, result.repaired, model);
   }
-  if (opts.provenance) {
-    bool stats_truncated = false;
-    for (const DegradationEvent& event : result.stats.degradations) {
-      stats_truncated =
-          stats_truncated || event.component == "violation-stats";
-    }
-    result.provenance.violation_stats_exact =
-        opts.compute_violation_stats && !stats_truncated;
-  }
+  result.provenance.violation_stats_exact = opts.provenance && stats_exact;
   FinishRepair(table, model, opts, repair_clock, &result);
   return result;
 }

@@ -91,8 +91,9 @@ struct Detection {
 /// A graph is built in two steps: Detect finds the violating pattern
 /// pairs, Index lays them out as a CSR adjacency (one offset per
 /// vertex into one flat edge array, each edge stored once in each
-/// direction). Build is the two in a row; the repair pipeline detects
-/// once per FD in its statistics pass and indexes that pass's output.
+/// direction). Build is the two in a row. The repair pipeline detects
+/// every FD once, in its detection phase (DetectFDs,
+/// core/multi_common.h), and each component indexes what it is handed.
 class ViolationGraph {
  public:
   struct Edge {

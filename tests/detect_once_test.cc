@@ -1,19 +1,23 @@
-// One detection per FD per pass. The repair pipeline detects every FD
-// once in its statistics pass (ViolationGraph::Detect) and the solve
-// indexes that detection (ViolationGraph::Index) instead of detecting
-// again. These tests pin what makes that exact:
-//   * the graph indexed from a statistics-pass detection equals a fresh
+// One detection phase. Repairer::Repair detects every FD exactly once
+// (ViolationGraph::Detect, through DetectFDs) before any component
+// runs, and every component indexes what it is handed
+// (ViolationGraph::Index); statistics only decide whether the
+// detections are summed and whether the after count runs. These tests
+// pin what makes that exact:
+//   * the graph indexed from the phase's detection equals a fresh
 //     ViolationGraph::Build — same pattern codes, same neighbour order,
 //     bit-identical doubles — for every FD of HOSP and Tax slices, at
 //     threads 1 and 4, single-FD (BuildPatterns) and multi-FD
 //     (BuildComponentContext's phi-patterns) alike;
 //   * BuildComponentContext's phi-patterns carry BuildPatterns' codes
-//     in BuildPatterns' order;
+//     in BuildPatterns' order, with grouping on or off;
 //   * InducedSubgraph on the CSR adjacency matches the brute-force
 //     oracle;
-//   * one Repairer::Repair detects each FD exactly twice (before and
-//     after counts), and a statistics pass that truncates keeps no
-//     detection and skips every component.
+//   * one Repairer::Repair detects each FD twice with statistics on
+//     (the phase and the after count) and once with them off, grouped
+//     or not, on Citizens and HOSP;
+//   * a phase that truncates holds no detection and every component
+//     skips, with statistics on or off.
 
 #include <map>
 #include <string>
@@ -107,8 +111,8 @@ TEST_P(DetectOnceSliceTest, KeptDetectionIndexesToTheFreshGraph) {
   s.options.threads = threads;
   DistanceModel model(s.dirty);
 
-  // What the statistics pass keeps: one detection per FD over
-  // BuildPatterns.
+  // What the detection phase hands the components: one detection per FD
+  // over BuildPatterns.
   std::vector<Detection> kept;
   for (const FD& fd : s.fds) {
     kept.push_back(ViolationGraph::Detect(BuildPatterns(s.dirty, fd.attrs()),
@@ -138,7 +142,7 @@ TEST_P(DetectOnceSliceTest, KeptDetectionIndexesToTheFreshGraph) {
       detections.push_back(std::move(kept[static_cast<size_t>(idx)]));
     }
     ComponentContext from_kept =
-        BuildComponentContext(s.dirty, fds, model, s.options, &detections);
+        BuildComponentContext(s.dirty, fds, s.options, std::move(detections));
     ComponentContext detected =
         BuildComponentContext(s.dirty, fds, model, s.options);
     ASSERT_EQ(from_kept.graphs.size(), fds.size());
@@ -294,25 +298,66 @@ uint64_t GraphBuildSamples() {
   return Metrics().GetHistogram("ftrepair.detect.graph_build_ms")->count();
 }
 
-TEST(DetectOnceTest, RepairDetectsEachFdOncePerPass) {
-  Slice s = MakeSlice("hosp", 1000);
-  for (int threads : {1, 4}) {
-    for (bool stats : {true, false}) {
-      RepairOptions options = s.options;
-      options.threads = threads;
-      options.compute_violation_stats = stats;
-      uint64_t before = GraphBuildSamples();
-      auto result = Repairer(options).Repair(s.dirty, s.fds);
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      // With statistics on: the before count (whose detections the
-      // solve indexes) and the after count. Off: the solve's own.
-      EXPECT_EQ(GraphBuildSamples() - before,
-                (stats ? 2 : 1) * s.fds.size())
-          << "threads " << threads << " stats " << stats;
-    }
-  }
+// The paper's running example: phi1 is a single-FD component, phi2 and
+// phi3 share City.
+Slice CitizensSlice() {
+  Slice s;
+  s.name = "citizens";
+  s.dirty = CitizensDirty();
+  s.fds = CitizensFDs(s.dirty.schema());
+  s.options.tau_by_fd = {{"phi1", 0.3}, {"phi2", 0.5}, {"phi3", 0.5}};
+  return s;
 }
 
+TEST(DetectOnceTest, RepairDetectsEachFdOncePerPass) {
+  int singletons = 0;
+  for (const Slice& s : {CitizensSlice(), MakeSlice("hosp", 1000)}) {
+    const FDGraph fd_graph(s.fds);
+    for (const std::vector<int>& component : fd_graph.Components()) {
+      singletons += component.size() == 1;
+    }
+    for (int threads : {1, 4}) {
+      for (bool stats : {true, false}) {
+        uint64_t grouped_before = 0;
+        uint64_t grouped_after = 0;
+        for (bool grouped : {true, false}) {
+          std::string where = s.name + " threads " + std::to_string(threads) +
+                              " stats " + std::to_string(stats) +
+                              " grouped " + std::to_string(grouped);
+          RepairOptions options = s.options;
+          options.threads = threads;
+          options.compute_violation_stats = stats;
+          options.group_tuples = grouped;
+          uint64_t before = GraphBuildSamples();
+          auto result = Repairer(options).Repair(s.dirty, s.fds);
+          ASSERT_TRUE(result.ok()) << where << ": "
+                                   << result.status().ToString();
+          // The detection phase, whose detections the solve indexes, and
+          // with statistics on the after count.
+          EXPECT_EQ(GraphBuildSamples() - before,
+                    (stats ? 2 : 1) * s.fds.size())
+              << where;
+          const RepairStats& got = result.value().stats;
+          if (grouped) {
+            grouped_before = got.ft_violations_before;
+            grouped_after = got.ft_violations_after;
+          } else {
+            // Row vertices count the same tuple pairs.
+            EXPECT_EQ(got.ft_violations_before, grouped_before) << where;
+            EXPECT_EQ(got.ft_violations_after, grouped_after) << where;
+          }
+        }
+        if (stats) {
+          EXPECT_GT(grouped_before, 0u) << s.name;
+        }
+      }
+    }
+  }
+  // Not vacuous: grouping off gives Citizens' phi1 row vertices.
+  EXPECT_GT(singletons, 0);
+}
+
+// Statistics on or off, the solve indexes the same detections.
 TEST(DetectOnceTest, KeptAndSelfDetectedRepairsAgree) {
   Slice s = MakeSlice("hosp", 1000);
   RepairOptions with_stats = s.options;
@@ -332,18 +377,20 @@ TEST(DetectOnceTest, KeptAndSelfDetectedRepairsAgree) {
   }
 }
 
-// --- A statistics pass that truncates -------------------------------
+// --- A detection phase that truncates -------------------------------
 //
-// When any detection of the before count truncates, the pass drops
-// every detection it kept: the resources are spent, so every component
-// skips. No component detects, nothing is charged by the time the
-// components skip (a hard-limit skip reason prints the resident
-// bytes), and nothing stays charged at the end.
+// When any detection truncates, the phase drops every detection it
+// held: the resources are spent, so every component skips, with
+// statistics on or off. No component detects, nothing is charged by
+// the time the components skip (a hard-limit skip reason prints the
+// resident bytes), and nothing stays charged at the end.
 
-// Runs Citizens under `budget` / `memory`; true when the before count
-// truncated, in which case it checks the invariants above.
+// Runs Citizens under `budget` / `memory`; true when the detection
+// phase truncated, in which case it checks the invariants above. With
+// `stats` the before count's degradation says so; without, the
+// truncated-detection counter (no component detects).
 bool ExpectTruncatedCountSkipsAll(const Budget* budget,
-                                  const MemoryBudget& memory,
+                                  const MemoryBudget& memory, bool stats,
                                   const std::string& where) {
   Table dirty = CitizensDirty();
   std::vector<FD> fds = CitizensFDs(dirty.schema());
@@ -351,20 +398,28 @@ bool ExpectTruncatedCountSkipsAll(const Budget* budget,
   options.default_tau = 0.3;
   options.budget = budget;
   options.memory = &memory;
+  options.compute_violation_stats = stats;
+  Counter* truncated_builds =
+      Metrics().GetCounter("ftrepair.detect.truncated_builds");
+  uint64_t truncated_before = truncated_builds->value();
   uint64_t builds_before = GraphBuildSamples();
   auto result = Repairer(options).Repair(dirty, fds);
   EXPECT_TRUE(result.ok()) << where << ": " << result.status().ToString();
   if (!result.ok()) return false;
-  const RepairStats& stats = result.value().stats;
-  bool count_truncated = false;
-  for (const DegradationEvent& event : stats.degradations) {
-    count_truncated |= event.component == "violation-stats" &&
-                       event.reason.find("ft_violations_before") !=
-                           std::string::npos;
+  const RepairStats& run = result.value().stats;
+  bool detection_truncated = false;
+  if (stats) {
+    for (const DegradationEvent& event : run.degradations) {
+      detection_truncated |= event.component == "violation-stats" &&
+                             event.reason.find("ft_violations_before") !=
+                                 std::string::npos;
+    }
+  } else {
+    detection_truncated = truncated_builds->value() > truncated_before;
   }
-  if (!count_truncated) return false;
+  if (!detection_truncated) return false;
   std::map<std::string, std::string> stage_of;
-  for (const DegradationEvent& event : stats.degradations) {
+  for (const DegradationEvent& event : run.degradations) {
     if (event.component == "violation-stats") continue;
     stage_of[event.component] = event.stage;
     if (event.reason.find("(resident ") != std::string::npos) {
@@ -382,14 +437,22 @@ bool ExpectTruncatedCountSkipsAll(const Budget* budget,
     EXPECT_EQ(stage_of[name], "skip") << where << ": component " << name;
   }
   EXPECT_TRUE(result.value().changes.empty()) << where;
-  // Only the two counts detected, and no detection is left charged.
-  EXPECT_EQ(GraphBuildSamples() - builds_before, 2 * fds.size()) << where;
+  // Only the detection phase and the after count detected, and no
+  // detection is left charged.
+  EXPECT_EQ(GraphBuildSamples() - builds_before,
+            (stats ? 2 : 1) * fds.size())
+      << where;
   EXPECT_EQ(memory.resident_bytes(), 0u) << where;
   return true;
 }
 
+std::string StatsName(bool stats) {
+  return stats ? " (stats on)" : " (stats off)";
+}
+
 TEST(DetectOnceChaosTest, BudgetTruncatedCountSkipsEveryComponent) {
-  // Units the before count charges on its own: one per candidate pair.
+  // Units the detection phase charges on its own: one per candidate
+  // pair.
   Table dirty = CitizensDirty();
   std::vector<FD> fds = CitizensFDs(dirty.schema());
   DistanceModel model(dirty);
@@ -400,36 +463,46 @@ TEST(DetectOnceChaosTest, BudgetTruncatedCountSkipsEveryComponent) {
     CountFTViolations(dirty, fd, model, options.FTFor(fd), &calibrate);
   }
   ASSERT_GT(calibrate.units_charged(), 0u);
-  int truncated_runs = 0;
-  for (uint64_t units = 1; units <= calibrate.units_charged(); ++units) {
-    ScopedEnv fault("FTREPAIR_FAULT_BUDGET_UNITS", std::to_string(units));
-    Budget budget(1e9);
-    MemoryBudget memory;
-    truncated_runs += ExpectTruncatedCountSkipsAll(
-        &budget, memory, "fault at " + std::to_string(units) + " units");
+  for (bool stats : {true, false}) {
+    int truncated_runs = 0;
+    for (uint64_t units = 1; units <= calibrate.units_charged(); ++units) {
+      ScopedEnv fault("FTREPAIR_FAULT_BUDGET_UNITS", std::to_string(units));
+      Budget budget(1e9);
+      MemoryBudget memory;
+      truncated_runs += ExpectTruncatedCountSkipsAll(
+          &budget, memory, stats,
+          "fault at " + std::to_string(units) + " units" + StatsName(stats));
+    }
+    EXPECT_GT(truncated_runs, 0) << StatsName(stats);
   }
-  EXPECT_GT(truncated_runs, 0);
 }
 
 TEST(DetectOnceChaosTest, MemoryTruncatedCountSkipsEveryComponent) {
-  int truncated_runs = 0;
-  for (int bytes = 1; bytes <= 1024; bytes += 8) {
-    ScopedEnv fault("FTREPAIR_FAULT_MEM_BYTES", std::to_string(bytes));
-    MemoryBudget memory(uint64_t{1} << 40);  // limited → the seam is live
-    truncated_runs += ExpectTruncatedCountSkipsAll(
-        nullptr, memory, "fault at " + std::to_string(bytes) + " bytes");
+  for (bool stats : {true, false}) {
+    int truncated_runs = 0;
+    for (int bytes = 1; bytes <= 1024; bytes += 8) {
+      ScopedEnv fault("FTREPAIR_FAULT_MEM_BYTES", std::to_string(bytes));
+      MemoryBudget memory(uint64_t{1} << 40);  // limited → the seam is live
+      truncated_runs += ExpectTruncatedCountSkipsAll(
+          nullptr, memory, stats,
+          "fault at " + std::to_string(bytes) + " bytes" + StatsName(stats));
+    }
+    EXPECT_GT(truncated_runs, 0) << StatsName(stats);
   }
-  EXPECT_GT(truncated_runs, 0);
 }
 
 TEST(DetectOnceChaosTest, HardLimitTruncatedCountHoldsNothing) {
-  int truncated_runs = 0;
-  for (int limit = 8; limit <= 1024; limit += 8) {
-    MemoryBudget memory(static_cast<uint64_t>(limit));
-    truncated_runs += ExpectTruncatedCountSkipsAll(
-        nullptr, memory, "hard limit " + std::to_string(limit) + " bytes");
+  for (bool stats : {true, false}) {
+    int truncated_runs = 0;
+    for (int limit = 8; limit <= 1024; limit += 8) {
+      MemoryBudget memory(static_cast<uint64_t>(limit));
+      truncated_runs += ExpectTruncatedCountSkipsAll(
+          nullptr, memory, stats,
+          "hard limit " + std::to_string(limit) + " bytes" +
+              StatsName(stats));
+    }
+    EXPECT_GT(truncated_runs, 0) << StatsName(stats);
   }
-  EXPECT_GT(truncated_runs, 0);
 }
 
 }  // namespace

@@ -107,6 +107,12 @@ if metrics["counters"]["ftrepair.targets.distance_evals"] < 1:
     sys.exit("FAIL: target assignment filled no distance table")
 if metrics["counters"]["ftrepair.solve.target_scores"] < 1:
     sys.exit("FAIL: the Greedy-M solve scored no target")
+# One detection phase: each of the 3 FDs is detected once before the
+# solve and once by the after count, nowhere else.
+builds = histograms.get("ftrepair.detect.graph_build_ms", {}).get("count")
+if builds != 6:
+    sys.exit("FAIL: ftrepair.detect.graph_build_ms must count 2 x 3 FDs = 6 "
+             f"detections (got {builds})")
 
 with open(deadline_path) as f:
     deadline = json.load(f)
@@ -132,6 +138,9 @@ for needed in (
 ):
     if needed not in names:
         sys.exit(f"FAIL: trace lacks span '{needed}' (have: {sorted(names)})")
+detect_spans = sum(1 for e in events if e.get("name") == "repair.detect")
+if detect_spans != 1:
+    sys.exit(f"FAIL: trace must hold one repair.detect span (got {detect_spans})")
 if not any(n.endswith(("solve_single", "solve_multi")) for n in names):
     sys.exit(f"FAIL: trace lacks a solver span (have: {sorted(names)})")
 if not any(n.startswith("repair.apply") for n in names):
