@@ -49,13 +49,13 @@ int main() {
 
   Report report("Ablation: target search engines (HOSP measure component)");
   report.SetHeader({"engine", "build t(s)", "query t(s) total", "targets"});
-  std::vector<size_t> ids(context.sigma_patterns.size());
+  std::vector<size_t> ids(context.sigma_patterns->size());
   for (size_t i = 0; i < ids.size(); ++i) ids[i] = i;
   // Lays out and fills the table over `domains`, adding a report row.
   auto fill = [&](const char* engine,
                   std::vector<std::vector<uint32_t>> domains) {
     Timer timer;
-    DistanceTable table(std::move(domains), context.sigma_patterns, ids);
+    DistanceTable table(std::move(domains), *context.sigma_patterns, ids);
     table.Fill(dirty, context.component_cols, model, 1, nullptr, nullptr);
     report.AddRow({std::string(engine) + " distance table",
                    Cell(timer.Seconds(), 4), "-",

@@ -97,9 +97,9 @@ void BM_TargetTreeSearch(benchmark::State& state) {
           .ValueOrDie();
   // One distance table for every Sigma-pattern, filled outside the
   // timed loop: the loop times the search alone.
-  std::vector<size_t> ids(context.sigma_patterns.size());
+  std::vector<size_t> ids(context.sigma_patterns->size());
   for (size_t i = 0; i < ids.size(); ++i) ids[i] = i;
-  DistanceTable table(tree.domains(), context.sigma_patterns, ids);
+  DistanceTable table(tree.domains(), *context.sigma_patterns, ids);
   table.Fill(fixture.dirty, context.component_cols, fixture.model, 1,
              nullptr, nullptr);
   size_t i = 0;

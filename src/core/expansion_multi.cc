@@ -90,7 +90,8 @@ struct CombinationSearch {
     TargetTree tree = std::move(tree_result).value();
 
     std::vector<size_t> dirty;
-    for (size_t i = 0; i < context->sigma_patterns.size(); ++i) {
+    const std::vector<Pattern>& sigmas = *context->sigma_patterns;
+    for (size_t i = 0; i < sigmas.size(); ++i) {
       bool all_member = true;
       for (size_t k = 0; k < num_fds && all_member; ++k) {
         all_member =
@@ -98,7 +99,7 @@ struct CombinationSearch {
       }
       if (!all_member) dirty.push_back(i);
     }
-    DistanceTable table(tree.domains(), context->sigma_patterns, dirty);
+    DistanceTable table(tree.domains(), sigmas, dirty);
     if (!table.Fill(*context->table, context->component_cols, *model,
                     options->threads, options->budget, options->memory)) {
       return ResourceCheck(options->budget, options->memory,
@@ -112,7 +113,7 @@ struct CombinationSearch {
         stats->target_nodes_visited += search_stats.nodes_visited;
         stats->target_nodes_pruned += search_stats.nodes_pruned;
       }
-      cost += context->sigma_patterns[dirty[d]].count() * query.cost;
+      cost += sigmas[dirty[d]].count() * query.cost;
       if (cost >= best_cost) return Status::OK();  // early abort
     }
     if (cost < best_cost) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -200,7 +199,7 @@ struct GreedyMultiState {
            ++si) {
         const size_t sigma = static_cast<size_t>(sigmas[si]);
         const int y = ctx->phi_of_sigma[j][sigma];
-        const int tuples = ctx->sigma_patterns[sigma].count();
+        const int tuples = (*ctx->sigma_patterns)[sigma].count();
         size_t g = first;
         while (g < cross->groups.size() && cross->groups[g].y != y) ++g;
         if (g == cross->groups.size()) {
@@ -399,6 +398,15 @@ struct GrowOutcome {
 //    already-blocked phi-pattern needs no watch.
 // With cross_weight <= 0, TargetScore reads no other FD and both
 // cross-FD rules are idle.
+//
+// The loop's transient memory stays proportional to the live
+// candidates: a rescore that leaves a slot's cost unchanged pushes
+// nothing (its entry is still queued), the heap is rebuilt from the
+// valid entries once superseded ones outnumber the live candidates
+// (entries are total (cost, slot) pairs, so the pop order does not
+// depend on the heap's layout), and the watch lists are FIFO chains of
+// uint32_t slot ids in one pool, rebuilt once it doubles from the
+// links a firing could still act on.
 GrowOutcome GrowCover(GreedyMultiState* state, const RepairOptions& options) {
   GrowOutcome out;
   const ComponentContext& context = *state->ctx;
@@ -416,28 +424,86 @@ GrowOutcome GrowCover(GreedyMultiState* state, const RepairOptions& options) {
            1;
   };
 
+  // A min-heap (std::greater) of (cost, slot) entries; an entry is
+  // valid while its slot is a candidate whose stored score is `cost`.
   using HeapEntry = std::pair<double, size_t>;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                      std::greater<HeapEntry>>
-      heap;
+  std::vector<HeapEntry> heap;
   std::vector<double> score(total_slots, kInf);
-  // watchers[k][x]: slots whose stored score read blocked[k][x] == 0
-  // through a substituted projection.
-  std::vector<std::vector<std::vector<size_t>>> watchers(num_fds);
-  for (size_t k = 0; k < num_fds; ++k) {
-    watchers[k].resize(static_cast<size_t>(context.graphs[k].num_patterns()));
-  }
+  auto valid = [&](const HeapEntry& entry) {
+    const size_t fd = fd_of(entry.second);
+    return state->IsCandidate(fd,
+                              static_cast<int>(entry.second - slot_base[fd])) &&
+           entry.first == score[entry.second];
+  };
+  // Candidates with a finite score: each has exactly one valid entry.
+  size_t live = 0;
+  auto finite = [](double cost) { return cost < kInf; };
+
+  // Watch list of phi-pattern x of FD k, at flat index slot_base[k] + x:
+  // the slots whose stored score read blocked[k][x] == 0 through a
+  // substituted projection, a FIFO chain of links in `watch_pool`.
+  constexpr uint32_t kNoLink = UINT32_MAX;
+  struct WatchLink {
+    uint32_t slot;
+    uint32_t next;
+  };
+  std::vector<WatchLink> watch_pool;
+  std::vector<uint32_t> watch_head(total_slots, kNoLink);
+  std::vector<uint32_t> watch_tail(total_slots, kNoLink);
+  auto append = [&](std::vector<WatchLink>* pool, size_t list, size_t slot) {
+    const uint32_t link = static_cast<uint32_t>(pool->size());
+    pool->push_back(WatchLink{static_cast<uint32_t>(slot), kNoLink});
+    const uint32_t tail = watch_tail[list];
+    (tail == kNoLink ? watch_head[list] : (*pool)[tail].next) = link;
+    watch_tail[list] = link;
+  };
+  auto watch = [&](size_t list, size_t slot) {
+    const uint32_t tail = watch_tail[list];
+    if (tail == kNoLink || watch_pool[tail].slot != slot) {
+      append(&watch_pool, list, slot);
+    }
+  };
+  // Rebuilds the pool from the links a firing could still act on: per
+  // list, in order, the first link of each slot that is still a
+  // candidate (a slot never becomes one again, and touch ignores
+  // repeats). Fired lists' links are dropped with the old pool.
+  size_t pool_bound = 2 * total_slots;
+  auto compact_watches = [&] {
+    std::vector<WatchLink> kept;
+    std::vector<uint32_t> seen_in(total_slots, kNoLink);
+    for (size_t list = 0; list < total_slots; ++list) {
+      uint32_t link = watch_head[list];
+      watch_head[list] = watch_tail[list] = kNoLink;
+      for (; link != kNoLink; link = watch_pool[link].next) {
+        const size_t slot = watch_pool[link].slot;
+        const size_t fd = fd_of(slot);
+        if (seen_in[slot] == list ||
+            !state->IsCandidate(fd, static_cast<int>(slot - slot_base[fd]))) {
+          continue;
+        }
+        seen_in[slot] = static_cast<uint32_t>(list);
+        append(&kept, list, slot);
+      }
+    }
+    watch_pool = std::move(kept);
+    pool_bound = 2 * std::max(total_slots, watch_pool.size());
+  };
+
   std::vector<GreedyMultiState::UnblockedRead> reads;
   auto rescore = [&](size_t k, int c) {
     const size_t slot = slot_base[k] + static_cast<size_t>(c);
     reads.clear();
     const double cost = state->CandidateCost(k, c, &reads);
     ++out.rescored;
+    live += static_cast<size_t>(finite(cost)) -
+            static_cast<size_t>(finite(score[slot]));
+    if (finite(cost) && cost != score[slot]) {
+      heap.emplace_back(cost, slot);
+      std::push_heap(heap.begin(), heap.end(), std::greater<HeapEntry>());
+    }
     score[slot] = cost;
-    if (cost < kInf) heap.emplace(cost, slot);
     for (const auto& [j, x] : reads) {
-      std::vector<size_t>& w = watchers[j][static_cast<size_t>(x)];
-      if (w.empty() || w.back() != slot) w.push_back(slot);
+      watch(slot_base[j] + static_cast<size_t>(x), slot);
     }
   };
 
@@ -474,19 +540,25 @@ GrowOutcome GrowCover(GreedyMultiState* state, const RepairOptions& options) {
     size_t k = 0;
     int c = -1;
     while (!heap.empty()) {
-      const auto [cost, slot] = heap.top();
-      heap.pop();
-      const size_t fd = fd_of(slot);
-      const int v = static_cast<int>(slot - slot_base[fd]);
-      if (state->IsCandidate(fd, v) && cost == score[slot]) {
-        k = fd;
-        c = v;
+      std::pop_heap(heap.begin(), heap.end(), std::greater<HeapEntry>());
+      const HeapEntry top = heap.back();
+      heap.pop_back();
+      if (valid(top)) {
+        k = fd_of(top.second);
+        c = static_cast<int>(top.second - slot_base[k]);
         break;
       }
     }
     if (c < 0) break;  // everything chosen, blocked or unscorable
     state->Add(k, c);
     ++out.rounds;
+    --live;  // c, and below its newly blocked neighbours, stop competing
+    for (int x : state->newly_blocked) {
+      const size_t slot = slot_base[k] + static_cast<size_t>(x);
+      if (!state->chosen[k][static_cast<size_t>(x)] && finite(score[slot])) {
+        --live;
+      }
+    }
 
     dirty.clear();
     const ViolationGraph& graph = context.graphs[k];
@@ -518,14 +590,25 @@ GrowOutcome GrowCover(GreedyMultiState* state, const RepairOptions& options) {
           }
         }
       }
-      std::vector<size_t>& w = watchers[k][static_cast<size_t>(x)];
-      for (size_t slot : w) {
-        const size_t fd = fd_of(slot);
-        touch(fd, static_cast<int>(slot - slot_base[fd]));
+      const size_t list = slot_base[k] + static_cast<size_t>(x);
+      for (uint32_t link = watch_head[list]; link != kNoLink;
+           link = watch_pool[link].next) {
+        const size_t fd = fd_of(watch_pool[link].slot);
+        touch(fd, static_cast<int>(watch_pool[link].slot - slot_base[fd]));
       }
-      std::vector<size_t>().swap(w);
+      // The registration fires once.
+      watch_head[list] = watch_tail[list] = kNoLink;
     }
     for (const auto& [fd, v] : dirty) rescore(fd, v);
+    if (heap.size() - live > live) {
+      // Superseded entries outnumber the live ones: keep one valid
+      // entry per live candidate. Ascending order is a valid min-heap.
+      std::erase_if(heap, [&](const HeapEntry& e) { return !valid(e); });
+      std::sort(heap.begin(), heap.end());
+      heap.erase(std::unique(heap.begin(), heap.end()), heap.end());
+      FTR_DCHECK(heap.size() == live);
+    }
+    if (watch_pool.size() >= pool_bound) compact_watches();
   }
   return out;
 }

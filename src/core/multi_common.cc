@@ -70,8 +70,9 @@ ComponentContext BuildComponentContext(const Table& table,
   ctx.table = &table;
   ctx.fds = fds;
   ctx.component_cols = ComponentColumns(fds);
-  ctx.sigma_patterns =
-      BuildVertices(table, ctx.component_cols, options.group_tuples);
+  ctx.sigma_patterns = std::make_shared<const std::vector<Pattern>>(
+      BuildVertices(table, ctx.component_cols, options.group_tuples));
+  const std::vector<Pattern>& sigmas = *ctx.sigma_patterns;
 
   size_t num_fds = fds.size();
   ctx.graphs.reserve(num_fds);
@@ -94,9 +95,9 @@ ComponentContext BuildComponentContext(const Table& table,
     std::vector<Pattern> phi_patterns;
     std::unordered_map<std::vector<uint32_t>, int, CodeVectorHash> index;
     std::vector<uint32_t> proj;
-    ctx.phi_of_sigma[k].resize(ctx.sigma_patterns.size());
-    for (size_t i = 0; i < ctx.sigma_patterns.size(); ++i) {
-      const Pattern& sigma = ctx.sigma_patterns[i];
+    ctx.phi_of_sigma[k].resize(sigmas.size());
+    for (size_t i = 0; i < sigmas.size(); ++i) {
+      const Pattern& sigma = sigmas[i];
       proj.clear();
       for (size_t p : pos) proj.push_back(sigma.codes[p]);
       auto [it, inserted] =
@@ -176,11 +177,12 @@ Result<MultiFDSolution> AssignTargets(
     const RepairOptions& options, RepairStats* stats) {
   FTR_TRACE_SPAN("targets.assign");
   TargetsInstrument instrument(stats);
+  const std::vector<Pattern>& sigmas = *context.sigma_patterns;
   MultiFDSolution solution;
   solution.component_cols = context.component_cols;
   solution.sigma_patterns = context.sigma_patterns;
-  solution.targets.assign(context.sigma_patterns.size(), {});
-  solution.target_costs.assign(context.sigma_patterns.size(), 0.0);
+  solution.targets.assign(sigmas.size(), {});
+  solution.target_costs.assign(sigmas.size(), 0.0);
   solution.chosen = chosen;
   solution.cost = 0;
 
@@ -200,7 +202,7 @@ Result<MultiFDSolution> AssignTargets(
 
   // Which Sigma-patterns need repair?
   std::vector<size_t> dirty;
-  for (size_t i = 0; i < context.sigma_patterns.size(); ++i) {
+  for (size_t i = 0; i < sigmas.size(); ++i) {
     bool all_member = true;
     for (size_t k = 0; k < num_fds && all_member; ++k) {
       int phi = context.phi_of_sigma[k][i];
@@ -216,7 +218,7 @@ Result<MultiFDSolution> AssignTargets(
     // the solution is applied, so the lineage must ride the solution.
     // edge.fd is the component-local FD index; the apply layer remaps
     // it to the global FD table.
-    solution.prov_edges.assign(context.sigma_patterns.size(), {});
+    solution.prov_edges.assign(sigmas.size(), {});
     for (size_t i : dirty) {
       std::vector<ProvenanceEdge>& edges = solution.prov_edges[i];
       for (size_t k = 0; k < num_fds; ++k) {
@@ -283,7 +285,7 @@ Result<MultiFDSolution> AssignTargets(
   // Every distance the queries read, computed once. With the budget or
   // memory already out, no query would run: skip the fill.
   DistanceTable table(lazy.has_value() ? lazy->domains() : tree->domains(),
-                      context.sigma_patterns, dirty);
+                      sigmas, dirty);
   if (!table.Fill(*context.table, context.component_cols, model,
                   options.threads, options.budget, options.memory)) {
     solution.truncated = true;  // every dirty pattern stays unrepaired
@@ -353,7 +355,7 @@ Result<MultiFDSolution> AssignTargets(
     }
     solution.targets[i] = std::move(shard.query.target);
     solution.target_costs[i] = shard.query.cost;
-    solution.cost += context.sigma_patterns[i].count() * shard.query.cost;
+    solution.cost += sigmas[i].count() * shard.query.cost;
   }
   return solution;
 }

@@ -1,6 +1,7 @@
 #ifndef FTREPAIR_CORE_MULTI_COMMON_H_
 #define FTREPAIR_CORE_MULTI_COMMON_H_
 
+#include <memory>
 #include <vector>
 
 #include "common/status.h"
@@ -30,7 +31,9 @@ struct ComponentContext {
   const Table* table = nullptr;
   std::vector<const FD*> fds;
   std::vector<int> component_cols;
-  std::vector<Pattern> sigma_patterns;
+  /// Shared with every MultiFDSolution assigned over this context, so
+  /// the patterns are held once whichever of the two lives longer.
+  std::shared_ptr<const std::vector<Pattern>> sigma_patterns;
 
   /// Per FD: the violation graph over its phi-patterns.
   std::vector<ViolationGraph> graphs;
@@ -97,11 +100,15 @@ ComponentContext BuildComponentContext(const Table& table,
 ///
 /// `chosen[k]` holds phi-pattern ids of graphs[k]. Sigma-patterns whose
 /// every phi-projection is chosen keep their values; each other (dirty)
-/// pattern gets one target query. The search is chosen once per call:
-///   * the eager TargetTree (§5), by default;
+/// pattern gets one target query. The solution shares the context's
+/// Sigma-patterns (no copy), so they stay held once, by whichever of
+/// the two outlives the other. The search is chosen once per call:
+///   * the eager TargetTree (§5), by default, built depth first and
+///     storing only the nodes on a complete path;
 ///   * LazyTargetSearch, when the eager build exceeds
 ///     `options.max_tree_nodes` (ResourceExhausted) while the memory
-///     budget still holds;
+///     budget still holds; the failed build has returned its whole
+///     memory charge by then;
 ///   * with `options.use_target_tree` false, the tree's materialized
 ///     targets and FindBestTargetLinear (no lazy fallback).
 /// Any other build failure is returned. One DistanceTable over the

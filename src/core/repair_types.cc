@@ -176,10 +176,10 @@ void ApplyMultiFDSolution(const MultiFDSolution& solution, Table* table,
                           const ProvenanceScope& scope) {
   FTR_TRACE_SPAN("repair.apply_multi");
   RepairProvenance* prov = scope.prov;
-  for (size_t i = 0; i < solution.sigma_patterns.size(); ++i) {
+  for (size_t i = 0; i < solution.targets.size(); ++i) {
     const std::vector<uint32_t>& target = solution.targets[i];
     if (target.empty()) continue;
-    const Pattern& src = solution.sigma_patterns[i];
+    const Pattern& src = (*solution.sigma_patterns)[i];
     int decision_index = -1;
     if (prov != nullptr) {
       decision_index = static_cast<int>(prov->decisions.size());

@@ -2,6 +2,7 @@
 #define FTREPAIR_CORE_REPAIR_TYPES_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -356,7 +357,9 @@ std::vector<bool> TrustedPatternMask(
 /// patterns' own codes are).
 struct MultiFDSolution {
   std::vector<int> component_cols;
-  std::vector<Pattern> sigma_patterns;
+  /// The component context's Sigma-patterns, shared rather than copied
+  /// (AssignTargets): they outlive the context when the solution does.
+  std::shared_ptr<const std::vector<Pattern>> sigma_patterns;
   std::vector<std::vector<uint32_t>> targets;
   /// The independent set realized per FD (phi-pattern ids of the
   /// component context's graphs), for inspection and tests.

@@ -699,7 +699,6 @@ Result<RepairResult> RunRepairPipeline(const Table& table,
   ResolveAutoThresholds(table, named, model, &opts);
 
   RepairResult result;
-  result.repaired = table;
 
   FDGraph fd_graph(named);
   const std::vector<std::vector<int>>& components = fd_graph.Components();
@@ -779,7 +778,10 @@ Result<RepairResult> RunRepairPipeline(const Table& table,
   // emitted and appended in the order the serial loop would have
   // produced them, stats deltas accumulate in component order, and the
   // apply step writes changes in component order — so RepairResult is
-  // bit-identical to the serial run at any thread count.
+  // bit-identical to the serial run at any thread count. Only apply
+  // and what follows read the output table, so it is copied here, not
+  // held through detection and the solve.
+  result.repaired = table;
   const std::unordered_set<int>* trusted =
       opts.trusted_rows.empty() ? nullptr : &opts.trusted_rows;
   for (size_t c = 0; c < outcomes.size(); ++c) {

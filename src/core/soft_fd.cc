@@ -43,10 +43,10 @@ void FilterSingleFDSolutionSoft(const ViolationGraph& graph, double rate,
 void FilterMultiFDSolutionSoft(const ComponentContext& context,
                                const std::vector<double>& rates,
                                MultiFDSolution* solution) {
-  for (size_t i = 0; i < solution->sigma_patterns.size(); ++i) {
+  const std::vector<Pattern>& sigmas = *solution->sigma_patterns;
+  for (size_t i = 0; i < sigmas.size(); ++i) {
     if (solution->targets[i].empty()) continue;
-    const double count =
-        static_cast<double>(solution->sigma_patterns[i].rows.size());
+    const double count = static_cast<double>(sigmas[i].rows.size());
     double benefit = 0;
     for (size_t k = 0; k < context.graphs.size(); ++k) {
       const int phi = context.phi_of_sigma[k][i];

@@ -96,86 +96,128 @@ Result<TargetTree> TargetTree::Build(std::vector<LevelInput> inputs,
     }
   }
 
-  // Level-by-level construction. Only the frontier's partial
-  // assignments (width codes per node) are kept; child ranges are set
-  // by the compaction below.
-  std::vector<Node> nodes(1);  // the root
-  std::vector<int> frontier = {0};
-  std::vector<uint32_t> frontier_assign(static_cast<size_t>(width),
-                                        ColumnDictionary::kNullCode);
-  for (int l = 0; l < tree.num_levels_; ++l) {
-    const LevelInput& input = inputs[static_cast<size_t>(l)];
-    const std::vector<int>& pos = attr_pos[static_cast<size_t>(l)];
-    std::vector<int> next;
-    std::vector<uint32_t> next_assign;
-    for (size_t f = 0; f < frontier.size(); ++f) {
-      const uint32_t* assign =
-          frontier_assign.data() + f * static_cast<size_t>(width);
-      int parent = frontier[f];
-      for (size_t e = 0; e < input.elements.size(); ++e) {
-        const std::vector<uint32_t>& elem = input.elements[e];
-        // Agreement on already-fixed shared positions.
-        bool agrees = true;
-        for (size_t k : back_attr[static_cast<size_t>(l)]) {
-          if (assign[pos[k]] != elem[k]) {
-            agrees = false;
-            break;
-          }
-        }
-        if (!agrees) continue;
-        if (nodes.size() >= max_nodes) {
-          return Status::ResourceExhausted(
-              "target tree exceeded " + std::to_string(max_nodes) +
-              " nodes");
-        }
-        if (!MemCharge(memory,
-                       kNodeChargeBytes +
-                           static_cast<uint64_t>(width) * sizeof(Value),
-                       MemPhase::kTargets)) {
-          return memory->Check("target tree build");
-        }
-        Node child;
-        child.level = l;
-        child.parent = parent;
-        child.elem = static_cast<int>(e);
-        next.push_back(static_cast<int>(nodes.size()));
-        nodes.push_back(child);
-        size_t at = next_assign.size();
-        next_assign.insert(next_assign.end(), assign, assign + width);
-        for (size_t k = 0; k < pos.size(); ++k) {
-          next_assign[at + static_cast<size_t>(pos[k])] = elem[k];
+  // Depth-first join over one path buffer. Every agreeing child is
+  // created: counted against max_nodes and charged, as the node the
+  // tree once stored for it. A node is kept only once its subtree
+  // reaches a leaf. kept[l] lists level l's kept nodes in path order,
+  // which is the breadth-first order (by parent, then element), and a
+  // kept node's parent is the next node kept one level up: a subtree
+  // closes before its root does.
+  struct Kept {
+    int elem;
+    int parent;  // index into kept[level - 1]; 0 (the root) at level 0
+  };
+  const size_t num_levels = inputs.size();
+  const uint64_t node_bytes =
+      kNodeChargeBytes + static_cast<uint64_t>(width) * sizeof(Value);
+  std::vector<std::vector<Kept>> kept(num_levels);
+  std::vector<uint32_t> path(static_cast<size_t>(width),
+                             ColumnDictionary::kNullCode);
+  size_t created = 0;
+  Status failed;
+  // Whether the subtree under the path's first l levels reaches a leaf.
+  auto walk = [&](auto& self, size_t l) -> bool {
+    const LevelInput& input = inputs[l];
+    const std::vector<int>& pos = attr_pos[l];
+    const std::vector<int>& fixed_here = tree.fixed_positions_[l];
+    bool live = false;
+    for (size_t e = 0; e < input.elements.size(); ++e) {
+      const std::vector<uint32_t>& elem = input.elements[e];
+      // Agreement on already-fixed shared positions.
+      bool agrees = true;
+      for (size_t k : back_attr[l]) {
+        if (path[static_cast<size_t>(pos[k])] != elem[k]) {
+          agrees = false;
+          break;
         }
       }
+      if (!agrees) continue;
+      if (created + 1 >= max_nodes) {
+        failed = Status::ResourceExhausted(
+            "target tree exceeded " + std::to_string(max_nodes) + " nodes");
+        return false;
+      }
+      if (!MemCharge(memory, node_bytes, MemPhase::kTargets)) {
+        failed = memory->Check("target tree build");
+        return false;
+      }
+      ++created;
+      for (size_t j = 0; j < fixed_here.size(); ++j) {
+        path[static_cast<size_t>(fixed_here[j])] = elem[fixed_attr[l][j]];
+      }
+      bool reaches_leaf = l + 1 == num_levels || self(self, l + 1);
+      if (!failed.ok()) return false;
+      if (!reaches_leaf) continue;
+      kept[l].push_back(Kept{
+          static_cast<int>(e),
+          l == 0 ? 0 : static_cast<int>(kept[l - 1].size())});
+      live = true;
     }
-    if (next.empty()) {
-      return Status::NotFound("target join is empty");
-    }
-    frontier = std::move(next);
-    frontier_assign = std::move(next_assign);
+    return live;
+  };
+  walk(walk, 0);
+  if (failed.ok() && kept.back().empty()) {
+    failed = Status::NotFound("target join is empty");
   }
-  tree.num_targets_ = frontier.size();
-
-  // Alive = on a complete path; the last level's nodes are the leaves.
-  std::vector<bool> alive(nodes.size(), false);
-  for (int leaf : frontier) {
-    for (int cur = leaf; cur >= 0 && !alive[static_cast<size_t>(cur)];
-         cur = nodes[static_cast<size_t>(cur)].parent) {
-      alive[static_cast<size_t>(cur)] = true;
-    }
+  if (!failed.ok()) {
+    // Nothing of the join stays resident.
+    if (memory != nullptr) memory->Release(created * node_bytes);
+    return failed;
   }
+  tree.num_targets_ = kept.back().size();
 
-  // Domains: the distinct codes of each position over the targets.
+  // Lay the kept nodes out by level; each node's children then get a
+  // contiguous id range in element order, so searches push the same
+  // sequence as over the breadth-first build.
+  tree.nodes_.emplace_back();  // the root
+  size_t parent_base = 0;
+  for (size_t l = 0; l < num_levels; ++l) {
+    const size_t base = tree.nodes_.size();
+    for (const Kept& k : kept[l]) {
+      Node node;
+      node.level = static_cast<int>(l);
+      node.parent = static_cast<int>(parent_base) + k.parent;
+      node.elem = k.elem;
+      Node& parent = tree.nodes_[static_cast<size_t>(node.parent)];
+      if (parent.num_children++ == 0) {
+        parent.first_child = static_cast<int>(tree.nodes_.size());
+      }
+      tree.nodes_.push_back(node);
+    }
+    parent_base = base;
+  }
+  // Only the kept nodes stay resident: return the others' charge (the
+  // root was never charged).
+  if (memory != nullptr) {
+    memory->Release((created + 1 - tree.nodes_.size()) * node_bytes);
+  }
+  static Counter* built =
+      Metrics().GetCounter("ftrepair.targets.tree_nodes");
+  static Counter* live =
+      Metrics().GetCounter("ftrepair.targets.tree_live_nodes");
+  built->Increment(created + 1);
+  live->Increment(tree.nodes_.size());
+
+  // Domains: the distinct codes each position takes over the targets,
+  // which are the codes the kept nodes fix there.
   tree.domains_.resize(static_cast<size_t>(width));
-  for (size_t p = 0; p < static_cast<size_t>(width); ++p) {
-    std::vector<uint32_t>& domain = tree.domains_[p];
-    for (size_t f = 0; f < frontier.size(); ++f) {
-      domain.push_back(frontier_assign[f * static_cast<size_t>(width) + p]);
+  for (size_t l = 0; l < num_levels; ++l) {
+    const std::vector<int>& fixed_here = tree.fixed_positions_[l];
+    for (const Kept& k : kept[l]) {
+      const std::vector<uint32_t>& elem =
+          inputs[l].elements[static_cast<size_t>(k.elem)];
+      for (size_t j = 0; j < fixed_here.size(); ++j) {
+        tree.domains_[static_cast<size_t>(fixed_here[j])].push_back(
+            elem[fixed_attr[l][j]]);
+      }
     }
+  }
+  for (std::vector<uint32_t>& domain : tree.domains_) {
     std::sort(domain.begin(), domain.end());
     domain.erase(std::unique(domain.begin(), domain.end()), domain.end());
   }
-  tree.fixed_index_.resize(static_cast<size_t>(tree.num_levels_));
-  for (size_t l = 0; l < inputs.size(); ++l) {
+  tree.fixed_index_.resize(num_levels);
+  for (size_t l = 0; l < num_levels; ++l) {
     std::vector<uint32_t>& index = tree.fixed_index_[l];
     for (const std::vector<uint32_t>& elem : inputs[l].elements) {
       for (size_t j = 0; j < fixed_attr[l].size(); ++j) {
@@ -189,38 +231,6 @@ Result<TargetTree> TargetTree::Build(std::vector<LevelInput> inputs,
       }
     }
   }
-
-  // Compaction: keep the live nodes in id order. The build created each
-  // node's children one after another, so its live children get a
-  // contiguous id range in their old order and searches push the same
-  // sequence.
-  std::vector<int> new_id(nodes.size(), -1);
-  for (size_t old = 0; old < nodes.size(); ++old) {
-    if (!alive[old]) continue;
-    Node node = nodes[old];
-    new_id[old] = static_cast<int>(tree.nodes_.size());
-    node.parent = old == 0 ? -1 : new_id[static_cast<size_t>(node.parent)];
-    if (node.parent >= 0) {
-      Node& parent = tree.nodes_[static_cast<size_t>(node.parent)];
-      if (parent.num_children++ == 0) {
-        parent.first_child = static_cast<int>(tree.nodes_.size());
-      }
-    }
-    tree.nodes_.push_back(node);
-  }
-  // Only the live nodes stay resident: return the dead nodes' charge
-  // (the root was never charged, and it is live).
-  if (memory != nullptr) {
-    memory->Release(static_cast<uint64_t>(nodes.size() - tree.nodes_.size()) *
-                    (kNodeChargeBytes +
-                     static_cast<uint64_t>(width) * sizeof(Value)));
-  }
-  static Counter* built =
-      Metrics().GetCounter("ftrepair.targets.tree_nodes");
-  static Counter* live =
-      Metrics().GetCounter("ftrepair.targets.tree_live_nodes");
-  built->Increment(nodes.size());
-  live->Increment(tree.nodes_.size());
 
   // Below-sets, bottom-up (ids are topological: parent < child). EDIST
   // takes a min over each set, so its order is free.

@@ -38,10 +38,13 @@ struct TargetQuery {
 /// appearing in its subtree for the not-yet-fixed columns, enabling the
 /// EDIST lower bound of the best-first search (§5.2, Algorithm 5).
 ///
-/// The tree is flat and live-only: nodes off every complete path are
-/// dropped after the build, each node names its level element (whose
-/// codes it fixes) and a contiguous range of children, and a node's
-/// partial assignment is rebuilt by walking parents. Targets are
+/// The tree is flat and live-only. The join runs depth first over one
+/// path buffer and keeps a node only once its subtree reaches a leaf,
+/// so nodes off every complete path are never stored; the kept nodes
+/// are laid out by level, then parent, then element. Each node names
+/// its level element (whose codes it fixes) and a contiguous range of
+/// children, and a node's partial assignment is rebuilt by walking
+/// parents. Targets are
 /// dictionary codes of one table; below-sets and the elements' fixed
 /// codes are held as indices into domains(), the columns of the
 /// DistanceTable a search reads its distances from.
@@ -61,10 +64,11 @@ class TargetTree {
 
   /// Builds the tree over `component_cols` (sorted union of the FDs'
   /// attributes). Fails with NotFound when the join is empty and with
-  /// ResourceExhausted when more than `max_nodes` trie nodes would be
-  /// created — or when `memory` (optional, not owned; charged per trie
-  /// node created, MemPhase::kTargets) runs out first. The charge of
-  /// the nodes compaction drops is released once the tree is built.
+  /// ResourceExhausted when the join would create more than `max_nodes`
+  /// trie nodes, the root included — or when `memory` (optional, not owned;
+  /// charged per trie node the join creates, MemPhase::kTargets) runs
+  /// out first. Once the build ends, the charge of every node it did
+  /// not keep is released: all of it when the build fails.
   static Result<TargetTree> Build(std::vector<LevelInput> inputs,
                                   std::vector<int> component_cols,
                                   size_t max_nodes,

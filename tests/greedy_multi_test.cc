@@ -177,7 +177,7 @@ struct GreedyMultiState {
       int total = 0;
       for (size_t si = 0; si < limit; ++si) {
         int sigma = sigmas[si];
-        int cnt = ctx->sigma_patterns[static_cast<size_t>(sigma)].count();
+        int cnt = (*ctx->sigma_patterns)[static_cast<size_t>(sigma)].count();
         delta += cnt * (ConflictAfter(k, u, j, sigma) -
                         ConflictAfter(k, -1, j, sigma));
         total += cnt;

@@ -48,7 +48,7 @@ TEST(ComponentContextTest, BuildsSigmaAndPhiPatterns) {
   // Every Sigma-pattern maps to a phi-pattern in both FDs, and the
   // reverse mapping is consistent.
   for (size_t k = 0; k < 2; ++k) {
-    for (size_t i = 0; i < c.context.sigma_patterns.size(); ++i) {
+    for (size_t i = 0; i < c.context.sigma_patterns->size(); ++i) {
       int phi = c.context.phi_of_sigma[k][i];
       ASSERT_GE(phi, 0);
       const auto& back = c.context.sigma_of_phi[k][static_cast<size_t>(phi)];
@@ -61,7 +61,7 @@ TEST(ComponentContextTest, BuildsSigmaAndPhiPatterns) {
     for (int j = 0; j < c.context.graphs[k].num_patterns(); ++j) {
       int total = 0;
       for (int sigma : c.context.sigma_of_phi[k][static_cast<size_t>(j)]) {
-        total += c.context.sigma_patterns[static_cast<size_t>(sigma)].count();
+        total += (*c.context.sigma_patterns)[static_cast<size_t>(sigma)].count();
       }
       EXPECT_EQ(c.context.graphs[k].pattern(j).count(), total);
     }

@@ -46,8 +46,11 @@ TEST(ThreadPoolTest, RunsSubmittedTasks) {
   std::condition_variable cv;
   for (int i = 0; i < 100; ++i) {
     pool.Submit([&] {
+      // Count under the lock: the waiter may return (and destroy `mu`
+      // and `cv`) as soon as it reads 100, so the last task must be
+      // done with both by then.
+      std::lock_guard<std::mutex> lock(mu);
       if (done.fetch_add(1, std::memory_order_relaxed) + 1 == 100) {
-        std::lock_guard<std::mutex> lock(mu);
         cv.notify_one();
       }
     });

@@ -221,10 +221,10 @@ void ExpectComponentsMatchReference(const Slice& slice) {
     const std::vector<int> scan_order = PositionOrder(cols.size());
 
     // The reference minimum per Sigma-pattern, in each summing order.
-    std::vector<double> want_search(context.sigma_patterns.size());
-    std::vector<double> want_scan(context.sigma_patterns.size());
-    for (size_t i = 0; i < context.sigma_patterns.size(); ++i) {
-      const std::vector<uint32_t>& query = context.sigma_patterns[i].codes;
+    std::vector<double> want_search(context.sigma_patterns->size());
+    std::vector<double> want_scan(context.sigma_patterns->size());
+    for (size_t i = 0; i < context.sigma_patterns->size(); ++i) {
+      const std::vector<uint32_t>& query = (*context.sigma_patterns)[i].codes;
       want_search[i] = OracleTargetCost(all, query, slice.dirty, cols, model,
                                         search_order);
       want_scan[i] = OracleTargetCost(all, query, slice.dirty, cols, model,
@@ -259,7 +259,7 @@ void ExpectComponentsMatchReference(const Slice& slice) {
       ASSERT_FALSE(solution.truncated) << engine.name;
       for (size_t i = 0; i < solution.targets.size(); ++i) {
         if (solution.targets[i].empty()) continue;  // keeps its values
-        const std::vector<uint32_t>& query = context.sigma_patterns[i].codes;
+        const std::vector<uint32_t>& query = (*context.sigma_patterns)[i].codes;
         EXPECT_EQ(solution.target_costs[i], want[i])
             << engine.name << ", pattern " << i;
         EXPECT_EQ(PriceTarget(solution.targets[i], query, slice.dirty, cols,
