@@ -139,6 +139,54 @@ inline bool MemCharge(const MemoryBudget* memory, uint64_t bytes,
   return memory == nullptr || memory->TryCharge(bytes, phase);
 }
 
+/// \brief The bytes one structure holds charged to a MemoryBudget,
+/// returned when the holder is reset or dies.
+///
+/// Move-only: a moved-from holder holds nothing. With a null budget
+/// every charge succeeds and nothing is held. The budget is not owned
+/// and must outlive the holder, which releases into it when it dies.
+class MemoryCharge {
+ public:
+  MemoryCharge() = default;
+  explicit MemoryCharge(const MemoryBudget* memory) : memory_(memory) {}
+  ~MemoryCharge() { Reset(); }
+  MemoryCharge(MemoryCharge&& other) noexcept
+      : memory_(other.memory_), bytes_(other.bytes_) {
+    other.bytes_ = 0;
+  }
+  MemoryCharge& operator=(MemoryCharge&& other) noexcept {
+    if (this != &other) {
+      Reset();
+      memory_ = other.memory_;
+      bytes_ = other.bytes_;
+      other.bytes_ = 0;
+    }
+    return *this;
+  }
+  MemoryCharge(const MemoryCharge&) = delete;
+  MemoryCharge& operator=(const MemoryCharge&) = delete;
+
+  /// Charges `bytes` more (MemCharge); on false nothing more is held.
+  bool Add(uint64_t bytes, MemPhase phase) {
+    if (!MemCharge(memory_, bytes, phase)) return false;
+    if (memory_ != nullptr) bytes_ += bytes;
+    return true;
+  }
+  /// Returns `bytes` of what is held (at most all of it).
+  void Return(uint64_t bytes) {
+    if (bytes > bytes_) bytes = bytes_;
+    if (bytes == 0) return;
+    memory_->Release(bytes);
+    bytes_ -= bytes;
+  }
+  /// Returns everything held.
+  void Reset() { Return(bytes_); }
+
+ private:
+  const MemoryBudget* memory_ = nullptr;
+  uint64_t bytes_ = 0;
+};
+
 inline bool MemExhausted(const MemoryBudget* memory) {
   return memory != nullptr && memory->Exhausted();
 }

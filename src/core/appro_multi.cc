@@ -5,14 +5,13 @@
 
 namespace ftrepair {
 
-Result<MultiFDSolution> SolveApproMulti(const ComponentContext& context,
-                                        const DistanceModel& model,
-                                        const RepairOptions& options,
-                                        RepairStats* stats) {
+Result<MultiFDCover> CoverApproMulti(const ComponentContext& context,
+                                     const RepairOptions& options,
+                                     RepairStats* stats) {
   FTR_TRACE_SPAN("appro.solve_multi");
-  std::vector<std::vector<int>> chosen;
-  chosen.reserve(context.fds.size());
-  bool truncated = false;
+  MultiFDCover cover;
+  cover.rung = SolverRung::kAppro;
+  cover.chosen.reserve(context.fds.size());
   for (const ViolationGraph& graph : context.graphs) {
     SingleFDSolution greedy;
     if (options.trusted_rows.empty()) {
@@ -26,14 +25,14 @@ Result<MultiFDSolution> SolveApproMulti(const ComponentContext& context,
                                  options.memory);
       if (stats != nullptr) stats->trusted_conflicts += conflicts;
     }
-    truncated = truncated || greedy.truncated;
-    chosen.push_back(std::move(greedy.chosen_set));
+    cover.truncated = cover.truncated || greedy.truncated;
+    cover.chosen.push_back(std::move(greedy.chosen_set));
   }
-  if (truncated) {
+  if (cover.truncated) {
     // Exhausted before any per-FD cover grew: nothing to assign
     // targets for — let the caller take the ladder's bottom rung.
     bool all_empty = true;
-    for (const std::vector<int>& set : chosen) {
+    for (const std::vector<int>& set : cover.chosen) {
       all_empty = all_empty && set.empty();
     }
     if (all_empty) {
@@ -41,12 +40,15 @@ Result<MultiFDSolution> SolveApproMulti(const ComponentContext& context,
                            "appro per-FD cover");
     }
   }
-  auto result = AssignTargets(context, chosen, model, options, stats);
-  if (result.ok()) {
-    result.value().rung = SolverRung::kAppro;
-    if (truncated) result.value().truncated = true;
-  }
-  return result;
+  return cover;
+}
+
+Result<MultiFDSolution> SolveApproMulti(const ComponentContext& context,
+                                        const DistanceModel& model,
+                                        const RepairOptions& options,
+                                        RepairStats* stats) {
+  return SolveCover(context, CoverApproMulti(context, options, stats), model,
+                    options, stats);
 }
 
 }  // namespace ftrepair

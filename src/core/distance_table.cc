@@ -47,8 +47,9 @@ DistanceTable::DistanceTable(std::vector<std::vector<uint32_t>> domains,
 bool DistanceTable::Fill(const Table& table, const std::vector<int>& cols,
                          const DistanceModel& model, int threads,
                          const Budget* budget, const MemoryBudget* memory) {
+  charge_ = MemoryCharge(memory);
   if (BudgetExhausted(budget) || MemExhausted(memory) ||
-      !MemCharge(memory, bytes(), MemPhase::kTargets)) {
+      !charge_.Add(bytes(), MemPhase::kTargets)) {
     return false;
   }
   FTR_TRACE_SPAN("targets.distance_table");

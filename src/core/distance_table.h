@@ -44,8 +44,8 @@ class DistanceTable {
   /// codes through `table`'s dictionaries for the columns `cols`.
   /// Computes nothing and returns false when `budget` or `memory` is
   /// already exhausted or bytes() do not fit `memory` (charged to
-  /// MemPhase::kTargets); charges no budget units, and once started
-  /// always fills the whole table.
+  /// MemPhase::kTargets, returned when the table dies); charges no
+  /// budget units, and once started always fills the whole table.
   bool Fill(const Table& table, const std::vector<int>& cols,
             const DistanceModel& model, int threads, const Budget* budget,
             const MemoryBudget* memory);
@@ -64,6 +64,7 @@ class DistanceTable {
   std::vector<uint64_t> offset_;
   uint64_t entries_ = 0;
   std::vector<double> values_;
+  MemoryCharge charge_;
 };
 
 /// Index of each of `codes` (laid out over positions) in `domains` (one

@@ -61,9 +61,9 @@ struct CombinationSearch {
     }
     // Per-combination scratch (level inputs + membership bitmaps) is
     // rebuilt each call; the tree build below charges its own nodes.
+    MemoryCharge scratch(options->memory);
     if (!BudgetCharge(options->budget) ||
-        !MemCharge(options->memory, sizeof(TargetTree::LevelInput),
-                   MemPhase::kSolve)) {
+        !scratch.Add(sizeof(TargetTree::LevelInput), MemPhase::kSolve)) {
       return ResourceCheck(options->budget, options->memory,
                            "combination search");
     }
@@ -147,10 +147,10 @@ struct CombinationSearch {
 
 }  // namespace
 
-Result<MultiFDSolution> SolveExpansionMulti(const ComponentContext& context,
-                                            const DistanceModel& model,
-                                            const RepairOptions& options,
-                                            RepairStats* stats) {
+Result<MultiFDCover> CoverExpansionMulti(const ComponentContext& context,
+                                         const DistanceModel& model,
+                                         const RepairOptions& options,
+                                         RepairStats* stats) {
   FTR_TRACE_SPAN("expansion.solve_multi");
   size_t num_fds = context.fds.size();
   CombinationSearch search;
@@ -320,13 +320,22 @@ Result<MultiFDSolution> SolveExpansionMulti(const ComponentContext& context,
   FTR_RETURN_NOT_OK(search.Recurse(0, 0.0, 0.0));
   if (search.best_chosen.empty()) {
     // Either the Appro-M seed is optimal or every join was empty;
-    // re-derive the solution through Appro-M for consistency.
-    return SolveApproMulti(context, model, options, stats);
+    // re-derive the cover through Appro-M for consistency.
+    return CoverApproMulti(context, options, stats);
   }
-  auto result = AssignTargets(context, search.best_chosen, model, options,
-                              stats);
-  if (result.ok()) result.value().rung = SolverRung::kExact;
-  return result;
+  MultiFDCover cover;
+  cover.chosen = std::move(search.best_chosen);
+  cover.rung = SolverRung::kExact;
+  return cover;
+}
+
+Result<MultiFDSolution> SolveExpansionMulti(const ComponentContext& context,
+                                            const DistanceModel& model,
+                                            const RepairOptions& options,
+                                            RepairStats* stats) {
+  return SolveCover(context,
+                    CoverExpansionMulti(context, model, options, stats), model,
+                    options, stats);
 }
 
 }  // namespace ftrepair

@@ -131,6 +131,7 @@ Result<std::vector<std::vector<int>>> EnumerateMaximalIndependentSets(
   SetBit(&prefix_bits, order[0]);
 
   std::vector<Node> frontier;
+  MemoryCharge expanded(config.memory);  // returned with the frontier
   {
     Node root;
     root.bits.assign(words, 0);
@@ -154,8 +155,8 @@ Result<std::vector<std::vector<int>>> EnumerateMaximalIndependentSets(
         continue;
       }
       if (!BudgetCharge(config.budget) ||
-          !MemCharge(config.memory, sizeof(Node) + words * sizeof(uint64_t),
-                     MemPhase::kSolve)) {
+          !expanded.Add(sizeof(Node) + words * sizeof(uint64_t),
+                        MemPhase::kSolve)) {
         return ResourceCheck(config.budget, config.memory,
                              "expansion enumeration");
       }

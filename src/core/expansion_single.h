@@ -41,8 +41,9 @@ struct ExpansionConfig {
   /// seed the budget cut short aborts with ResourceExhausted instead.
   const Budget* budget = nullptr;
   /// Optional memory governance (not owned). Frontier nodes charge
-  /// their footprint (MemPhase::kSolve); exhaustion stops the
-  /// enumeration with ResourceExhausted exactly like a spent budget.
+  /// their footprint (MemPhase::kSolve), returned when the enumeration
+  /// returns; exhaustion stops the enumeration with ResourceExhausted
+  /// exactly like a spent budget.
   const MemoryBudget* memory = nullptr;
 };
 

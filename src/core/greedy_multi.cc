@@ -523,15 +523,15 @@ GrowOutcome GrowCover(GreedyMultiState* state, const RepairOptions& options) {
     }
   }
   const bool cross = !(options.cross_weight <= 0);
+  MemoryCharge round_charge(options.memory);  // returned with the loop
   while (state->remaining > 0) {
     // Each round appends one (fd, pattern) choice and refreshes the
     // per-pattern best-unit costs it invalidates.
     // A round can take milliseconds, so the deadline is read every
     // round rather than every Budget::kCheckInterval charged units.
     if (!BudgetCharge(options.budget) || BudgetExhausted(options.budget) ||
-        !MemCharge(options.memory, sizeof(int) + sizeof(double),
-                   MemPhase::kSolve)) {
-      // Out of budget: stop growing. AssignTargets still runs (and
+        !round_charge.Add(sizeof(int) + sizeof(double), MemPhase::kSolve)) {
+      // Out of budget: stop growing. The target phase still runs (and
       // itself polls), so already-chosen sets yield a valid partial
       // repair; unreached patterns stay dirty.
       out.truncated = true;
@@ -615,18 +615,16 @@ GrowOutcome GrowCover(GreedyMultiState* state, const RepairOptions& options) {
 
 }  // namespace
 
-Result<MultiFDSolution> SolveGreedyMulti(const ComponentContext& context,
-                                         const DistanceModel& model,
-                                         const RepairOptions& options,
-                                         RepairStats* stats) {
+Result<MultiFDCover> CoverGreedyMulti(const ComponentContext& context,
+                                      const RepairOptions& options,
+                                      RepairStats* stats) {
   FTR_TRACE_SPAN("greedy.solve_multi");
-  std::vector<std::vector<int>> chosen_list;
+  MultiFDCover cover;
   GrowOutcome grown;
   uint64_t target_scores = 0;
   {
     // The state, heads and substitution tables die with this scope, and
-    // the heap, scores and watchers with GrowCover's frame, before
-    // AssignTargets sets the solve's memory peak.
+    // the heap, scores and watchers with GrowCover's frame.
     GreedyMultiState state;
     state.Init(context, options);
 
@@ -654,7 +652,7 @@ Result<MultiFDSolution> SolveGreedyMulti(const ComponentContext& context,
     }
     grown = GrowCover(&state, options);
     target_scores = state.target_scores;
-    chosen_list = std::move(state.chosen_list);
+    cover.chosen = std::move(state.chosen_list);
   }
   static Counter* rounds =
       Metrics().GetCounter("ftrepair.solve.greedy_rounds");
@@ -668,17 +666,22 @@ Result<MultiFDSolution> SolveGreedyMulti(const ComponentContext& context,
 
   if (grown.truncated && grown.rounds == 0) {
     // Exhausted before the first candidate was chosen: there is no
-    // partial cover for AssignTargets to complete, so hand the
+    // partial cover for the target phase to complete, so hand the
     // component down the ladder instead of reporting an empty
     // "partial" success.
     return ResourceCheck(options.budget, options.memory, "greedy cover");
   }
-  auto result = AssignTargets(context, chosen_list, model, options, stats);
-  if (result.ok()) {
-    result.value().rung = SolverRung::kGreedy;
-    if (grown.truncated) result.value().truncated = true;
-  }
-  return result;
+  cover.rung = SolverRung::kGreedy;
+  cover.truncated = grown.truncated;
+  return cover;
+}
+
+Result<MultiFDSolution> SolveGreedyMulti(const ComponentContext& context,
+                                         const DistanceModel& model,
+                                         const RepairOptions& options,
+                                         RepairStats* stats) {
+  return SolveCover(context, CoverGreedyMulti(context, options, stats), model,
+                    options, stats);
 }
 
 }  // namespace ftrepair

@@ -5,8 +5,8 @@
 
 namespace ftrepair {
 
-/// \brief Greedy-M (§4.4, Algorithm 4): joint greedy over all FDs of a
-/// connected component.
+/// \brief Greedy-M's cover step (§4.4, Algorithm 4 up to line 6): joint
+/// greedy over all FDs of a connected component.
 ///
 /// Repeatedly adds the (FD, phi-pattern) candidate with the smallest
 /// *tuple cost* (Eq. 12) to that FD's independent set. The tuple cost
@@ -25,8 +25,16 @@ namespace ftrepair {
 /// targets and per-FD-pair substitution tables. Each round charges
 /// `options.budget` one unit and reads its deadline, so a deadline that
 /// passes mid-grow stops the grow within one round. Terminates when
-/// every phi-pattern is chosen or blocked, then joins the sets into
-/// targets and repairs (lines 7-9).
+/// every phi-pattern is chosen or blocked.
+///
+/// Fails with ResourceExhausted when the budget ran out before the
+/// first round; a cover cut short later is `truncated`.
+Result<MultiFDCover> CoverGreedyMulti(const ComponentContext& context,
+                                      const RepairOptions& options,
+                                      RepairStats* stats);
+
+/// CoverGreedyMulti, then joins the sets into targets and repairs
+/// (lines 7-9; SolveCover).
 Result<MultiFDSolution> SolveGreedyMulti(const ComponentContext& context,
                                          const DistanceModel& model,
                                          const RepairOptions& options,

@@ -153,6 +153,7 @@ SingleFDSolution SolveGreedySingle(const ViolationGraph& graph,
                         std::greater<HeapEntry>>
         heap;
     std::vector<double> score(static_cast<size_t>(n), kInf);
+    MemoryCharge rounds(memory);  // returned with the heap
     auto push_fresh = [&](int t) {
       double s = score_of(t);
       score[static_cast<size_t>(t)] = s;
@@ -166,7 +167,7 @@ SingleFDSolution SolveGreedySingle(const ViolationGraph& graph,
     }
     while (pending > 0) {
       if (!BudgetCharge(budget) ||
-          !MemCharge(memory, sizeof(HeapEntry), MemPhase::kSolve)) {
+          !rounds.Add(sizeof(HeapEntry), MemPhase::kSolve)) {
         // Out of budget (time or memory): stop growing. Patterns
         // without a chosen neighbor stay unrepaired (detect-only
         // remainder).

@@ -35,8 +35,8 @@ namespace ftrepair {
 /// the solution is still well-formed, but patterns that never gained a
 /// chosen neighbor stay unrepaired (repair_target -1, excluded from
 /// cost) and `truncated` is set. `memory` (optional, not owned) is
-/// charged per queue entry the grow loop pushes and truncates growth
-/// the same way.
+/// charged per grow round and truncates growth the same way; the
+/// charge is returned when the solve returns.
 SingleFDSolution SolveGreedySingle(const ViolationGraph& graph,
                                    const std::vector<bool>* forced = nullptr,
                                    uint64_t* trusted_conflicts = nullptr,

@@ -225,6 +225,7 @@ TargetQuery LazyTargetSearch::FindBest(
   double c_min = ViolationGraph::kInfinity;
   int best_leaf = -1;
   uint64_t visits = 0;
+  MemoryCharge pushed(memory);  // returned when the search ends
 
   // Reconstructs the partial assignment of a node's path.
   std::vector<uint32_t> assignment(static_cast<size_t>(width));
@@ -251,8 +252,7 @@ TargetQuery LazyTargetSearch::FindBest(
       continue;
     }
     if (++visits > max_visits || !BudgetCharge(budget) ||
-        !MemCharge(memory, sizeof(Node) + sizeof(Entry),
-                   MemPhase::kTargets)) {
+        !pushed.Add(sizeof(Node) + sizeof(Entry), MemPhase::kTargets)) {
       result.truncated = true;
       break;
     }

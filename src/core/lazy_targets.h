@@ -53,9 +53,10 @@ class LazyTargetSearch {
   /// DistanceTable rows over domains() are `rows`. `budget` (optional, not
   /// owned) is charged one unit per visit and truncates the search
   /// exactly like the visit cap when it runs out; `memory` (optional,
-  /// not owned) is charged per arena node pushed and truncates the
-  /// same way. An untruncated search returns an empty target only when
-  /// the join is empty (the build-time relaxation can miss that).
+  /// not owned) is charged per visit and truncates the same way; the
+  /// search returns its charge when it ends. An untruncated search
+  /// returns an empty target only when the join is empty (the
+  /// build-time relaxation can miss that).
   TargetQuery FindBest(const DistanceRows& rows, uint64_t max_visits,
                        TargetTree::SearchStats* stats,
                        const Budget* budget = nullptr,

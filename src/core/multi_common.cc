@@ -139,6 +139,92 @@ size_t FindBestTargetLinear(const std::vector<std::vector<uint32_t>>& targets,
   return best_idx;
 }
 
+namespace {
+
+// The Sigma-patterns `chosen` leaves dirty: those with some
+// phi-projection outside its FD's chosen set, ascending.
+std::vector<size_t> DirtyPatterns(
+    const ComponentContext& context,
+    const std::vector<std::vector<int>>& chosen) {
+  size_t num_fds = context.fds.size();
+  std::vector<std::vector<bool>> member(num_fds);
+  for (size_t k = 0; k < num_fds; ++k) {
+    member[k].assign(
+        static_cast<size_t>(context.graphs[k].num_patterns()), false);
+    for (int j : chosen[k]) member[k][static_cast<size_t>(j)] = true;
+  }
+  std::vector<size_t> dirty;
+  for (size_t i = 0; i < context.sigma_patterns->size(); ++i) {
+    bool all_member = true;
+    for (size_t k = 0; k < num_fds && all_member; ++k) {
+      int phi = context.phi_of_sigma[k][i];
+      all_member = member[k][static_cast<size_t>(phi)];
+    }
+    if (!all_member) dirty.push_back(i);
+  }
+  return dirty;
+}
+
+}  // namespace
+
+void CaptureCoverLineage(const ComponentContext& context,
+                         const RepairOptions& options, MultiFDCover* cover) {
+  if (!options.provenance) return;
+  const std::vector<size_t> dirty = DirtyPatterns(context, cover->chosen);
+  if (dirty.empty()) return;
+  cover->prov_edges.assign(context.sigma_patterns->size(), {});
+  for (size_t i : dirty) {
+    std::vector<ProvenanceEdge>& edges = cover->prov_edges[i];
+    for (size_t k = 0; k < context.fds.size(); ++k) {
+      int phi = context.phi_of_sigma[k][i];
+      for (const ViolationGraph::Edge& e : context.graphs[k].Neighbors(phi)) {
+        ProvenanceEdge edge;
+        edge.fd = static_cast<int>(k);
+        edge.peer = e.to;
+        edge.peer_values =
+            DecodeProjection(*context.table, context.fds[k]->attrs(),
+                             context.graphs[k].pattern(e.to).codes);
+        edge.proj_dist = e.proj_dist;
+        edge.unit_cost = e.unit_cost;
+        edges.push_back(std::move(edge));
+      }
+    }
+  }
+}
+
+uint64_t ReleaseCoverInputs(ComponentContext* context) {
+  uint64_t freed = 0;
+  for (ViolationGraph& graph : context->graphs) freed += graph.ReleaseEdges();
+  std::vector<std::vector<std::vector<int>>>().swap(context->sigma_of_phi);
+  return freed;
+}
+
+Result<MultiFDSolution> AssignCover(const ComponentContext& context,
+                                    MultiFDCover cover,
+                                    const DistanceModel& model,
+                                    const RepairOptions& options,
+                                    RepairStats* stats) {
+  auto result = AssignTargets(context, cover.chosen, model, options, stats);
+  if (result.ok()) {
+    MultiFDSolution& solution = result.value();
+    solution.rung = cover.rung;
+    solution.truncated = solution.truncated || cover.truncated;
+    solution.prov_edges = std::move(cover.prov_edges);
+  }
+  return result;
+}
+
+Result<MultiFDSolution> SolveCover(const ComponentContext& context,
+                                   Result<MultiFDCover> cover,
+                                   const DistanceModel& model,
+                                   const RepairOptions& options,
+                                   RepairStats* stats) {
+  if (!cover.ok()) return cover.status();
+  CaptureCoverLineage(context, options, &cover.value());
+  return AssignCover(context, std::move(cover).value(), model, options,
+                     stats);
+}
+
 // Scope guard: accumulates target-assignment wall clock into
 // stats->phases.targets_ms (stats may be null) and mirrors the search
 // counters into the metrics registry on exit.
@@ -187,57 +273,15 @@ Result<MultiFDSolution> AssignTargets(
   solution.cost = 0;
 
   size_t num_fds = context.fds.size();
-  // Membership masks per FD.
-  std::vector<std::vector<bool>> member(num_fds);
   std::vector<TargetTree::LevelInput> inputs(num_fds);
   for (size_t k = 0; k < num_fds; ++k) {
-    member[k].assign(
-        static_cast<size_t>(context.graphs[k].num_patterns()), false);
-    for (int j : chosen[k]) member[k][static_cast<size_t>(j)] = true;
     inputs[k].fd = context.fds[k];
     for (int j : chosen[k]) {
       inputs[k].elements.push_back(context.graphs[k].pattern(j).codes);
     }
   }
-
-  // Which Sigma-patterns need repair?
-  std::vector<size_t> dirty;
-  for (size_t i = 0; i < sigmas.size(); ++i) {
-    bool all_member = true;
-    for (size_t k = 0; k < num_fds && all_member; ++k) {
-      int phi = context.phi_of_sigma[k][i];
-      all_member = member[k][static_cast<size_t>(phi)];
-    }
-    if (!all_member) dirty.push_back(i);
-  }
+  const std::vector<size_t> dirty = DirtyPatterns(context, chosen);
   if (dirty.empty()) return solution;
-
-  if (options.provenance) {
-    // Capture each dirty Sigma-pattern's implicating violation edges
-    // now: the component context (and its graphs) is gone by the time
-    // the solution is applied, so the lineage must ride the solution.
-    // edge.fd is the component-local FD index; the apply layer remaps
-    // it to the global FD table.
-    solution.prov_edges.assign(sigmas.size(), {});
-    for (size_t i : dirty) {
-      std::vector<ProvenanceEdge>& edges = solution.prov_edges[i];
-      for (size_t k = 0; k < num_fds; ++k) {
-        int phi = context.phi_of_sigma[k][i];
-        for (const ViolationGraph::Edge& e :
-             context.graphs[k].Neighbors(phi)) {
-          ProvenanceEdge edge;
-          edge.fd = static_cast<int>(k);
-          edge.peer = e.to;
-          edge.peer_values =
-              DecodeProjection(*context.table, context.fds[k]->attrs(),
-                               context.graphs[k].pattern(e.to).codes);
-          edge.proj_dist = e.proj_dist;
-          edge.unit_cost = e.unit_cost;
-          edges.push_back(std::move(edge));
-        }
-      }
-    }
-  }
 
   // Choose the search once: the eager tree; the lazy search when the
   // tree overflows its node cap (but memory is not what ran out); or,

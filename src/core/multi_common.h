@@ -40,6 +40,7 @@ struct ComponentContext {
   /// phi_of_sigma[k][i] = phi-pattern id (in graphs[k]) of Sigma-pattern i.
   std::vector<std::vector<int>> phi_of_sigma;
   /// sigma_of_phi[k][j] = Sigma-pattern ids projecting to phi-pattern j.
+  /// Only the cover steps read it (ReleaseCoverInputs frees it).
   std::vector<std::vector<std::vector<int>>> sigma_of_phi;
   /// Effective FTOptions per FD.
   std::vector<FTOptions> ft;
@@ -94,15 +95,73 @@ ComponentContext BuildComponentContext(const Table& table,
                                        const DistanceModel& model,
                                        const RepairOptions& options);
 
+/// \brief The output of a multi-FD solver's cover step: one chosen
+/// independent set per FD, before any target is assigned.
+///
+/// Expansion-M, Greedy-M and Appro-M (CoverExpansionMulti,
+/// CoverGreedyMulti, CoverApproMulti) differ only in how they choose
+/// the sets; the target phase (AssignCover) is shared and reads no
+/// violation edge, so the repair pipeline frees the graphs' edges
+/// between the two (ReleaseCoverInputs).
+struct MultiFDCover {
+  /// chosen[k]: phi-pattern ids of graphs[k].
+  std::vector<std::vector<int>> chosen;
+  /// The solver that chose the sets.
+  SolverRung rung = SolverRung::kNone;
+  /// The budget stopped the cover before every phi-pattern was decided;
+  /// the solution assigned over it is truncated too.
+  bool truncated = false;
+  /// Per Sigma-pattern: its implicating violation edges, captured by
+  /// CaptureCoverLineage while the edges are held (see
+  /// MultiFDSolution::prov_edges).
+  std::vector<std::vector<ProvenanceEdge>> prov_edges;
+};
+
+/// Under `options.provenance`, records in `cover->prov_edges` each dirty
+/// Sigma-pattern's implicating violation edges (edge.fd is the
+/// component-local FD index; the apply layer remaps it). Reads the
+/// graphs' edges, so it runs before ReleaseCoverInputs.
+void CaptureCoverLineage(const ComponentContext& context,
+                         const RepairOptions& options, MultiFDCover* cover);
+
+/// Frees what only the cover steps read: every graph's adjacency
+/// (ViolationGraph::ReleaseEdges, which returns its memory charge) and
+/// sigma_of_phi. The target phase still runs on the context. Returns
+/// the bytes of adjacency freed.
+uint64_t ReleaseCoverInputs(ComponentContext* context);
+
+/// The target phase of a final cover: AssignTargets over
+/// `cover.chosen`, the solution stamped with the cover's rung, its
+/// truncation added, and its lineage moved in.
+Result<MultiFDSolution> AssignCover(const ComponentContext& context,
+                                    MultiFDCover cover,
+                                    const DistanceModel& model,
+                                    const RepairOptions& options,
+                                    RepairStats* stats);
+
+/// A cover step and its target phase over a context whose graphs stay
+/// whole: a failed cover's status, or CaptureCoverLineage then
+/// AssignCover. The three Solve*Multi entry points are this over their
+/// cover step.
+Result<MultiFDSolution> SolveCover(const ComponentContext& context,
+                                   Result<MultiFDCover> cover,
+                                   const DistanceModel& model,
+                                   const RepairOptions& options,
+                                   RepairStats* stats);
+
 /// \brief Joins one chosen independent set per FD into targets and
 /// assigns every Sigma-pattern its cheapest repair (§4.2/§4.3 final
 /// phase; Algorithm 3 lines 13-21, Algorithm 4 lines 7-9).
 ///
-/// `chosen[k]` holds phi-pattern ids of graphs[k]. Sigma-patterns whose
-/// every phi-projection is chosen keep their values; each other (dirty)
-/// pattern gets one target query. The solution shares the context's
-/// Sigma-patterns (no copy), so they stay held once, by whichever of
-/// the two outlives the other. The search is chosen once per call:
+/// `chosen[k]` holds phi-pattern ids of graphs[k]. Of the context it
+/// reads the patterns and phi_of_sigma, never a violation edge, so it
+/// runs on a context whose cover inputs were released. Sigma-patterns
+/// whose every phi-projection is chosen keep their values; each other
+/// (dirty) pattern gets one target query. The solution shares the
+/// context's Sigma-patterns (no copy), so they stay held once, by
+/// whichever of the two outlives the other. Every memory charge it
+/// takes is returned by the time it returns. The search is chosen once
+/// per call:
 ///   * the eager TargetTree (§5), by default, built depth first and
 ///     storing only the nodes on a complete path;
 ///   * LazyTargetSearch, when the eager build exceeds

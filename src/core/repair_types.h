@@ -144,7 +144,9 @@ struct RepairOptions {
   /// tightens the caps above and steps down the same degradation
   /// ladder as the wall-clock budget, and the hard watermark yields a
   /// clean ResourceExhausted with partial output. Null means
-  /// unlimited.
+  /// unlimited. Graphs, target trees and distance tables return their
+  /// charge when they die, so the budget must outlive every structure
+  /// built with these options.
   const MemoryBudget* memory = nullptr;
 
   /// Effective tau for `fd`.
@@ -216,14 +218,16 @@ struct DegradationEvent {
 /// objects, which it places beside the tracer's scoped spans
 /// (src/common/trace.h) around the same phases; the numbers here and
 /// in a --trace-json export measure the same regions but come from
-/// separate clocks. All values are milliseconds. `solve_ms`
-/// excludes the target-assignment time nested inside the multi-FD
-/// solvers. `detect_ms`, `apply_ms` and `stats_ms` are wall-clock
-/// spans of the pipeline. `graph_ms`, `solve_ms` and `targets_ms` are
-/// sums over FD-graph components, and components run concurrently at
-/// threads > 1, so at threads > 1 the six fields can add up to more
-/// than total_ms. At threads 1 they are disjoint and total_ms
-/// additionally covers the small glue between them.
+/// separate clocks. All values are milliseconds. A multi-FD
+/// component's target phase runs after its cover step, so `solve_ms`
+/// and `targets_ms` never overlap (the Appro-M seed inside the exact
+/// cover counts as solve time). `detect_ms`, `apply_ms` and
+/// `stats_ms` are wall-clock spans of the pipeline. `graph_ms`,
+/// `solve_ms` and `targets_ms` are sums over FD-graph components, and
+/// components run concurrently at threads > 1, so at threads > 1 the
+/// six fields can add up to more than total_ms. At threads 1 they are
+/// disjoint and total_ms additionally covers the small glue between
+/// them.
 struct PhaseTimings {
   /// The detection phase: one detection per FD, every detection the
   /// solve uses, with statistics on or off (with them on, also the
@@ -232,7 +236,8 @@ struct PhaseTimings {
   /// Component contexts plus indexing the phase's detections into CSR
   /// graphs; never a detection.
   double graph_ms = 0;
-  /// Expansion/greedy/appro solving (minus nested target assignment).
+  /// Expansion/greedy/appro solving: the single-FD solves and the
+  /// multi-FD cover steps.
   double solve_ms = 0;
   /// Target-tree build + best-target searches (AssignTargets).
   double targets_ms = 0;

@@ -252,6 +252,13 @@ Histogram* ComponentMsHistogram() {
   return component_ms;
 }
 
+// Bytes of violation-graph adjacency a multi-FD component freed before
+// its target phase, per component.
+Counter* GraphBytesReleasedCounter(const std::string& component) {
+  return Metrics().GetCounter("ftrepair.solve.graph_bytes_released",
+                              "component", component);
+}
+
 Gauge* SolveThreadsGauge() {
   static Gauge* solve_threads = Metrics().GetGauge("ftrepair.solve.threads");
   return solve_threads;
@@ -303,6 +310,7 @@ class LadderUnit {
 
   /// False when the preamble stopped the unit.
   bool runs() const { return opts_ != nullptr; }
+  const std::string& name() const { return name_; }
   /// The options the unit runs with; only valid when runs().
   const RepairOptions& opts() const { return *opts_; }
   RepairStats* stats() const { return stats_; }
@@ -455,10 +463,17 @@ struct ComponentOutcome {
 };
 
 // The multi-FD ladder: exact -> greedy -> per-FD appro -> detect-only.
-// Each rung hands ResourceExhausted down one step (when the
-// fall_back_to_greedy valve is open); the bottom rung degrades to
-// leaving the component unrepaired.
-void SolveMulti(const LadderUnit& unit, const ComponentContext& context,
+// The ladder runs over the cover steps: each rung hands ResourceExhausted
+// down one step (when the fall_back_to_greedy valve is open), and a
+// failure on the bottom rung leaves the component unrepaired. Once a
+// cover is final, its lineage (under provenance) and the soft-fd
+// penalties are read off the graphs, the graphs' edges are freed, and
+// the targets are assigned once. A target phase that fails stages
+// "skip" directly. On a latched memory budget any other cover would
+// fail the same way. On the node cap in the no-tree ablation, Appro-M's
+// per-FD sets might join into fewer nodes; that fallback is given up
+// on purpose, as the graphs a re-solve needs are already freed.
+void SolveMulti(const LadderUnit& unit, ComponentContext* context,
                 const std::vector<const FD*>& component_fds,
                 const DistanceModel& model, SemanticsId semantics,
                 ComponentOutcome* out) {
@@ -476,50 +491,35 @@ void SolveMulti(const LadderUnit& unit, const ComponentContext& context,
       rung = 2;
       break;
   }
-  Result<MultiFDSolution> solved = Status::Internal("unreachable");
-  bool solved_ok = false;
-  // Target assignment runs nested inside the multi-FD solvers and
-  // accumulates into phases.targets_ms on its own; subtract its
-  // delta so solve/targets stay disjoint phases.
-  double targets_before = out->stats.phases.targets_ms;
+  Result<MultiFDCover> cover = Status::Internal("unreachable");
   Timer solve_timer;
   while (rung <= 2) {
     switch (rung) {
       case 0:
-        solved = SolveExpansionMulti(context, model, opts, &out->stats);
+        cover = CoverExpansionMulti(*context, model, opts, &out->stats);
         break;
       case 1:
-        solved = SolveGreedyMulti(context, model, opts, &out->stats);
+        cover = CoverGreedyMulti(*context, opts, &out->stats);
         break;
       case 2:
-        solved = SolveApproMulti(context, model, opts, &out->stats);
+        cover = CoverApproMulti(*context, opts, &out->stats);
         break;
     }
-    if (solved.ok()) {
-      solved_ok = true;
-      break;
-    }
-    if (!solved.status().IsResourceExhausted() ||
-        !opts.fall_back_to_greedy) {
-      unit.Fail(solved.status());
+    if (cover.ok()) break;
+    if (!cover.status().IsResourceExhausted() || !opts.fall_back_to_greedy) {
+      unit.Fail(cover.status());
       return;
     }
-    // A failure on the bottom rung leaves the component detect-only.
     unit.Stage(rung < 2 ? std::string(kRungs[rung]) + "->" + kRungs[rung + 1]
                         : "skip",
-               solved.status().message());
+               cover.status().message());
     ++rung;
   }
-  out->stats.phases.solve_ms +=
-      solve_timer.Millis() - (out->stats.phases.targets_ms - targets_before);
-  if (!solved_ok) return;  // component left unrepaired
-  if (solved.value().truncated &&
-      !unit.Truncated("target assignment", "partial-targets",
-                      "resources exhausted while assigning targets; "
-                      "remaining patterns stay unrepaired")) {
-    return;
-  }
-  out->multi = std::move(solved).value();
+  out->stats.phases.solve_ms += solve_timer.Millis();
+  if (!cover.ok()) return;  // component left unrepaired
+
+  CaptureCoverLineage(*context, opts, &cover.value());
+  std::vector<double> penalties;
   if (semantics == SemanticsId::kSoftFd) {
     // The revert filter only runs on all-soft components: reverting
     // inside a mixed component could strand a hard FD's violations.
@@ -531,10 +531,29 @@ void SolveMulti(const LadderUnit& unit, const ComponentContext& context,
       all_soft = all_soft && confidence < 1.0;
       rates.push_back(SoftFdPenaltyRate(confidence));
     }
-    if (all_soft) {
-      FilterMultiFDSolutionSoft(context, rates, &out->multi);
-    }
+    if (all_soft) penalties = SoftFdPenalties(*context, rates);
   }
+  GraphBytesReleasedCounter(unit.name())
+      ->Increment(ReleaseCoverInputs(context));
+
+  Result<MultiFDSolution> solved = AssignCover(
+      *context, std::move(cover).value(), model, opts, &out->stats);
+  if (!solved.ok()) {
+    if (!solved.status().IsResourceExhausted() || !opts.fall_back_to_greedy) {
+      unit.Fail(solved.status());
+      return;
+    }
+    unit.Stage("skip", solved.status().message());
+    return;  // component left unrepaired
+  }
+  if (solved.value().truncated &&
+      !unit.Truncated("target assignment", "partial-targets",
+                      "resources exhausted while assigning targets; "
+                      "remaining patterns stay unrepaired")) {
+    return;
+  }
+  out->multi = std::move(solved).value();
+  if (!penalties.empty()) FilterMultiFDSolutionSoft(penalties, &out->multi);
   out->apply_multi = true;
 }
 
@@ -588,7 +607,7 @@ void SolveComponent(const Table& table, const std::vector<FD>& named,
       context.graphs.begin(), context.graphs.end(),
       [](const ViolationGraph& graph) { return graph.truncated(); });
   if (!unit.GraphChecked(graphs_truncated, "graphs")) return;
-  SolveMulti(unit, context, component_fds, model, semantics, out);
+  SolveMulti(unit, &context, component_fds, model, semantics, out);
 }
 
 // Replay-merges one unit's outcome, in unit order: surfaces its hard
@@ -795,14 +814,19 @@ Result<RepairResult> RunRepairPipeline(const Table& table,
       scope.degradations_before =
           static_cast<int>(result.stats.degradations.size());
     }
-    PhaseTimer phase(&result.stats.phases.apply_ms);
-    if (out.apply_single) {
-      ApplySingleFDSolution(out.graph, *out.fd, out.single, &result.repaired,
-                            &result.changes, trusted, scope);
-    } else if (out.apply_multi) {
-      ApplyMultiFDSolution(out.multi, &result.repaired, &result.changes,
-                           trusted, scope);
+    {
+      PhaseTimer phase(&result.stats.phases.apply_ms);
+      if (out.apply_single) {
+        ApplySingleFDSolution(out.graph, *out.fd, out.single,
+                              &result.repaired, &result.changes, trusted,
+                              scope);
+      } else if (out.apply_multi) {
+        ApplyMultiFDSolution(out.multi, &result.repaired, &result.changes,
+                             trusted, scope);
+      }
     }
+    // Applied: the graph (and its memory charge) and the solution go.
+    out = ComponentOutcome();
   }
 
   {

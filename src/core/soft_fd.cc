@@ -40,12 +40,11 @@ void FilterSingleFDSolutionSoft(const ViolationGraph& graph, double rate,
   }
 }
 
-void FilterMultiFDSolutionSoft(const ComponentContext& context,
-                               const std::vector<double>& rates,
-                               MultiFDSolution* solution) {
-  const std::vector<Pattern>& sigmas = *solution->sigma_patterns;
+std::vector<double> SoftFdPenalties(const ComponentContext& context,
+                                    const std::vector<double>& rates) {
+  const std::vector<Pattern>& sigmas = *context.sigma_patterns;
+  std::vector<double> penalties(sigmas.size(), 0.0);
   for (size_t i = 0; i < sigmas.size(); ++i) {
-    if (solution->targets[i].empty()) continue;
     const double count = static_cast<double>(sigmas[i].rows.size());
     double benefit = 0;
     for (size_t k = 0; k < context.graphs.size(); ++k) {
@@ -57,6 +56,18 @@ void FilterMultiFDSolutionSoft(const ComponentContext& context,
       }
       benefit += rates[k] * count * pairs;
     }
+    penalties[i] = benefit;
+  }
+  return penalties;
+}
+
+void FilterMultiFDSolutionSoft(const std::vector<double>& penalties,
+                               MultiFDSolution* solution) {
+  const std::vector<Pattern>& sigmas = *solution->sigma_patterns;
+  for (size_t i = 0; i < sigmas.size(); ++i) {
+    if (solution->targets[i].empty()) continue;
+    const double count = static_cast<double>(sigmas[i].rows.size());
+    const double benefit = penalties[i];
     const double unit =
         i < solution->target_costs.size() ? solution->target_costs[i] : 0.0;
     const double cost = count * unit;

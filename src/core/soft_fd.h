@@ -32,17 +32,23 @@ double SoftFdPenaltyRate(double confidence);
 void FilterSingleFDSolutionSoft(const ViolationGraph& graph, double rate,
                                 SingleFDSolution* solution);
 
-/// \brief Multi-FD counterpart: `rates[k]` is the penalty rate of
-/// `context.fds[k]`. A Sigma-pattern's discharged penalty sums, per FD,
-/// the rate-weighted violating pairs of its phi-projection; its cost is
-/// `count(i) * target_costs[i]`. Reverting clears the target (the
-/// pattern keeps its values), its target cost, and its provenance
-/// edges.
+/// The discharged penalty of each Sigma-pattern of `context`, where
+/// `rates[k]` is the penalty rate of `context.fds[k]`: per FD, the
+/// rate-weighted violating pairs of the pattern's phi-projection,
+/// summed. Reads the graphs' edges, so it runs before
+/// ReleaseCoverInputs.
+std::vector<double> SoftFdPenalties(const ComponentContext& context,
+                                    const std::vector<double>& rates);
+
+/// \brief Multi-FD counterpart of the revert filter: Sigma-pattern i's
+/// discharged penalty is `penalties[i]` (SoftFdPenalties over the
+/// context the solution was assigned on) and its cost is `count(i) *
+/// target_costs[i]`. Reverting clears the target (the pattern keeps its
+/// values), its target cost, and its provenance edges.
 ///
 /// Only call when EVERY FD of the component is soft (confidence < 1) —
 /// a mixed component's reverts could strand hard-FD violations.
-void FilterMultiFDSolutionSoft(const ComponentContext& context,
-                               const std::vector<double>& rates,
+void FilterMultiFDSolutionSoft(const std::vector<double>& penalties,
                                MultiFDSolution* solution);
 
 }  // namespace ftrepair

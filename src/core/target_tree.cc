@@ -114,6 +114,7 @@ Result<TargetTree> TargetTree::Build(std::vector<LevelInput> inputs,
   std::vector<uint32_t> path(static_cast<size_t>(width),
                              ColumnDictionary::kNullCode);
   size_t created = 0;
+  MemoryCharge charge(memory);
   Status failed;
   // Whether the subtree under the path's first l levels reaches a leaf.
   auto walk = [&](auto& self, size_t l) -> bool {
@@ -137,7 +138,7 @@ Result<TargetTree> TargetTree::Build(std::vector<LevelInput> inputs,
             "target tree exceeded " + std::to_string(max_nodes) + " nodes");
         return false;
       }
-      if (!MemCharge(memory, node_bytes, MemPhase::kTargets)) {
+      if (!charge.Add(node_bytes, MemPhase::kTargets)) {
         failed = memory->Check("target tree build");
         return false;
       }
@@ -159,11 +160,7 @@ Result<TargetTree> TargetTree::Build(std::vector<LevelInput> inputs,
   if (failed.ok() && kept.back().empty()) {
     failed = Status::NotFound("target join is empty");
   }
-  if (!failed.ok()) {
-    // Nothing of the join stays resident.
-    if (memory != nullptr) memory->Release(created * node_bytes);
-    return failed;
-  }
+  if (!failed.ok()) return failed;  // the charge dies with the build
   tree.num_targets_ = kept.back().size();
 
   // Lay the kept nodes out by level; each node's children then get a
@@ -186,11 +183,10 @@ Result<TargetTree> TargetTree::Build(std::vector<LevelInput> inputs,
     }
     parent_base = base;
   }
-  // Only the kept nodes stay resident: return the others' charge (the
-  // root was never charged).
-  if (memory != nullptr) {
-    memory->Release((created + 1 - tree.nodes_.size()) * node_bytes);
-  }
+  // Only the kept nodes stay resident, until the tree dies: return the
+  // others' charge (the root was never charged).
+  charge.Return((created + 1 - tree.nodes_.size()) * node_bytes);
+  tree.charge_ = std::move(charge);
   static Counter* built =
       Metrics().GetCounter("ftrepair.targets.tree_nodes");
   static Counter* live =
@@ -330,9 +326,10 @@ TargetQuery TargetTree::FindBest(const DistanceRows& rows, SearchStats* stats,
   TargetQuery result;
   double c_min = ViolationGraph::kInfinity;
   int best_leaf = -1;
+  MemoryCharge popped(memory);  // returned when the search ends
   while (!queue.empty()) {
     if (!BudgetCharge(budget) ||
-        !MemCharge(memory, sizeof(QueueEntry), MemPhase::kTargets)) {
+        !popped.Add(sizeof(QueueEntry), MemPhase::kTargets)) {
       result.truncated = true;  // settle for the best leaf so far, if any
       break;
     }

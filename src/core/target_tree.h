@@ -68,7 +68,8 @@ class TargetTree {
   /// trie nodes, the root included — or when `memory` (optional, not owned;
   /// charged per trie node the join creates, MemPhase::kTargets) runs
   /// out first. Once the build ends, the charge of every node it did
-  /// not keep is released: all of it when the build fails.
+  /// not keep is released: all of it when the build fails. The kept
+  /// nodes' charge is returned when the tree dies.
   static Result<TargetTree> Build(std::vector<LevelInput> inputs,
                                   std::vector<int> component_cols,
                                   size_t max_nodes,
@@ -93,8 +94,9 @@ class TargetTree {
   /// popped; on exhaustion the search stops with `truncated` set and
   /// returns the best leaf reached so far (possibly suboptimal), or an
   /// empty target when no leaf was reached yet. `memory` (optional, not
-  /// owned) is charged per queue entry and truncates the search the
-  /// same way. An untruncated search always finds a target.
+  /// owned) is charged per node popped and truncates the search the
+  /// same way; the search returns its charge when it ends. An
+  /// untruncated search always finds a target.
   TargetQuery FindBest(const DistanceRows& rows, SearchStats* stats,
                        const Budget* budget = nullptr,
                        const MemoryBudget* memory = nullptr) const;
@@ -153,6 +155,8 @@ class TargetTree {
   std::vector<uint32_t> below_;
   int num_levels_ = 0;
   size_t num_targets_ = 0;
+  /// The kept nodes' charge.
+  MemoryCharge charge_;
 };
 
 }  // namespace ftrepair

@@ -288,14 +288,6 @@ void BlockIndex::BuildGramJoin() {
   Charge(posting_bytes);
 }
 
-BlockIndex::~BlockIndex() {
-  if (memory_ != nullptr) memory_->Release(charged_bytes_);
-}
-
-void BlockIndex::Charge(uint64_t bytes) {
-  if (MemCharge(memory_, bytes, MemPhase::kIndex)) charged_bytes_ += bytes;
-}
-
 std::unique_ptr<BlockIndex> BlockIndex::ForBuild(
     const std::vector<Pattern>& patterns, const Table& table, const FD& fd,
     const DistanceModel& model, const FTOptions& opts) {
@@ -319,7 +311,7 @@ BlockIndex::BlockIndex(const std::vector<Pattern>& patterns,
                        const Table& table, const FD& fd,
                        const FTOptions& opts, const JoinPlan& plan) {
   n_ = static_cast<int>(patterns.size());
-  memory_ = opts.memory;
+  charge_ = MemoryCharge(opts.memory);
   int lhs = fd.lhs_size();
   auto weight_of = [&](int p) { return p < lhs ? opts.w_l : opts.w_r; };
 

@@ -82,8 +82,6 @@ class BlockIndex {
   BlockIndex(const std::vector<Pattern>& patterns, const Table& table,
              const FD& fd, const DistanceModel& model,
              const FTOptions& opts);
-  /// Returns what the index charged to `opts.memory`.
-  ~BlockIndex();
   BlockIndex(const BlockIndex&) = delete;
   BlockIndex& operator=(const BlockIndex&) = delete;
 
@@ -169,15 +167,13 @@ class BlockIndex {
   int n_ = 0;
   int num_key_attrs_ = 0;
   int gram_primary_ = -1;
-  // Charges `bytes` of index structures (MemPhase::kIndex) and keeps
-  // count of what was charged.
-  void Charge(uint64_t bytes);
+  // Charges `bytes` of index structures (MemPhase::kIndex).
+  void Charge(uint64_t bytes) { charge_.Add(bytes, MemPhase::kIndex); }
 
-  // Not owned; from FTOptions. The index structures charge it
-  // (MemPhase::kIndex); exhaustion latches there, and the graph build
-  // sees it and truncates.
-  const MemoryBudget* memory_ = nullptr;
-  uint64_t charged_bytes_ = 0;
+  // What the index holds charged to FTOptions::memory, returned when
+  // the index dies; exhaustion latches there, and the graph build sees
+  // it and truncates.
+  MemoryCharge charge_;
 
   // Exact join: pattern -> bucket, buckets hold ascending member ids.
   std::vector<int> bucket_of_;

@@ -359,8 +359,9 @@ ViolationGraph ViolationGraph::Index(std::vector<Pattern> patterns,
   g.offsets_.assign(n + 1, 0);
   g.min_edge_cost_.assign(n, kInfinity);
   size_t m = detection.edges.size();
-  if (!MemCharge(memory, (n + 1) * sizeof(size_t) + 2 * m * sizeof(Edge),
-                 MemPhase::kGraph)) {
+  g.charge_ = MemoryCharge(memory);
+  if (!g.charge_.Add((n + 1) * sizeof(size_t) + 2 * m * sizeof(Edge),
+                     MemPhase::kGraph)) {
     // Out of memory: a graph with no edges, marked like any other
     // detection that missed violations.
     detection.truncated = true;
@@ -399,6 +400,17 @@ ViolationGraph ViolationGraph::Build(std::vector<Pattern> patterns,
                                      const Budget* budget) {
   Detection detection = Detect(patterns, table, fd, model, opts, budget);
   return Index(std::move(patterns), std::move(detection), opts.memory);
+}
+
+uint64_t ViolationGraph::ReleaseEdges() {
+  const uint64_t freed = offsets_.capacity() * sizeof(size_t) +
+                         edges_.capacity() * sizeof(Edge) +
+                         min_edge_cost_.capacity() * sizeof(double);
+  std::vector<size_t>().swap(offsets_);
+  std::vector<Edge>().swap(edges_);
+  std::vector<double>().swap(min_edge_cost_);
+  charge_.Reset();
+  return freed;
 }
 
 std::vector<std::vector<int>> ViolationGraph::ConnectedComponents() const {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/budget.h"
+#include "common/logging.h"
 #include "common/resource.h"
 #include "constraint/fd.h"
 #include "detect/pattern.h"
@@ -31,7 +32,9 @@ struct FTOptions {
   /// Optional memory governance (not owned). Edge buffers, shard
   /// scratch, and block-index postings charge against it
   /// (MemPhase::kGraph / kIndex); on exhaustion the build truncates
-  /// exactly like a spent wall-clock budget.
+  /// exactly like a spent wall-clock budget. The graph returns its
+  /// charge when released or destroyed, so the budget must outlive
+  /// every graph built with it.
   const MemoryBudget* memory = nullptr;
 };
 
@@ -94,6 +97,13 @@ struct Detection {
 /// direction). Build is the two in a row. The repair pipeline detects
 /// every FD once, in its detection phase (DetectFDs,
 /// core/multi_common.h), and each component indexes what it is handed.
+///
+/// The adjacency holds its MemPhase::kGraph charge until ReleaseEdges or
+/// the graph's end. A multi-FD component releases its graphs' edges
+/// once its cover is final: the target phase reads only the patterns.
+/// A released graph keeps its patterns, num_edges() and the detection's
+/// counters and truncation flag; reading its adjacency (Neighbors,
+/// degree, MinEdgeCost) fails an FTR_DCHECK.
 class ViolationGraph {
  public:
   struct Edge {
@@ -167,18 +177,26 @@ class ViolationGraph {
 
   std::span<const Edge> Neighbors(int i) const {
     size_t v = static_cast<size_t>(i);
+    FTR_DCHECK(v < min_edge_cost_.size());
     return {edges_.data() + offsets_[v], offsets_[v + 1] - offsets_[v]};
   }
   int degree(int i) const {
     size_t v = static_cast<size_t>(i);
+    FTR_DCHECK(v < min_edge_cost_.size());
     return static_cast<int>(offsets_[v + 1] - offsets_[v]);
   }
   size_t num_edges() const { return num_edges_; }
 
   /// Minimum unit_cost among `i`'s edges; kInfinity for isolated vertices.
   double MinEdgeCost(int i) const {
+    FTR_DCHECK(static_cast<size_t>(i) < min_edge_cost_.size());
     return min_edge_cost_[static_cast<size_t>(i)];
   }
+
+  /// Frees the adjacency and returns its memory charge (see the class
+  /// comment for what a released graph keeps). Returns the bytes the
+  /// adjacency's arrays held.
+  uint64_t ReleaseEdges();
 
   /// Number of candidate pairs skipped by the cheap length filter
   /// before any edit-distance evaluation (similarity-join stat).
@@ -247,6 +265,8 @@ class ViolationGraph {
   /// The indexed detection's accounting and truncation; its edges live
   /// in edges_.
   Detection detection_;
+  /// The charge for offsets_ and edges_ (Index).
+  MemoryCharge charge_;
 };
 
 }  // namespace ftrepair

@@ -17,8 +17,16 @@
 
 #include "common/budget.h"
 #include "common/metrics.h"
+#include "common/resource.h"
+#include "constraint/fd_graph.h"
+#include "core/appro_multi.h"
 #include "core/greedy_multi.h"
+#include "core/multi_common.h"
+#include "core/provenance.h"
 #include "core/repairer.h"
+#include "eval/explain_verify.h"
+#include "gen/error_injector.h"
+#include "gen/hosp_gen.h"
 #include "test_util.h"
 
 namespace ftrepair {
@@ -373,6 +381,156 @@ TEST(LadderTest, PhaseTimingsPopulatedAndConsistent) {
   double phase_sum = phases.detect_ms + phases.graph_ms + phases.solve_ms +
                      phases.targets_ms + phases.apply_ms + phases.stats_ms;
   EXPECT_LE(phase_sum, phases.total_ms * 1.05 + 1.0);
+}
+
+// HOSP at 2k rows with the benchmark's generator and noise seeds and
+// the dataset's recommended settings.
+struct HospInstance {
+  Table table;
+  std::vector<FD> fds;
+  RepairOptions options;
+};
+
+HospInstance Hosp2k() {
+  Dataset ds = std::move(GenerateHosp({.num_rows = 2000, .seed = 7}))
+                   .ValueOrDie();
+  NoiseOptions noise;
+  noise.error_rate = 0.04;
+  noise.seed = 42;
+  HospInstance in{
+      std::move(InjectErrors(ds.clean, ds.fds, noise, nullptr)).ValueOrDie(),
+      ds.fds, {}};
+  in.options.w_l = ds.recommended_w_l;
+  in.options.w_r = ds.recommended_w_r;
+  in.options.tau_by_fd = ds.recommended_tau;
+  return in;
+}
+
+TEST(MemoryAccountingTest, RepairReturnsEveryCharge) {
+  // The RepairResult owns no charged structure (the repaired table, the
+  // change log and the provenance are never charged), so every byte a
+  // repair charges is returned by the time it returns.
+  HospInstance hosp = Hosp2k();
+  Table citizens = CitizensDirty();
+  HospInstance cases[] = {
+      {citizens, CitizensFDs(citizens.schema()), {}},
+      std::move(hosp),
+  };
+  cases[0].options.tau_by_fd = {{"phi1", 0.30}, {"phi2", 0.5},
+                                {"phi3", 0.5}};
+  for (const HospInstance& in : cases) {
+    for (RepairAlgorithm algorithm :
+         {RepairAlgorithm::kGreedy, RepairAlgorithm::kApproJoin}) {
+      for (int threads : {1, 4}) {
+        SCOPED_TRACE(std::string(RepairAlgorithmName(algorithm)) + " rows " +
+                     std::to_string(in.table.num_rows()) + " threads " +
+                     std::to_string(threads));
+        MemoryBudget memory;
+        RepairOptions options = in.options;
+        options.algorithm = algorithm;
+        options.threads = threads;
+        options.memory = &memory;
+        auto result = Repairer(options).Repair(in.table, in.fds);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        EXPECT_FALSE(result.value().changes.empty());
+        EXPECT_GT(memory.peak_bytes(), 0u);
+        EXPECT_EQ(memory.resident_bytes(), 0u);
+      }
+    }
+  }
+}
+
+TEST(SolveMultiTest, GraphAndTargetsNeverResidentTogether) {
+  HospInstance in = Hosp2k();
+  in.options.algorithm = RepairAlgorithm::kApproJoin;
+  // The largest multi-FD component, its graphs and its target phase
+  // measured on their own.
+  std::vector<int> largest;
+  const FDGraph fd_graph(in.fds);
+  for (const std::vector<int>& component : fd_graph.Components()) {
+    if (component.size() > largest.size()) largest = component;
+  }
+  ASSERT_GE(largest.size(), 2u);
+  std::vector<const FD*> fds;
+  for (int f : largest) fds.push_back(&in.fds[static_cast<size_t>(f)]);
+  DistanceModel model(in.table);
+  MemoryBudget graph_memory;
+  RepairOptions options = in.options;
+  options.memory = &graph_memory;
+  ComponentContext context =
+      BuildComponentContext(in.table, fds, model, options);
+  const uint64_t csr = graph_memory.resident_bytes();
+  auto cover = CoverApproMulti(context, options, nullptr);
+  ASSERT_TRUE(cover.ok()) << cover.status().ToString();
+  EXPECT_GT(ReleaseCoverInputs(&context), 0u);
+  EXPECT_EQ(graph_memory.resident_bytes(), 0u);
+  MemoryBudget target_memory;
+  options.memory = &target_memory;
+  auto solved =
+      AssignCover(context, std::move(cover).value(), model, options, nullptr);
+  ASSERT_TRUE(solved.ok()) << solved.status().ToString();
+  const uint64_t targets = target_memory.peak_bytes();
+  ASSERT_GT(csr, 0u);
+  ASSERT_GT(targets, 0u);
+
+  MemoryBudget memory;
+  options = in.options;
+  options.memory = &memory;
+  auto unlimited = Repairer(options).Repair(in.table, in.fds);
+  ASSERT_TRUE(unlimited.ok()) << unlimited.status().ToString();
+  const uint64_t peak = memory.peak_bytes();
+  EXPECT_LT(peak, csr + targets)
+      << "csr " << csr << " targets " << targets;
+
+  // The peak is all the repair needs: a hard limit there (and no soft
+  // watermark below it) admits it whole.
+  MemoryBudget hard(peak, 1.0);
+  options.memory = &hard;
+  auto limited = Repairer(options).Repair(in.table, in.fds);
+  ASSERT_TRUE(limited.ok()) << limited.status().ToString();
+  EXPECT_TRUE(limited.value().stats.degradations.empty());
+  EXPECT_FALSE(hard.Exhausted());
+  EXPECT_EQ(limited.value().changes.size(), unlimited.value().changes.size());
+}
+
+TEST(LadderTest, TargetPhaseExhaustionSkips) {
+  // Sweeps the memory fault seam over the multi-FD component's charges
+  // until one lands inside the target-tree build. A target phase that
+  // runs out would run out on any cover, so the component skips once;
+  // it is not re-solved with Appro-M.
+  Table dirty = CitizensDirty();
+  std::vector<FD> all = CitizensFDs(dirty.schema());
+  std::vector<FD> fds = {all[1], all[2]};  // phi2 + phi3
+  RepairOptions options;
+  options.algorithm = RepairAlgorithm::kGreedy;
+  options.tau_by_fd = {{"phi2", 0.5}, {"phi3", 0.5}};
+  options.compute_violation_stats = false;
+  options.provenance = true;
+  bool found = false;
+  for (int bytes = 1; bytes < 1 << 16 && !found; ++bytes) {
+    ScopedEnv fault("FTREPAIR_FAULT_MEM_BYTES", std::to_string(bytes));
+    MemoryBudget memory(uint64_t{1} << 40);
+    options.memory = &memory;
+    auto result = Repairer(options).Repair(dirty, fds);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const std::vector<DegradationEvent>& events =
+        result.value().stats.degradations;
+    if (events.empty() ||
+        events[0].reason.find("target tree build") == std::string::npos) {
+      continue;
+    }
+    found = true;
+    SCOPED_TRACE("fault after " + std::to_string(bytes) + " bytes");
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events[0].stage, "skip");
+    EXPECT_EQ(events[0].cause, DegradationCause::kMemoryHard);
+    EXPECT_TRUE(result.value().changes.empty());
+    auto verified = VerifyExplainReport(
+        dirty, ExplainReportJson(dirty, result.value()));
+    ASSERT_TRUE(verified.ok()) << verified.status().ToString();
+    EXPECT_TRUE(verified.value().ok());
+  }
+  EXPECT_TRUE(found);
 }
 
 }  // namespace

@@ -198,6 +198,33 @@ TEST(ViolationGraphTest, SubgraphOfCompleteBuildIsNotTruncated) {
   }
 }
 
+TEST(ViolationGraphTest, ReleasedGraphKeepsPatternsAndCounters) {
+  Table t = CitizensDirty();
+  DistanceModel model(t);
+  std::vector<FD> fds = CitizensFDs(t.schema());
+  std::vector<Pattern> patterns = BuildPatterns(t, fds[0].attrs());
+  FTOptions opts{0.5, 0.5, 0.35};
+  MemoryBudget memory;
+  opts.memory = &memory;
+  Detection detection =
+      ViolationGraph::Detect(patterns, t, fds[0], model, opts);
+  ViolationGraph g =
+      ViolationGraph::Index(patterns, std::move(detection), &memory);
+  const size_t edges = g.num_edges();
+  const uint64_t verified = g.candidates_verified();
+  ASSERT_GT(edges, 0u);
+  ASSERT_GT(memory.resident_bytes(), 0u);
+
+  EXPECT_GT(g.ReleaseEdges(), 0u);
+  EXPECT_EQ(memory.resident_bytes(), 0u);  // the CSR's charge came back
+  EXPECT_EQ(g.num_patterns(), 7);
+  EXPECT_EQ(g.num_edges(), edges);
+  EXPECT_EQ(g.candidates_verified(), verified);
+  EXPECT_FALSE(g.truncated());
+  EXPECT_EQ(g.pattern(0).codes, patterns[0].codes);
+  EXPECT_DEATH(g.Neighbors(0), "DCHECK");
+}
+
 TEST(ViolationGraphTest, EmptyInput) {
   Table t = CitizensDirty();
   DistanceModel model(t);

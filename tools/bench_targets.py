@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Phase-breakdown benchmark: base commit vs working tree.
+"""Phase-breakdown benchmark: base commit vs working tree, in pairs.
 
 Builds tools/bench_targets/harness.cc against the library sources of a
 base commit (exported with `git archive`) and of this checkout, then
-runs a grid at threads 1 (by default HOSP 10k/20k and Tax 10k x
-{Greedy, Appro-M}; `--runs` picks another), three repetitions per side,
-each run in a fresh process (VmHWM is per process). Sides alternate
-within each repetition. Writes medians and the raw runs to
-BENCH_targets.json.
+runs a grid at threads 1 (by default HOSP 10k/20k/50k and Tax 10k x
+{Greedy, Appro-M}; `--runs` picks another). Every grid entry runs
+PAIRS (5) alternating pairs: each pair runs base and head once each,
+each in a fresh process (VmHWM is per process), base first in even
+pairs and head first in odd ones, so drift in the machine's load
+lands on both sides alike.
 
 Per run it records every PhaseTimings field (detect_ms, graph_ms,
 solve_ms, targets_ms, apply_ms, stats_ms, total_ms) and their
@@ -15,11 +16,17 @@ detect_graph_ms sum, the number of violation-graph detections
 (samples of ftrepair.detect.graph_build_ms), the tree's node count
 before and after compaction, the distance-table entries and bytes (the
 ftrepair.targets.* counters), the Greedy-M work counters
-(greedy_rounds, candidates_rescored, target_scores), the process VmHWM
-and the cells changed; a counter the base lacks is null. For every
-dataset and algorithm run at several row counts, `solve_scaling`
-gives each side's median solve_ms ratio of the larger runs to the
-smallest.
+(greedy_rounds, candidates_rescored, target_scores), the adjacency
+bytes each multi-FD component freed before its target phase
+(ftrepair.solve.graph_bytes_released, per component), the
+MemoryBudget's peak charged bytes, the process VmHWM and the cells
+changed; a value the base lacks is null.
+
+Per metric and side it reports the median, the quartiles and their
+spread (q3 - q1), and how many pairs each side won (the lower value
+wins; equal values tie). For every dataset and algorithm run at
+several row counts, `solve_scaling` gives each side's median solve_ms
+ratio of the larger runs to the smallest.
 
 The result is stamped with the build type, the CPU count and the load
 average before and after. Like repairbench/run.py --record, the script
@@ -27,10 +34,8 @@ refuses to record when the 1-minute load average exceeds the CPU count,
 or when the build is not optimized, and writes the reason instead.
 
     python3 tools/bench_targets.py [--base REF] [--out BENCH_targets.json]
-    python3 tools/bench_targets.py --base REF --out BENCH_detect_once.json
-    python3 tools/bench_targets.py --base REF --out BENCH_greedy_rescore.json \
-        --runs hosp:10000:greedy,hosp:20000:greedy,hosp:50000:greedy,\
-tax:10000:greedy,tax:20000:greedy
+    python3 tools/bench_targets.py --base REF --out BENCH_graph_release.json \\
+        --runs hosp:10000:greedy,hosp:10000:appro,hosp:50000:appro
 """
 
 import argparse
@@ -45,9 +50,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 HARNESS_DIR = ROOT / "tools" / "bench_targets"
 BUILD_ROOT = ROOT / ".bench_build" / "bench_targets"
-REPS = 3
+PAIRS = 5
 RUNS = [("hosp", 10000, "greedy"), ("hosp", 10000, "appro"),
         ("hosp", 20000, "greedy"), ("hosp", 20000, "appro"),
+        ("hosp", 50000, "greedy"), ("hosp", 50000, "appro"),
         ("tax", 10000, "greedy"), ("tax", 10000, "appro")]
 PHASES = ("detect_ms", "graph_ms", "solve_ms", "targets_ms", "apply_ms",
           "stats_ms", "total_ms")
@@ -60,6 +66,7 @@ COUNTERS = {
     "candidates_rescored": "ftrepair.solve.candidates_rescored",
     "target_scores": "ftrepair.solve.target_scores",
 }
+RELEASED = "ftrepair.solve.graph_bytes_released{component="
 
 
 def log(*parts):
@@ -91,16 +98,49 @@ def run_once(binary, dataset, algorithm, csv):
                               raw["detect_ms"] + raw["graph_ms"])
     run["cells_changed"] = raw["cells_changed"]
     run["vm_hwm_kib"] = raw["vm_hwm_kib"]
+    run["peak_charged_bytes"] = raw.get("peak_charged_bytes")
     run["graph_builds"] = histograms.get(
         "ftrepair.detect.graph_build_ms", {}).get("count")
     for key, name in COUNTERS.items():
         run[key] = counters.get(name)
+    released = {name[len(RELEASED):-1]: value
+                for name, value in counters.items()
+                if name.startswith(RELEASED)}
+    run["graph_bytes_released"] = released or None
     return raw["build_type"], run
 
 
-def median_of(runs, key):
-    values = [r[key] for r in runs if r[key] is not None]
-    return statistics.median(values) if values else None
+def summary(values):
+    """Median, quartiles and their spread of the non-null `values`."""
+    values = [v for v in values if v is not None]
+    if not values:
+        return None
+    if len(values) == 1:
+        q1 = q3 = values[0]
+    else:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": statistics.median(values), "q1": q1, "q3": q3,
+            "spread": q3 - q1}
+
+
+def compare(pairs):
+    """Per scalar metric: each side's summary and the pair wins."""
+    out = {}
+    for key, value in pairs[0]["base"].items():
+        if isinstance(value, dict) or key == "graph_bytes_released":
+            continue
+        entry = {side: summary([p[side][key] for p in pairs])
+                 for side in ("base", "head")}
+        wins = {"base": 0, "head": 0, "tie": 0}
+        for p in pairs:
+            b, h = p["base"][key], p["head"][key]
+            if b is None or h is None or b == h:
+                wins["tie"] += 1
+            else:
+                wins["head" if h < b else "base"] += 1
+        entry["wins"] = wins
+        out[key] = entry
+    return out
 
 
 def parse_runs(text):
@@ -128,8 +168,9 @@ def solve_scaling(grid, results):
         name = f"{dataset}-{rows // 1000}k-{algorithm}"
         small = f"{dataset}-{smallest // 1000}k-{algorithm}"
         scaling[f"{name} / {small}"] = {
-            side: round(by_name[name][side]["median"]["solve_ms"] /
-                        by_name[small][side]["median"]["solve_ms"], 2)
+            side: round(by_name[name]["metrics"]["solve_ms"][side]["median"] /
+                        by_name[small]["metrics"]["solve_ms"][side]["median"],
+                        2)
             for side in ("base", "head")}
     return scaling
 
@@ -150,7 +191,7 @@ def main():
     load_before = os.getloadavg()
     stamp = {"build_type": None, "nproc": ncpu,
              "load_avg_before": load_before, "base": args.base,
-             "threads": 1, "repetitions": REPS}
+             "threads": 1, "pairs": PAIRS}
 
     with tempfile.TemporaryDirectory() as tmp:
         base_src = Path(tmp) / "base"
@@ -175,27 +216,32 @@ def main():
         results = []
         for dataset, rows, algorithm in grid:
             name = f"{dataset}-{rows // 1000}k-{algorithm}"
-            sides = {"base": [], "head": []}
-            for rep in range(REPS):
-                for side in ("base", "head"):
+            pairs = []
+            for index in range(PAIRS):
+                order = ("base", "head") if index % 2 == 0 else \
+                        ("head", "base")
+                pair = {}
+                for side in order:
                     build_type, run = run_once(binaries[side], dataset,
                                                algorithm,
                                                csvs[(dataset, rows)])
                     stamp["build_type"] = build_type
-                    sides[side].append(run)
-                    log(f"{name} {side} rep {rep}: "
+                    pair[side] = run
+                    log(f"{name} {side} pair {index}: "
                         f"total {run['total_ms']:.1f} ms, "
                         f"solve {run['solve_ms']:.1f} ms, "
-                        f"detect+graph {run['detect_graph_ms']:.1f} ms, "
                         f"targets {run['targets_ms']:.1f} ms, "
+                        f"peak {run['peak_charged_bytes']} B, "
                         f"hwm {run['vm_hwm_kib']} KiB")
-            entry = {"run": name}
-            for side, runs in sides.items():
-                entry[side] = {
-                    "median": {key: median_of(runs, key) for key in runs[0]},
-                    "runs": runs,
-                }
-            results.append(entry)
+                pairs.append(pair)
+            results.append({
+                "run": name,
+                "graph_bytes_released": {
+                    side: pairs[0][side]["graph_bytes_released"]
+                    for side in ("base", "head")},
+                "metrics": compare(pairs),
+                "pairs": pairs,
+            })
 
     stamp["load_avg_after"] = os.getloadavg()
     load = max(load_before[0], stamp["load_avg_after"][0])
@@ -206,7 +252,9 @@ def main():
         refusal = f"load average {load:.2f} exceeds the CPU count {ncpu}"
     out = {"refused": refusal, "stamp": stamp} if refusal else {
         "protocol": "tools/bench_targets.py: base vs head, threads 1, "
-                    f"{REPS} fresh-process repetitions per side, medians",
+                    f"{PAIRS} alternating fresh-process pairs per run; "
+                    "per metric the median, quartiles, spread and pair wins "
+                    "(lower wins)",
         "stamp": stamp, "results": results,
         "solve_scaling": solve_scaling(grid, results)}
     Path(args.out).write_text(json.dumps(out, indent=2) + "\n")

@@ -4,8 +4,9 @@
 //       writes the dirty table (4% noise, seed 42) to OUT.csv;
 //   bench_targets run {hosp|tax} {greedy|appro} IN.csv
 //       reads IN.csv, repairs it at threads 1 with the dataset's
-//       recommended settings and prints one JSON line: every
-//       PhaseTimings field, cells changed, the process's VmHWM and the
+//       recommended settings under an unlimited MemoryBudget and prints
+//       one JSON line: every PhaseTimings field, cells changed, the
+//       budget's peak charged bytes, the process's VmHWM and the
 //       metrics snapshot (which holds the graph-build count).
 //
 // Only library calls that exist on both sides of a comparison are used,
@@ -17,6 +18,7 @@
 #include <string>
 
 #include "common/metrics.h"
+#include "common/resource.h"
 #include "core/repairer.h"
 #include "data/csv.h"
 #include "gen/error_injector.h"
@@ -93,6 +95,8 @@ int main(int argc, char** argv) {
   options.w_r = ds.recommended_w_r;
   options.tau_by_fd = ds.recommended_tau;
   options.threads = 1;
+  MemoryBudget memory;
+  options.memory = &memory;
   auto result = Repairer(options).Repair(dirty, ds.fds);
   if (!result.ok()) {
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
@@ -104,9 +108,11 @@ int main(int argc, char** argv) {
       "{\"build_type\":\"%s\",\"detect_ms\":%.3f,\"graph_ms\":%.3f,"
       "\"solve_ms\":%.3f,\"targets_ms\":%.3f,\"apply_ms\":%.3f,"
       "\"stats_ms\":%.3f,\"total_ms\":%.3f,\"cells_changed\":%d,"
-      "\"vm_hwm_kib\":%ld,\"metrics\":%s}\n",
+      "\"peak_charged_bytes\":%llu,\"vm_hwm_kib\":%ld,\"metrics\":%s}\n",
       BENCH_BUILD_TYPE, phases.detect_ms, phases.graph_ms, phases.solve_ms,
       phases.targets_ms, phases.apply_ms, phases.stats_ms, phases.total_ms,
-      stats.cells_changed, VmHwmKib(), Metrics().SnapshotJson().c_str());
+      stats.cells_changed,
+      static_cast<unsigned long long>(memory.peak_bytes()), VmHwmKib(),
+      Metrics().SnapshotJson().c_str());
   return 0;
 }
